@@ -40,7 +40,6 @@ from .training import (
     Trainer,
     per_triple_cost_probe,
     sample_triple,
-    sgd_step,
     train,
 )
 from .evaluation import (
@@ -95,7 +94,6 @@ __all__ = [
     "per_triple_cost_probe",
     "sample_triple",
     "save_checkpoint",
-    "sgd_step",
     "split_leave_one_out",
     "train",
     "validation_auc",

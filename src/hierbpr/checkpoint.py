@@ -1,9 +1,11 @@
 """Single-file model checkpoints.
 
 Layout: 8-byte magic, little-endian u64 header length, a JSON header (config,
-id maps, seeds, array directory), then raw little-endian array bytes. The
-writer is fully deterministic (same model, same bytes), which is what makes
-rerun-identity checks possible; zip-based containers embed timestamps.
+id maps, seeds, array directory, CRC-32 of the payload), then raw
+little-endian array bytes. The writer is fully deterministic (same model,
+same bytes), which is what makes rerun-identity checks possible; zip-based
+containers embed timestamps. The reader checks every length and the digest
+and raises ``ParseError`` for any damaged file.
 
 Checkpoints carry the raw parameter blocks plus the frozen per-item
 projections and visual-bias scores, so ranking and evaluation need only the
@@ -13,11 +15,12 @@ checkpoint and a feedback file, not the original feature matrix.
 from __future__ import annotations
 
 import json
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionOutOfRange, ParseError
+from .errors import ParseError
 from .evaluation import EvalSplit
 from .hierarchy import CategoryHierarchy, assign_layers, build_hierarchy
 from .model import (
@@ -26,17 +29,14 @@ from .model import (
     ModelConfig,
     ModelParams,
     PreferenceModel,
+    rank_items,
 )
 from .embedding import SegmentStore
 
 MAGIC = b"HBPRCKP1"
-VERSION = 1
+VERSION = 2            # 2 added the payload digest
 
 _DTYPES = {"float64": "<f8", "int64": "<i8"}
-
-
-def _hierarchy_to_parts(h: CategoryHierarchy, item_ids) -> tuple[list, np.ndarray]:
-    return list(h.node_ids), np.asarray(h.parent, dtype=np.int64)
 
 
 def _hierarchy_from_parts(node_ids, parent, item_ids, item_leaf) -> CategoryHierarchy:
@@ -83,6 +83,7 @@ def save_checkpoint(
     directory = []
     offset = 0
     payload = []
+    crc = 0
     for name in sorted(arrays):
         arr = arrays[name]
         kind = "int64" if arr.dtype.kind == "i" else "float64"
@@ -96,6 +97,7 @@ def save_checkpoint(
             "nbytes": len(blob),
         })
         payload.append(blob)
+        crc = zlib.crc32(blob, crc)
         offset += len(blob)
 
     header = {
@@ -107,6 +109,7 @@ def save_checkpoint(
         "node_ids": list(corpus.hierarchy.node_ids),
         "seeds": seeds,
         "arrays": directory,
+        "payload_crc32": crc,
     }
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
@@ -204,39 +207,63 @@ class FrozenModel:
 
     def rank_by_dimension(self, d: int, top_n: int,
                           category: int | None = None) -> list[tuple[int, float]]:
-        theta = self.bundle.item_theta
-        if not 0 <= d < theta.shape[1]:
-            raise DimensionOutOfRange(
-                f"dimension {d} outside [0, {theta.shape[1]})")
-        candidates = np.arange(self.n_items)
-        if category is not None:
-            candidates = candidates[self.bundle.item_leaf[candidates] == category]
-        col = theta[candidates, d]
-        ids = self.bundle.item_ids
-        order = sorted(range(len(candidates)),
-                       key=lambda k: (-col[k], ids[candidates[k]]))
-        return [(int(candidates[k]), float(col[k])) for k in order[:top_n]]
+        return rank_items(self.bundle.item_theta, self.bundle.item_leaf, d,
+                          top_n, category)
+
+
+def _read_checked(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of a checkpoint, every length and the digest checked."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:8] != MAGIC:
+        raise ParseError(f"{path}: not a checkpoint (magic {blob[:8]!r})")
+    header_len = int.from_bytes(blob[8:16], "little")
+    if 16 + header_len > len(blob):
+        raise ParseError(f"{path}: truncated inside the header")
+    try:
+        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{path}: malformed header: {exc}") from None
+    version = header.get("version") if isinstance(header, dict) else None
+    if version == 1:
+        raise ParseError(
+            f"{path}: checkpoint version 1 has no payload digest; write it "
+            f"again with this release (version {VERSION})")
+    if version != VERSION:
+        raise ParseError(f"{path}: unsupported checkpoint version {version!r}")
+    # Rankings break ties by dense index, which must follow the item ids.
+    ids = header["item_ids"]
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ParseError(f"{path}: item ids are not strictly increasing")
+
+    payload = memoryview(blob)[16 + header_len:]
+    arrays: dict[str, np.ndarray] = {}
+    for entry in header["arrays"]:
+        name, start, nbytes = entry["name"], entry["offset"], entry["nbytes"]
+        if (entry["dtype"] not in _DTYPES
+                or nbytes != 8 * int(np.prod(entry["shape"]))):
+            raise ParseError(f"{path}: bad directory entry for {name!r}")
+        if not 0 <= start <= start + nbytes <= len(payload):
+            raise ParseError(f"{path}: array {name!r} runs past the end of "
+                             "the file (truncated?)")
+        arrays[name] = np.frombuffer(
+            payload[start:start + nbytes],
+            dtype=_DTYPES[entry["dtype"]]).reshape(entry["shape"]).copy()
+    if zlib.crc32(payload) != header["payload_crc32"]:
+        raise ParseError(f"{path}: payload digest mismatch (corrupted file)")
+    return header, arrays
 
 
 def load_checkpoint(path) -> CheckpointBundle:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ParseError(f"{path}: not a checkpoint (magic {magic!r})")
-        header_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if header["version"] != VERSION:
-            raise ParseError(
-                f"{path}: unsupported checkpoint version {header['version']}")
-        payload = fh.read()
+    """Restore a checkpoint; a damaged or malformed file raises ParseError."""
+    try:
+        return _bundle(*_read_checked(path))
+    except (KeyError, TypeError, ValueError) as exc:
+        # The header is outside input: a missing or mistyped field ends here.
+        raise ParseError(f"{path}: malformed checkpoint: {exc!r}") from None
 
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        start = entry["offset"]
-        blob = payload[start:start + entry["nbytes"]]
-        arr = np.frombuffer(blob, dtype=_DTYPES[entry["dtype"]]).copy()
-        arrays[entry["name"]] = arr.reshape(entry["shape"])
 
+def _bundle(header: dict, arrays: dict[str, np.ndarray]) -> CheckpointBundle:
     config = ModelConfig.from_dict(header["config"])
     item_ids = tuple(header["item_ids"])
     user_ids = tuple(header["user_ids"])

@@ -3,8 +3,8 @@
 Subcommands: ``synth`` (generate a corpus), ``validate`` (ingestion report),
 ``train`` (fit and checkpoint a model), ``eval`` (warm/cold AUC from a
 checkpoint), ``rank-dim`` (top items per visual dimension), ``bench-step``
-(per-triple cost table), and ``run`` (manifest-driven experiment:
-split, train, select best on validation, evaluate, write everything).
+(per-triple cost table), and ``run`` (manifest-driven experiment: the same
+fit as ``train``, then warm and cold evaluation, all outputs written).
 
 All randomness flows from three named seeds (split, init, sample) echoed in
 every report. Reports and checkpoints are byte-deterministic; timing lives
@@ -24,12 +24,18 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import HierBprError
 from .evaluation import (
     ColdItemSet,
+    EvalSplit,
     auc,
     evaluate_report,
     split_leave_one_out,
 )
 from .hierarchy import AllocationScheme
-from .ingestion import load_corpus, read_feedback
+from .ingestion import (
+    InteractionCorpus,
+    TrainingCorpus,
+    load_corpus,
+    read_feedback,
+)
 from .model import (
     KIND_RAND,
     KINDS,
@@ -133,59 +139,83 @@ def _write_metrics(path, history) -> None:
                      f"\t{stats.seconds:.6f}\n")
 
 
-def run_experiment(manifest: ExperimentManifest) -> dict:
-    """split -> train -> select best on validation -> evaluate -> persist."""
-    out_dir = Path(manifest.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+@dataclass
+class Fitted:
+    """A model trained by ``fit``, holding its best-on-validation parameters."""
 
+    manifest: ExperimentManifest
+    corpus: InteractionCorpus
+    ingest_report: dict
+    training_corpus: TrainingCorpus
+    split: EvalSplit
+    model: PreferenceModel
+    history: list = field(default_factory=list)
+    best_epoch: int | None = None
+    best_val_auc: float | None = None
+
+    def save(self, ckpt_path, metrics_path=None) -> None:
+        save_checkpoint(ckpt_path, self.model, split=self.split,
+                        seeds=self.manifest.seeds.to_dict(),
+                        item_train_count=self.training_corpus.item_counts())
+        if metrics_path:
+            _write_metrics(metrics_path, self.history)
+
+
+def fit(manifest: ExperimentManifest) -> Fitted:
+    """load -> split -> train -> restore the epoch best on validation.
+
+    ``train`` and ``run`` share this step, so the same manifest gives the
+    same parameters (and checkpoint bytes) through either subcommand.
+    """
     corpus, ingest_report = load_corpus(
         manifest.feedback, manifest.features, manifest.hierarchy,
         manifest.item_leaves, policy=manifest.policy,
         feature_norm=manifest.feature_norm)
     training_corpus, split = split_leave_one_out(corpus, manifest.seeds.split)
-    cold = ColdItemSet.from_training(training_corpus,
-                                     threshold=manifest.cold_threshold)
-
-    config = manifest.model_config()
-    model = PreferenceModel.create(config, corpus)
-
-    history = []
-    best_epoch = None
-    best_val = None
-    if config.kind != KIND_RAND:
+    model = PreferenceModel.create(manifest.model_config(), corpus)
+    fitted = Fitted(manifest, corpus, ingest_report, training_corpus, split,
+                    model)
+    if model.config.kind != KIND_RAND:
         result = train(model, training_corpus, manifest.train_config(),
                        split=split)
-        history = result.history
         if result.best_params is not None:
             model.params = result.best_params
-        best_epoch = result.best_epoch
-        best_val = result.best_val_auc
+        fitted.history = result.history
+        fitted.best_epoch = result.best_epoch
+        fitted.best_val_auc = result.best_val_auc
+    return fitted
 
-    report = evaluate_report(model, corpus, split, cold)
+
+def run_experiment(manifest: ExperimentManifest) -> dict:
+    """fit -> evaluate warm and cold -> write checkpoint, report, metrics."""
+    out_dir = Path(manifest.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    fitted = fit(manifest)
+    cold = ColdItemSet.from_training(fitted.training_corpus,
+                                     threshold=manifest.cold_threshold)
+    report = evaluate_report(fitted.model, fitted.corpus, fitted.split, cold)
     persisted = {
         "config": report["config"],
         "seeds": manifest.seeds.to_dict(),
         "data": {
-            "users": corpus.n_users,
-            "items": corpus.n_items,
-            "interactions": ingest_report["interactions"],
+            "users": fitted.corpus.n_users,
+            "items": fitted.corpus.n_items,
+            "interactions": fitted.ingest_report["interactions"],
         },
         "warm": report["warm"],
         "cold": report["cold"],
         "cold_items": report["cold_items"],
         "cold_threshold": report["cold_threshold"],
-        "best_epoch": best_epoch,
-        "best_val_auc": best_val,
+        "best_epoch": fitted.best_epoch,
+        "best_val_auc": fitted.best_val_auc,
     }
 
     ckpt_path = out_dir / "model.ckpt"
     report_path = out_dir / "report.json"
     metrics_path = out_dir / "metrics.tsv"
-    save_checkpoint(ckpt_path, model, split=split,
-                    seeds=manifest.seeds.to_dict(),
-                    item_train_count=training_corpus.item_counts())
+    fitted.save(ckpt_path, metrics_path)
     _write_json(report_path, persisted)
-    _write_metrics(metrics_path, history)
     return {
         "report": str(report_path),
         "checkpoint": str(ckpt_path),
@@ -236,7 +266,6 @@ def _seeds_from_args(args) -> Seeds:
 
 
 def _cmd_train(args) -> int:
-    seeds = _seeds_from_args(args)
     if args.kprime > 0:
         scheme = (AllocationScheme.parse(args.scheme) if args.scheme
                   else AllocationScheme((args.kprime,)))
@@ -257,44 +286,29 @@ def _cmd_train(args) -> int:
             "use_visual_bias": visual_bias,
             "use_category_bias": args.category_bias,
         },
-        seeds=seeds,
+        train={
+            "learning_rate": args.lr,
+            "iterations": args.epochs,
+            "patience": args.patience,
+            "reg": {
+                "bias": args.reg_bias,
+                "latent": args.reg_latent,
+                "user_visual": args.reg_user_visual,
+                "visual_bias": args.reg_visual_bias,
+                "segments": args.reg_segments,
+                "category_bias": args.reg_category_bias,
+            },
+        },
+        seeds=_seeds_from_args(args),
         policy=args.policy,
         feature_norm=args.feature_norm,
     )
-    corpus, _ = load_corpus(args.feedback, args.features, args.hierarchy,
-                            args.item_leaves, policy=args.policy,
-                            feature_norm=args.feature_norm)
-    training_corpus, split = split_leave_one_out(corpus, seeds.split)
-    config = manifest.model_config()
-    model = PreferenceModel.create(config, corpus)
-    history = []
-    if config.kind != KIND_RAND:
-        tconfig = TrainConfig(
-            learning_rate=args.lr,
-            reg=RegWeights(
-                bias=args.reg_bias,
-                latent=args.reg_latent,
-                user_visual=args.reg_user_visual,
-                visual_bias=args.reg_visual_bias,
-                segments=args.reg_segments,
-                category_bias=args.reg_category_bias,
-            ),
-            iterations=args.epochs,
-            rng_seed=seeds.sample,
-            patience=args.patience,
-        )
-        result = train(model, training_corpus, tconfig, split=split)
-        history = result.history
-        if args.patience is not None and result.best_params is not None:
-            model.params = result.best_params
-    save_checkpoint(args.out, model, split=split, seeds=seeds.to_dict(),
-                    item_train_count=training_corpus.item_counts())
-    if args.metrics:
-        _write_metrics(args.metrics, history)
-    last_val = next((s.val_auc for s in reversed(history)
-                     if s.val_auc is not None), None)
-    print(json.dumps({"checkpoint": args.out, "epochs_run": len(history),
-                      "final_val_auc": last_val}, sort_keys=True))
+    fitted = fit(manifest)
+    fitted.save(args.out, args.metrics)
+    print(json.dumps({"checkpoint": args.out,
+                      "epochs_run": len(fitted.history),
+                      "best_epoch": fitted.best_epoch,
+                      "best_val_auc": fitted.best_val_auc}, sort_keys=True))
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionOutOfRange, MissingFeature, UnknownItem
+from .errors import DimensionOutOfRange, MissingFeature
 from .hierarchy import LayerAssignment
 
 
@@ -137,53 +137,7 @@ class SegmentStore:
             out[sel] = features[sel] @ self.stacked_matrix(int(leaf)).T
         return out
 
-    def accumulate_gradient(self, leaf: int, upstream: np.ndarray, f: np.ndarray,
-                            scale: float, grads: dict[int, np.ndarray]) -> None:
-        """Add ``scale * outer(upstream[rows], f)`` to each path block's buffer.
-
-        Blocks off the path are untouched; buffers are allocated lazily.
-        """
-        if upstream.shape != (self.n_visual,):
-            raise ValueError(f"upstream must have length {self.n_visual}")
-        for block, start, stop in self.assignment.blocks_for_leaf(leaf):
-            buf = grads.get(block)
-            if buf is None:
-                buf = grads[block] = np.zeros_like(self.blocks[block])
-            buf += scale * np.multiply.outer(upstream[start:stop], f)
-
-    def add_scaled_outer(self, leaf: int, upstream: np.ndarray, f: np.ndarray,
-                         scale: float, scratch: np.ndarray) -> None:
-        """In-place ``block += scale * outer(upstream[rows], f)`` along the path.
-
-        ``scratch`` must be a (max_rows, F) workspace; avoids per-step allocs.
-        """
-        for block, start, stop in self.assignment.blocks_for_leaf(leaf):
-            w = stop - start
-            work = scratch[:w]
-            np.multiply(upstream[start:stop, None], f[None, :], out=work)
-            target = self.blocks[block]
-            if scale == 1.0:
-                target += work
-            else:
-                work *= scale
-                target += work
-
     def check_finite(self) -> None:
         if not np.isfinite(self.backing).all():
             raise ValueError("segment store contains non-finite values")
 
-
-def project(item: int, segments: SegmentStore, features: FeatureStore,
-            leaves: np.ndarray) -> np.ndarray:
-    """Module-level form of the projection for a registered item index."""
-    if not 0 <= item < len(leaves):
-        raise UnknownItem(f"item index {item} out of range")
-    return segments.project(features.vector(item), int(leaves[item]))
-
-
-def dimension_score(item: int, d: int, segments: SegmentStore,
-                    features: FeatureStore, leaves: np.ndarray) -> float:
-    """Module-level form of the per-dimension score for a registered item."""
-    if not 0 <= item < len(leaves):
-        raise UnknownItem(f"item index {item} out of range")
-    return segments.dimension_score(features.vector(item), int(leaves[item]), d)

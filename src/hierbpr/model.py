@@ -234,6 +234,24 @@ def rand_scores(seed: int, user: int, n_items: int) -> np.ndarray:
     return mixed.astype(np.float64) / float(2**64)
 
 
+def rank_items(theta: np.ndarray, item_leaf: np.ndarray, d: int, top_n: int,
+               category: int | None = None) -> list[tuple[int, float]]:
+    """The ``top_n`` items with the highest ``theta[:, d]``.
+
+    Ties go to the lower dense index, which is the lower item id: the
+    catalog is densified in sorted id order. ``category`` keeps only the
+    items of that leaf node.
+    """
+    if not 0 <= d < theta.shape[1]:
+        raise DimensionOutOfRange(
+            f"dimension {d} outside [0, {theta.shape[1]})")
+    items = (np.arange(theta.shape[0]) if category is None
+             else np.flatnonzero(item_leaf == category))
+    col = theta[items, d]
+    order = np.argsort(-col, kind="stable")[:top_n]
+    return [(int(items[k]), float(col[k])) for k in order]
+
+
 # ----------------------------------------------------------------- the model
 
 class ItemTable:
@@ -325,6 +343,11 @@ class PreferenceModel:
             self.features.vector(i), int(self.item_leaf[i]), d)
 
     def score(self, u: int, i: int) -> float:
+        """One pair scored term by term: the per-pair test oracle.
+
+        Whole-catalog scoring goes through ``item_table``/``score_all`` and
+        training margins through ``Trainer.margin``.
+        """
         self._check_user(u)
         self._check_item(i)
         if self.config.kind == KIND_RAND:
@@ -342,29 +365,10 @@ class PreferenceModel:
         return total
 
     def score_margin(self, u: int, i: int, j: int) -> float:
-        """score(u, i) - score(u, j) with shared user terms factored."""
-        self._check_user(u)
-        self._check_item(i)
-        self._check_item(j)
+        """score(u, i) - score(u, j), the oracle for ``Trainer.margin``."""
         if i == j:
             raise ValueError("margin needs two distinct items")
-        if self.config.kind == KIND_RAND:
-            row = rand_scores(self.config.rng_seed, u, self.n_items)
-            return float(row[i] - row[j])
-        p = self.params
-        total = float(p.item_bias[i] - p.item_bias[j])
-        if self.config.n_latent:
-            total += float(np.dot(p.user_latent[u],
-                                  p.item_latent[i] - p.item_latent[j]))
-        if self.config.n_visual:
-            total += float(np.dot(p.user_visual[u], self.project(i) - self.project(j)))
-        if self.config.use_visual_bias:
-            total += float(np.dot(p.visual_bias,
-                                  self.features.vector(i) - self.features.vector(j)))
-        if self.config.use_category_bias:
-            total += float(p.category_bias[self.item_leaf[i]]
-                           - p.category_bias[self.item_leaf[j]])
-        return total
+        return self.score(u, i) - self.score(u, j)
 
     # -- frozen-model helpers ------------------------------------------------
 
@@ -394,26 +398,7 @@ class PreferenceModel:
                                self.params.user_latent[u])
 
     def rank_by_dimension(self, d: int, top_n: int,
-                          candidates: np.ndarray | None = None,
                           category: int | None = None) -> list[tuple[int, float]]:
-        """Top items by one visual dimension, ties broken by item id.
-
-        ``category`` restricts candidates to items of one leaf node.
-        """
-        if self.params.segments is None or not 0 <= d < self.config.n_visual:
-            raise DimensionOutOfRange(
-                f"dimension {d} outside [0, {self.config.n_visual})")
-        if candidates is None:
-            candidates = np.arange(self.n_items)
-        else:
-            candidates = np.asarray(candidates, dtype=np.int64)
-        if category is not None:
-            candidates = candidates[self.item_leaf[candidates] == category]
-        theta_col = self.params.segments.project_all(
-            self.features.matrix[candidates], self.item_leaf[candidates])[:, d]
-        ids = self.corpus.item_ids
-        order = sorted(
-            range(len(candidates)),
-            key=lambda k: (-theta_col[k], ids[candidates[k]]),
-        )
-        return [(int(candidates[k]), float(theta_col[k])) for k in order[:top_n]]
+        """Top items by one visual dimension; see ``rank_items``."""
+        return rank_items(self.item_table().theta, self.item_leaf, d, top_n,
+                          category)

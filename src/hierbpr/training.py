@@ -274,12 +274,6 @@ class Trainer:
         return _softplus(-m)
 
 
-def sgd_step(model: PreferenceModel, triple: tuple[int, int, int],
-             config: TrainConfig) -> float:
-    """Single-shot form of Trainer.step for tests and small experiments."""
-    return Trainer(model, config).step(*triple)
-
-
 def train(
     model: PreferenceModel,
     corpus: TrainingCorpus,

@@ -31,7 +31,6 @@ from hierbpr.training import (
     Trainer,
     per_triple_cost_probe,
     sample_triple,
-    sgd_step,
     train,
 )
 
@@ -379,7 +378,7 @@ def test_criterion_09_sparse_touch():
         p = model.params
         before = {name: arr.copy() for name, arr in p.arrays().items()}
         u, i, j = 2, 1, 8
-        sgd_step(model, (u, i, j), TrainConfig(learning_rate=0.1))
+        Trainer(model, TrainConfig(learning_rate=0.1)).step(u, i, j)
         leaf_i = int(model.item_leaf[i])
         leaf_j = int(model.item_leaf[j])
         path_blocks = {blk for blk, _, _ in

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from hierbpr.checkpoint import load_checkpoint, save_checkpoint
+from hierbpr.checkpoint import VERSION, load_checkpoint, save_checkpoint
+from hierbpr.cli import main
 from hierbpr.errors import ParseError
 from hierbpr.evaluation import ColdItemSet, auc, split_leave_one_out
 from hierbpr.hierarchy import AllocationScheme
@@ -101,6 +104,63 @@ class TestRoundTrip:
         assert [i for i, _ in live] == [i for i, _ in ckpt]
 
 
+def _rewrite_header(blob: bytes, edit) -> bytes:
+    size = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + size])
+    edit(header)
+    raw = json.dumps(header).encode()
+    return blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + size:]
+
+
+def _as_v1(header):
+    header["version"] = 1
+    del header["payload_crc32"]
+
+
+def _swap_first_ids(header):
+    ids = header["item_ids"]
+    ids[0], ids[1] = ids[1], ids[0]
+
+
+def _shorten_header_length(blob: bytes) -> bytes:
+    size = int.from_bytes(blob[8:16], "little")
+    return blob[:8] + (size - 5).to_bytes(8, "little") + blob[16:]
+
+
+DAMAGE = {
+    "truncated": lambda blob: blob[:-9],
+    "flipped_payload_byte": lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]),
+    "cut_header": lambda blob: blob[:40],
+    "header_cut_mid_json": _shorten_header_length,
+    "version_1": lambda blob: _rewrite_header(blob, _as_v1),
+    "unsorted_item_ids": lambda blob: _rewrite_header(blob, _swap_first_ids),
+}
+
+
+class TestDamagedFiles:
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_one_line_parse_error(self, trained_setup, tmp_path, capsys,
+                                  damage):
+        _corpus, _tc, split, model = trained_setup
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, split=split)
+        path.write_bytes(DAMAGE[damage](path.read_bytes()))
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+        assert main(["rank-dim", "--model", str(path), "--dim", "0"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ParseError"
+
+    def test_version_1_message(self, trained_setup, tmp_path):
+        _corpus, _tc, split, model = trained_setup
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, split=split)
+        path.write_bytes(DAMAGE["version_1"](path.read_bytes()))
+        with pytest.raises(ParseError, match="version 1"):
+            load_checkpoint(path)
+
+
 class TestFormat:
     def test_byte_identical_writes(self, trained_setup, tmp_path):
         _corpus, tc, split, model = trained_setup
@@ -124,9 +184,10 @@ class TestFormat:
         save_checkpoint(path, model, split=split)
         blob = bytearray(path.read_bytes())
         # Corrupt the version field inside the JSON header.
-        idx = blob.find(b'"version":1')
+        field = f'"version":{VERSION}'.encode()
+        idx = blob.find(field)
         assert idx > 0
-        blob[idx:idx + len(b'"version":1')] = b'"version":9'
+        blob[idx:idx + len(field)] = b'"version":9'
         path.write_bytes(bytes(blob))
         with pytest.raises(ParseError):
             load_checkpoint(path)

@@ -178,6 +178,30 @@ class TestRunExperiment:
         assert 0.0 <= report["warm"]["auc"] <= 1.0
         assert 0.0 <= report["cold"]["auc"] <= 1.0
 
+    def test_train_matches_run(self, dataset, tmp_path, capsys):
+        # One fit step: the same settings give the same best-epoch model.
+        manifest = self.manifest(dataset, tmp_path / "run")
+        manifest.train["iterations"] = 4
+        run_experiment(manifest)
+        ckpt = tmp_path / "train.ckpt"
+        argv = ["train"]
+        for key, path in dataset.items():
+            argv += [f"--{key.replace('_', '-')}", path]
+        argv += ["--k", "3", "--kprime", "3", "--scheme", "2:1",
+                 "--lr", "0.05", "--epochs", "4", "--split-seed", "1",
+                 "--init-seed", "2", "--sample-seed", "3", "--out", str(ckpt)]
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert printed["best_epoch"] == report["best_epoch"]
+        assert printed["best_val_auc"] == report["best_val_auc"]
+        # The last epoch is not the best one, so the rule is exercised.
+        assert printed["epochs_run"] == 4
+        assert printed["best_epoch"] < 4
+        assert (ckpt.read_bytes()
+                == (tmp_path / "run" / "model.ckpt").read_bytes())
+
     def test_rand_baseline_runs(self, dataset, tmp_path):
         summary = run_experiment(self.manifest(dataset, tmp_path / "rand",
                                                kind="RAND"))

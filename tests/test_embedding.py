@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hierbpr.embedding import FeatureStore, SegmentStore, dimension_score, project
-from hierbpr.errors import DimensionOutOfRange, MissingFeature, UnknownItem
+from hierbpr.embedding import FeatureStore, SegmentStore
+from hierbpr.errors import DimensionOutOfRange, MissingFeature
 from hierbpr.hierarchy import AllocationScheme, assign_layers, build_hierarchy
 
 from conftest import TREE3_EDGES
@@ -44,19 +44,17 @@ class TestProject:
         assert t0[0] == t1[0]
         assert t0[1] != t1[1]
 
-    def test_module_level_wrappers(self, rng):
+    def test_registered_item_projection(self, rng):
         h = two_layer()
         a = assign_layers(h, AllocationScheme((2, 1)))
         store = SegmentStore.create(a, 3, rng)
-        matrix = rng.normal(size=(3, 3))
-        features = FeatureStore(matrix)
+        features = FeatureStore(rng.normal(size=(3, 3)))
         leaves = np.array([h.node_of(f"leaf{k}") for k in range(3)])
-        theta = project(1, store, features, leaves)
+        theta = store.project(features.vector(1), int(leaves[1]))
         assert theta.shape == (3,)
-        assert dimension_score(1, 2, store, features, leaves) == pytest.approx(
-            theta[2], abs=1e-15)
-        with pytest.raises(UnknownItem):
-            project(9, store, features, leaves)
+        assert store.dimension_score(
+            features.vector(1), int(leaves[1]), 2) == pytest.approx(
+                theta[2], abs=1e-15)
         with pytest.raises(MissingFeature):
             features.vector(7)
 
@@ -100,56 +98,6 @@ class TestDimensionScore:
             store.dimension_score(np.zeros(3), h.root, 2)
         with pytest.raises(DimensionOutOfRange):
             store.dimension_score(np.zeros(3), h.root, -1)
-
-
-class TestGradientAccumulation:
-    def test_zero_upstream_no_change(self, rng):
-        h = two_layer()
-        a = assign_layers(h, AllocationScheme((2, 2)))
-        store = SegmentStore.create(a, 4, rng)
-        grads = {}
-        store.accumulate_gradient(h.node_of("leaf0"), np.zeros(4),
-                                  rng.normal(size=4), 1.0, grads)
-        for buf in grads.values():
-            assert np.all(buf == 0.0)
-
-    def test_single_layer_outer_product(self, rng):
-        h = single_layer()
-        a = assign_layers(h, AllocationScheme((3,)))
-        store = SegmentStore.create(a, 4, rng)
-        upstream = rng.normal(size=3)
-        f = rng.normal(size=4)
-        grads = {}
-        store.accumulate_gradient(h.root, upstream, f, 2.5, grads)
-        assert np.allclose(grads[0], 2.5 * np.outer(upstream, f))
-
-    def test_off_path_blocks_untouched(self, rng):
-        h = two_layer(3)
-        a = assign_layers(h, AllocationScheme((1, 2)))
-        store = SegmentStore.create(a, 4, rng)
-        grads = {}
-        store.accumulate_gradient(h.node_of("leaf1"), rng.normal(size=3),
-                                  rng.normal(size=4), 1.0, grads)
-        touched = set(grads)
-        expected = {blk for blk, _, _ in
-                    a.blocks_for_leaf(h.node_of("leaf1"))}
-        assert touched == expected
-
-    def test_buffered_and_inplace_routes_agree(self, rng):
-        h = two_layer()
-        a = assign_layers(h, AllocationScheme((2, 2)))
-        store = SegmentStore.create(a, 5, rng)
-        upstream = rng.normal(size=4)
-        f = rng.normal(size=5)
-        leaf = h.node_of("leaf0")
-        grads = {}
-        store.accumulate_gradient(leaf, upstream, f, -1.5, grads)
-        mirror = store.copy()
-        scratch = np.empty((2, 5))
-        mirror.add_scaled_outer(leaf, upstream, f, -1.5, scratch)
-        for blk, buf in grads.items():
-            assert np.allclose(mirror.blocks[blk],
-                               store.blocks[blk] + buf, atol=1e-13)
 
 
 class TestInvariants:

@@ -119,10 +119,11 @@ class TestScoreMargin:
         model = PreferenceModel.create(config, corpus)
         model.params.item_bias[:] = rng.normal(size=6)
         model.params.visual_bias[:] = rng.normal(size=4)
+        trainer = Trainer(model, TrainConfig())
         for _ in range(20):
             i, j = rng.choice(6, size=2, replace=False)
             u = int(rng.integers(2))
-            direct = model.score_margin(u, int(i), int(j))
+            direct = trainer.margin(u, int(i), int(j))
             oracle = model.score(u, int(i)) - model.score(u, int(j))
             assert direct == pytest.approx(oracle, abs=1e-12)
 

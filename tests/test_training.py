@@ -23,7 +23,6 @@ from hierbpr.training import (
     Trainer,
     per_triple_cost_probe,
     sample_triple,
-    sgd_step,
     train,
 )
 
@@ -82,7 +81,7 @@ def analytic_gradients(model, triple, groups):
     config = TrainConfig(learning_rate=1.0, reg=RegWeights(0, 0, 0, 0, 0, 0))
     before = {name: arr.copy() for name, arr in model.params.arrays().items()}
     saved = model.params.copy()
-    sgd_step(model, triple, config)
+    Trainer(model, config).step(*triple)
     after = model.params.arrays()
     deltas = {name: after[name] - before[name] for name in groups}
     model.params = saved
@@ -145,9 +144,18 @@ class TestSgdStep:
     def test_zero_rate_keeps_parameters(self):
         model = tiny_model()
         before = {k: v.copy() for k, v in model.params.arrays().items()}
-        sgd_step(model, (0, 0, 1), TrainConfig(learning_rate=0.0))
+        Trainer(model, TrainConfig(learning_rate=0.0)).step(0, 0, 1)
         for name, arr in model.params.arrays().items():
             assert np.array_equal(arr, before[name]), name
+
+    def test_zero_user_visual_leaves_segments(self):
+        # The segment update is outer(rate * c * theta_u, f): zero upstream.
+        model = tiny_model(rng_seed=4)
+        model.params.user_visual[0] = 0.0
+        seg0 = model.params.segments.backing.copy()
+        Trainer(model, TrainConfig(learning_rate=0.5)).step(0, 0, 1)
+        assert np.array_equal(model.params.segments.backing, seg0)
+        assert np.any(model.params.user_visual[0] != 0.0)
 
     def test_saturated_sigmoid_pure_shrinkage(self):
         model = tiny_model(use_visual_bias=False)
@@ -233,9 +241,9 @@ class TestSgdStep:
         model = tiny_model(rng_seed=8, use_category_bias=True)
         cb0 = model.params.category_bias.copy()
         # Items 0 and 3 share leaf0.
-        sgd_step(model, (0, 0, 3),
-                 TrainConfig(learning_rate=0.5,
-                             reg=RegWeights(category_bias=0.2)))
+        config = TrainConfig(learning_rate=0.5,
+                             reg=RegWeights(category_bias=0.2))
+        Trainer(model, config).step(0, 0, 3)
         leaf = int(model.item_leaf[0])
         assert model.params.category_bias[leaf] == pytest.approx(
             cb0[leaf] * (1 - 0.5 * 0.2))
@@ -250,7 +258,7 @@ class TestSgdStep:
             i, j = (int(x) for x in
                     rng.choice(model.corpus.n_items, 2, replace=False))
             before = log_sigmoid(model.score_margin(u, i, j))
-            sgd_step(model, (u, i, j), config)
+            Trainer(model, config).step(u, i, j)
             after = log_sigmoid(model.score_margin(u, i, j))
             assert after > before
 
@@ -259,7 +267,7 @@ class TestSgdStep:
         p = model.params
         before = {name: arr.copy() for name, arr in p.arrays().items()}
         u, i, j = 1, 0, 5
-        sgd_step(model, (u, i, j), TrainConfig(learning_rate=0.1))
+        Trainer(model, TrainConfig(learning_rate=0.1)).step(u, i, j)
         leaves = {int(model.item_leaf[i]), int(model.item_leaf[j])}
         touched_blocks = set()
         for leaf in leaves:
@@ -292,7 +300,7 @@ class TestSgdStep:
         model = tiny_model()
         model.params.item_bias[0] = np.inf
         with pytest.raises(NonFiniteUpdate):
-            sgd_step(model, (0, 0, 1), TrainConfig(learning_rate=0.1))
+            Trainer(model, TrainConfig(learning_rate=0.1)).step(0, 0, 1)
 
     def test_regularization_only_fixpoint(self):
         model = tiny_model(use_visual_bias=False, n_latent=2)
