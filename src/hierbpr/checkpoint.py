@@ -149,16 +149,6 @@ class CheckpointBundle:
     def frozen_model(self) -> "FrozenModel":
         return FrozenModel(self)
 
-    def to_model(self, corpus) -> PreferenceModel:
-        """Rebind the restored parameters to a full corpus (features needed)."""
-        if tuple(corpus.item_ids) != self.item_ids:
-            raise ValueError("corpus item ids do not match the checkpoint")
-        if tuple(corpus.user_ids) != self.user_ids:
-            raise ValueError("corpus user ids do not match the checkpoint")
-        assignment = (self.params.segments.assignment
-                      if self.params.segments is not None else None)
-        return PreferenceModel(self.config, corpus, self.params, assignment)
-
     def positives_from_pairs(self, pairs) -> tuple[list[np.ndarray], int]:
         """Map (user, item) id pairs onto the checkpoint's dense space."""
         user_index = {u: k for k, u in enumerate(self.user_ids)}

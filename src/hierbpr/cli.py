@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import HierBprError
+from .errors import HierBprError, ParseError
 from .evaluation import (
     ColdItemSet,
     EvalSplit,
@@ -55,10 +55,52 @@ class Seeds:
     def to_dict(self) -> dict:
         return {"split": self.split, "init": self.init, "sample": self.sample}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Seeds":
-        return cls(split=int(d.get("split", 0)), init=int(d.get("init", 0)),
-                   sample=int(d.get("sample", 0)))
+
+_INPUT_KEYS = ("feedback", "features", "hierarchy", "item_leaves")
+# Every key a manifest may hold: a dict is a section, anything else the
+# value's type (float: any number; list: a list of integers).
+_MANIFEST_KEYS = {
+    "inputs": dict.fromkeys(_INPUT_KEYS, str),
+    "model": {"kind": str, "n_latent": int, "n_visual": int, "scheme": list,
+              "use_visual_bias": bool, "use_category_bias": bool},
+    "train": {"learning_rate": float, "iterations": int,
+              "patience": (int, type(None)),
+              "reg": {f.name: float for f in fields(RegWeights)}},
+    "seeds": {f.name: int for f in fields(Seeds)},
+    "cold_threshold": int, "policy": str, "feature_norm": str, "out_dir": str,
+}
+_REQUIRED_KEYS = {"": ("inputs", "model", "out_dir"), "inputs.": _INPUT_KEYS}
+
+
+def _has_type(value, expected) -> bool:
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    if expected is list:
+        return isinstance(value, list) and all(
+            _has_type(v, int) for v in value)
+    return isinstance(value, expected)
+
+
+def _check_manifest(raw, keys=_MANIFEST_KEYS, where="") -> None:
+    """Raise ParseError naming the first missing, unknown or mistyped key."""
+    if not isinstance(raw, dict):
+        what = f"key {where[:-1]!r}" if where else "top level"
+        raise ParseError(f"manifest {what} must be a JSON object")
+    for key in _REQUIRED_KEYS.get(where, ()):
+        if key not in raw:
+            raise ParseError(
+                f"manifest is missing required key {where + key!r}")
+    for key, value in raw.items():
+        name = where + key
+        if key not in keys:
+            raise ParseError(f"unknown manifest key {name!r}")
+        if isinstance(keys[key], dict):
+            _check_manifest(value, keys[key], name + ".")
+        elif not _has_type(value, keys[key]):
+            raise ParseError(f"manifest key {name!r} has the wrong type "
+                             f"({type(value).__name__})")
 
 
 @dataclass
@@ -79,22 +121,16 @@ class ExperimentManifest:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentManifest":
+        """Read and check a manifest; any malformed key raises ParseError."""
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        inputs = raw.get("inputs", raw)
-        return cls(
-            feedback=inputs["feedback"],
-            features=inputs["features"],
-            hierarchy=inputs["hierarchy"],
-            item_leaves=inputs["item_leaves"],
-            out_dir=raw["out_dir"],
-            model=raw["model"],
-            train=raw.get("train", {}),
-            seeds=Seeds.from_dict(raw.get("seeds", {})),
-            cold_threshold=int(raw.get("cold_threshold", 5)),
-            policy=raw.get("policy", "strict"),
-            feature_norm=raw.get("feature_norm", "none"),
-        )
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(
+                    f"manifest is not valid JSON: {exc}") from None
+        _check_manifest(raw)
+        seeds = Seeds(**raw.pop("seeds", {}))
+        return cls(**raw.pop("inputs"), **raw, seeds=seeds)
 
     def model_config(self) -> ModelConfig:
         m = self.model

@@ -137,7 +137,3 @@ class SegmentStore:
             out[sel] = features[sel] @ self.stacked_matrix(int(leaf)).T
         return out
 
-    def check_finite(self) -> None:
-        if not np.isfinite(self.backing).all():
-            raise ValueError("segment store contains non-finite values")
-

@@ -104,7 +104,6 @@ def _mean_user_auc(
     pos_lists: list[np.ndarray],
     n_items: int,
     cold_mask: np.ndarray | None,
-    restrict_targets_to_cold: bool,
     sample_candidates: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, int]:
@@ -115,7 +114,7 @@ def _mean_user_auc(
         t = int(targets[u])
         if t < 0:
             continue
-        if restrict_targets_to_cold and not cold_mask[t]:
+        if cold_mask is not None and not cold_mask[t]:
             continue
         mask = np.ones(n_items, dtype=bool)
         mask[pos_lists[u]] = False
@@ -167,7 +166,6 @@ def auc(
         pos_lists=corpus.positives,
         n_items=corpus.n_items,
         cold_mask=cold_set.cold_mask if setting == "cold" else None,
-        restrict_targets_to_cold=(setting == "cold"),
         sample_candidates=sample_candidates,
         rng=rng,
     )
@@ -183,7 +181,6 @@ def validation_auc(model, corpus: TrainingCorpus, split: EvalSplit) -> float:
         pos_lists=corpus.full_pos,
         n_items=corpus.n_items,
         cold_mask=None,
-        restrict_targets_to_cold=False,
     )
     return value
 

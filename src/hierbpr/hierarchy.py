@@ -55,16 +55,6 @@ class CategoryHierarchy:
         """Dense indices of all nodes on the given layer, ascending."""
         return np.flatnonzero(self.depth == layer)
 
-    def path(self, node: int) -> list[int]:
-        """Root-to-node chain of dense indices."""
-        chain = []
-        cur = node
-        while cur != -1:
-            chain.append(cur)
-            cur = int(self.parent[cur])
-        chain.reverse()
-        return chain
-
     def ancestor_at(self, node: int, layer: int) -> int:
         """The ancestor of ``node`` sitting on ``layer`` (may be node itself)."""
         cur = node

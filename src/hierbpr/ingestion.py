@@ -225,12 +225,6 @@ class InteractionCorpus:
     def n_interactions(self) -> int:
         return int(sum(len(p) for p in self.positives))
 
-    def user_index(self) -> dict[str, int]:
-        return {u: k for k, u in enumerate(self.user_ids)}
-
-    def item_index(self) -> dict[str, int]:
-        return {i: k for k, i in enumerate(self.item_ids)}
-
 
 @dataclass
 class TrainingCorpus:

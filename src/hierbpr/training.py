@@ -70,7 +70,6 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
-    params: ModelParams
     best_params: ModelParams | None
     best_epoch: int | None
     best_val_auc: float | None
@@ -164,18 +163,7 @@ class Trainer:
         if self.segments is not None:
             max_rows = max((b.shape[0] for b in self.segments.blocks), default=0)
         self._scratch = np.empty((max_rows, feat_dim))
-        # Per-leaf path resolved to (block array, theta range) once.
-        self._paths: dict[int, tuple] = {}
-
-    def _path(self, leaf: int) -> tuple:
-        path = self._paths.get(leaf)
-        if path is None:
-            path = tuple(
-                (self.segments.blocks[blk], blk, start, stop)
-                for blk, start, stop in
-                self.segments.assignment.blocks_for_leaf(leaf))
-            self._paths[leaf] = path
-        return path
+        self._paths = ((), ())         # (path_i, path_j), set by margin()
 
     def margin(self, u: int, i: int, j: int) -> float:
         """x_ui - x_uj using the scratch buffers (leaves them populated)."""
@@ -184,12 +172,17 @@ class Trainer:
             np.subtract(self.item_latent[i], self.item_latent[j], out=self._gd)
             m += self.user_latent[u] @ self._gd
         if self.n_visual:
-            features = self.features
+            # Both paths list the same row ranges in the same layer order.
+            path_for = self.segments.assignment.blocks_for_leaf
+            path_i = path_for(int(self.leaves[i]))
+            path_j = path_for(int(self.leaves[j]))
+            self._paths = (path_i, path_j)
+            blocks = self.segments.blocks
+            fi, fj = self.features[i], self.features[j]
             ti, tj = self._ti, self._tj
-            for block, _, start, stop in self._path(int(self.leaves[i])):
-                np.matmul(block, features[i], out=ti[start:stop])
-            for block, _, start, stop in self._path(int(self.leaves[j])):
-                np.matmul(block, features[j], out=tj[start:stop])
+            for (bi, start, stop), (bj, _, _) in zip(path_i, path_j):
+                np.matmul(blocks[bi], fi, out=ti[start:stop])
+                np.matmul(blocks[bj], fj, out=tj[start:stop])
             np.subtract(ti, tj, out=self._td)
             m += self.user_visual[u] @ self._td
         if self.use_vb:
@@ -231,29 +224,27 @@ class Trainer:
             np.copyto(self._tu_old, tu)
             tu *= self.shrink_uv
             tu += ac * self._td          # _td = theta_i - theta_j from margin()
-            path_i = self._path(int(self.leaves[i]))
-            path_j = self._path(int(self.leaves[j]))
-            if self.seg_reg:
-                seg_shrink = 1.0 - lr * self.seg_reg
-                touched = {blk: block for block, blk, _, _ in path_i}
-                touched.update({blk: block for block, blk, _, _ in path_j})
-                for blk in sorted(touched):
-                    touched[blk] *= seg_shrink
-            # Outer-product contributions, i before j, at the old theta_u.
+            # One rank-1 pass per layer at the old theta_u: shrink the
+            # layer's blocks once, then add su (x) f_i and subtract
+            # su (x) f_j. A block on both paths takes both updates, i first.
+            seg_shrink = 1.0 - lr * self.seg_reg
+            blocks = self.segments.blocks
             scratch = self._scratch
             su = self._su
             np.multiply(self._tu_old, ac, out=su)
-            fi = self.features[i]
-            for block, _, start, stop in path_i:
+            fi, fj = self.features[i], self.features[j]
+            for (bi, start, stop), (bj, _, _) in zip(*self._paths):
+                block_i = blocks[bi]
+                block_j = blocks[bj]
+                if self.seg_reg:
+                    block_i *= seg_shrink
+                    if bj != bi:
+                        block_j *= seg_shrink
                 work = scratch[: stop - start]
                 np.multiply(su[start:stop, None], fi[None, :], out=work)
-                block += work
-            np.multiply(self._tu_old, -ac, out=su)
-            fj = self.features[j]
-            for block, _, start, stop in path_j:
-                work = scratch[: stop - start]
+                block_i += work
                 np.multiply(su[start:stop, None], fj[None, :], out=work)
-                block += work
+                block_j -= work
 
         if self.use_vb:
             vb = self.visual_bias
@@ -327,7 +318,6 @@ def train(
             break
 
     return TrainResult(
-        params=model.params,
         best_params=best_params,
         best_epoch=best_epoch,
         best_val_auc=(best_auc if best_epoch is not None else None),

@@ -87,13 +87,6 @@ class TestRoundTrip:
                             5, bundle.item_train_count < 5))
         assert live_cold.auc == pytest.approx(ckpt_cold.auc, abs=1e-12)
 
-    def test_to_model_rebinds(self, trained_setup, tmp_path):
-        corpus, _tc, split, model = trained_setup
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, split=split)
-        rebound = load_checkpoint(path).to_model(corpus)
-        assert rebound.score(0, 1) == pytest.approx(model.score(0, 1), abs=1e-12)
-
     def test_rank_dim_from_checkpoint(self, trained_setup, tmp_path):
         corpus, _tc, split, model = trained_setup
         path = tmp_path / "m.ckpt"

@@ -268,6 +268,96 @@ class TestRunExperiment:
         assert before == after
 
 
+def _manifest_with(tmp_path, change):
+    """A valid manifest over missing input files, edited by ``change``."""
+    missing = tmp_path / "absent"
+    raw = {
+        "inputs": {k: str(missing / k) for k in
+                   ("feedback", "features", "hierarchy", "item_leaves")},
+        "model": {"kind": "HVBPR", "n_latent": 2, "n_visual": 2,
+                  "scheme": [1, 1]},
+        "train": {"learning_rate": 0.05, "iterations": 1, "patience": None,
+                  "reg": {"bias": 0.01, "segments": 0}},
+        "seeds": {"split": 1, "init": 2, "sample": 3},
+        "cold_threshold": 5,
+        "policy": "strict",
+        "feature_norm": "none",
+        "out_dir": str(tmp_path / "out"),
+    }
+    return change(raw)
+
+
+def _drop(section, key):
+    def change(raw):
+        del (raw[section] if section else raw)[key]
+        return raw
+    return change
+
+
+def _put(section, key, value):
+    def change(raw):
+        target = raw
+        for part in section.split(".") if section else ():
+            target = target[part]
+        target[key] = value
+        return raw
+    return change
+
+
+class TestManifestErrors:
+    @pytest.mark.parametrize("change, named", [
+        (_put("train.reg", "bogus", 1), "'train.reg.bogus'"),
+        (lambda raw: [raw], "JSON object"),
+        (_drop("", "out_dir"), "'out_dir'"),
+        (lambda raw: {**raw, "trian": raw.pop("train")}, "'trian'"),
+        (_drop("inputs", "features"), "'inputs.features'"),
+        (_drop("", "model"), "'model'"),
+        (_put("inputs", "images", "x"), "'inputs.images'"),
+        (_put("model", "depth", 3), "'model.depth'"),
+        (_put("seeds", "shuffle", 4), "'seeds.shuffle'"),
+        (_put("train", "iterations", "3"), "'train.iterations'"),
+        (_put("train", "iterations", True), "'train.iterations'"),
+        (_put("train", "reg", 0.1), "'train.reg'"),
+        (_put("model", "scheme", [1, 1.5]), "'model.scheme'"),
+        (_put("", "cold_threshold", None), "'cold_threshold'"),
+        (lambda raw: {**raw.pop("inputs"), **raw}, "'inputs'"),
+    ], ids=["bogus_reg_key", "json_list", "missing_out_dir",
+            "misspelled_train", "missing_input", "missing_model",
+            "unknown_input", "unknown_model_key", "unknown_seed",
+            "string_for_int", "bool_for_int", "number_for_section",
+            "float_in_scheme", "null_threshold", "flat_inputs"])
+    def test_one_line_parse_error(self, tmp_path, capsys, change, named):
+        # The inputs do not exist, so reading any of them would end in an
+        # OSError: a ParseError shows the manifest was checked first.
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(_manifest_with(tmp_path, change)))
+        assert main(["run", "--manifest", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ParseError"
+        assert named in payload["message"]
+
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text('{"inputs": ')
+        assert main(["run", "--manifest", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ParseError"
+
+    def test_null_patience_and_defaults_accepted(self, tmp_path):
+        path = tmp_path / "exp.json"
+        raw = _manifest_with(tmp_path, _drop("", "seeds"))
+        path.write_text(json.dumps(raw))
+        manifest = ExperimentManifest.from_json(path)
+        assert manifest.train_config().patience is None
+        assert manifest.train_config().reg.bias == 0.01
+        assert manifest.seeds == Seeds()
+        assert manifest.features == raw["inputs"]["features"]
+
+
 class TestBench:
     def test_bench_step_table(self, capsys):
         assert main(["bench-step", "--feature-dims", "16,32",

@@ -144,15 +144,6 @@ class TestInvariants:
         store.blocks[1][0, 0] = 123.0
         assert store.backing[2, 0] == 123.0
 
-    def test_check_finite(self, rng):
-        h = single_layer()
-        a = assign_layers(h, AllocationScheme((1,)))
-        store = SegmentStore.create(a, 2, rng)
-        store.check_finite()
-        store.blocks[0][0, 0] = np.nan
-        with pytest.raises(ValueError):
-            store.check_finite()
-
 
 class TestFeatureStore:
     def test_rejects_non_finite(self):

@@ -134,16 +134,15 @@ class TestScoreMargin:
         with pytest.raises(ValueError):
             model.score_margin(0, 2, 2)
 
-    def test_score_decomposition(self, rng):
-        corpus = flat_corpus(n_items=5, feature_dim=3, rng_seed=9)
-        config = ModelConfig(2, 2, AllocationScheme((2,)), rng_seed=2)
-        model = PreferenceModel.create(config, corpus)
-        # score(u, i) == margin(u, i, j) + score(u, j)
-        for _ in range(10):
-            i, j = rng.choice(5, size=2, replace=False)
-            left = model.score(0, int(i))
-            right = model.score_margin(0, int(i), int(j)) + model.score(0, int(j))
-            assert left == pytest.approx(right, abs=1e-12)
+class TestModelParams:
+    def test_check_finite_sees_segment_nan(self):
+        corpus = flat_corpus()
+        config = ModelConfig(1, 2, AllocationScheme((2,)), rng_seed=3)
+        params = PreferenceModel.create(config, corpus).params
+        params.check_finite()
+        params.segments.blocks[0][1, 0] = np.nan
+        with pytest.raises(ValueError, match="segments"):
+            params.check_finite()
 
 
 class TestMakeBaseline:

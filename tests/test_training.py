@@ -22,11 +22,19 @@ from hierbpr.training import (
     TrainConfig,
     Trainer,
     per_triple_cost_probe,
+    _sigmoid,
     sample_triple,
     train,
 )
 
-from conftest import build_corpus, log_sigmoid, numeric_gradient, relative_error
+from conftest import (
+    TREE3_EDGES,
+    TREE3_LEAVES,
+    build_corpus,
+    log_sigmoid,
+    numeric_gradient,
+    relative_error,
+)
 
 
 def tiny_model(rng_seed=0, n_items=6, n_users=3, feature_dim=4,
@@ -316,6 +324,78 @@ class TestSgdStep:
             norms.append(float(np.linalg.norm(model.params.user_latent[0])))
         ratios = [norms[k + 1] / norms[k] for k in range(len(norms) - 1)]
         assert all(abs(r - 0.9) < 1e-9 for r in ratios)  # 1 - 0.2 * 0.5
+
+
+def tree3_model(use_category_bias=True):
+    """Three-layer tree, two items per leaf, visual rows on every layer."""
+    rng = np.random.default_rng(21)
+    items = {f"{leaf}_{k}": leaf for leaf in TREE3_LEAVES for k in range(2)}
+    features = {item: rng.normal(size=4) for item in items}
+    feedback = [(f"u{k % 3}", item) for k, item in enumerate(sorted(items))]
+    corpus = build_corpus(TREE3_EDGES, items, features, feedback)
+    scheme = AllocationScheme((2, 2, 1))
+    config = ModelConfig(2, scheme.total, scheme, use_visual_bias=True,
+                         use_category_bias=use_category_bias, rng_seed=5)
+    model = PreferenceModel.create(config, corpus)
+    model.params.item_bias[:] = rng.normal(scale=0.1, size=corpus.n_items)
+    model.params.visual_bias[:] = rng.normal(scale=0.1, size=4)
+    if use_category_bias:
+        model.params.category_bias[:] = rng.normal(
+            scale=0.1, size=corpus.hierarchy.n_nodes)
+    return model
+
+
+def two_loop_step(model, config, u, i, j):
+    """Reference step: the segment update as two path loops.
+
+    Every block on either path is shrunk once, in block order; then each
+    block on i's path takes +su (x) f_i, and after all of them each block
+    on j's path takes (-su) (x) f_j. The other groups go through
+    ``Trainer.step`` with the segments put back, since only the segment
+    kernel is under test.
+    """
+    p = model.params
+    seg0 = p.segments.backing.copy()
+    tu_old = p.user_visual[u].copy()
+    trainer = Trainer(model, config)
+    ac = config.learning_rate * _sigmoid(-trainer.margin(u, i, j))
+    trainer.step(u, i, j)
+    p.segments.backing[:] = seg0
+    blocks = p.segments.blocks
+    path_i = p.segments.assignment.blocks_for_leaf(int(model.item_leaf[i]))
+    path_j = p.segments.assignment.blocks_for_leaf(int(model.item_leaf[j]))
+    if config.reg.segments:
+        shrink = 1.0 - config.learning_rate * config.reg.segments
+        for blk in sorted({b for b, _, _ in path_i + path_j}):
+            blocks[blk] *= shrink
+    features = model.features.matrix
+    for su, item, path in ((tu_old * ac, i, path_i),
+                           (tu_old * -ac, j, path_j)):
+        for blk, start, stop in path:
+            blocks[blk] += su[start:stop, None] * features[item][None, :]
+
+
+class TestSegmentKernel:
+    @pytest.mark.parametrize("seg_reg", [0.0, 0.3])
+    @pytest.mark.parametrize("pair, n_shared", [
+        (("skirts_0", "skirts_1"), 3),   # one leaf: every block shared
+        (("skirts_0", "boots_1"), 1),    # only the root
+        (("skirts_1", "jeans_0"), 2),    # the root and a layer-2 node
+    ], ids=["same_leaf", "root_only", "layer2_shared"])
+    def test_bits_match_two_loop_reference(self, seg_reg, pair, n_shared):
+        config = TrainConfig(learning_rate=0.7,
+                             reg=RegWeights(segments=seg_reg))
+        live, ref = tree3_model(), tree3_model()
+        ids = live.corpus.item_ids
+        i, j = ids.index(pair[0]), ids.index(pair[1])
+        path_for = live.params.segments.assignment.blocks_for_leaf
+        paths = [path_for(int(live.item_leaf[k])) for k in (i, j)]
+        assert sum(a == b for a, b in zip(*paths)) == n_shared
+        for u in range(live.corpus.n_users):
+            Trainer(live, config).step(u, i, j)
+            two_loop_step(ref, config, u, i, j)
+        for name, arr in live.params.arrays().items():
+            assert np.array_equal(arr, ref.params.arrays()[name]), name
 
 
 class TestTrain:
