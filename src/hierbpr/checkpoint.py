@@ -190,10 +190,11 @@ class FrozenModel:
     def item_table(self) -> ItemTable:
         return self._table
 
-    def score_all(self, u: int, table: ItemTable | None = None) -> np.ndarray:
+    def score_all(self, users, table: ItemTable | None = None) -> np.ndarray:
+        """Every item's score for an int user or an index array of users."""
         table = table or self._table
         p = self.bundle.params
-        return table.score_all(u, p.user_visual[u], p.user_latent[u])
+        return table.score_all(users, p.user_visual, p.user_latent)
 
     def rank_by_dimension(self, d: int, top_n: int,
                           category: int | None = None) -> list[tuple[int, float]]:

@@ -132,6 +132,17 @@ class ExperimentManifest:
         seeds = Seeds(**raw.pop("seeds", {}))
         return cls(**raw.pop("inputs"), **raw, seeds=seeds)
 
+    def configs(self) -> tuple[ModelConfig, TrainConfig]:
+        """Model and training configs; an out-of-range value is a ParseError.
+
+        Cheap and reads no input, so callers check a manifest with it before
+        loading the corpus or creating ``out_dir``.
+        """
+        try:
+            return self.model_config(), self.train_config()
+        except ValueError as exc:
+            raise ParseError(f"manifest value out of range: {exc}") from None
+
     def model_config(self) -> ModelConfig:
         m = self.model
         kind = m.get("kind", "HVBPR")
@@ -203,17 +214,17 @@ def fit(manifest: ExperimentManifest) -> Fitted:
     ``train`` and ``run`` share this step, so the same manifest gives the
     same parameters (and checkpoint bytes) through either subcommand.
     """
+    model_config, train_config = manifest.configs()
     corpus, ingest_report = load_corpus(
         manifest.feedback, manifest.features, manifest.hierarchy,
         manifest.item_leaves, policy=manifest.policy,
         feature_norm=manifest.feature_norm)
     training_corpus, split = split_leave_one_out(corpus, manifest.seeds.split)
-    model = PreferenceModel.create(manifest.model_config(), corpus)
+    model = PreferenceModel.create(model_config, corpus)
     fitted = Fitted(manifest, corpus, ingest_report, training_corpus, split,
                     model)
     if model.config.kind != KIND_RAND:
-        result = train(model, training_corpus, manifest.train_config(),
-                       split=split)
+        result = train(model, training_corpus, train_config, split=split)
         if result.best_params is not None:
             model.params = result.best_params
         fitted.history = result.history
@@ -224,6 +235,7 @@ def fit(manifest: ExperimentManifest) -> Fitted:
 
 def run_experiment(manifest: ExperimentManifest) -> dict:
     """fit -> evaluate warm and cold -> write checkpoint, report, metrics."""
+    manifest.configs()  # out-of-range values fail before out_dir exists
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -267,21 +267,41 @@ class ItemTable:
         self.latent = latent
         self.base = base
         self.rand_seed = rand_seed
+        self._block = self._work = np.empty((0, len(base)))
 
     @property
     def n_items(self) -> int:
         return len(self.base)
 
-    def score_all(self, user: int, user_visual: np.ndarray,
+    def score_all(self, users, user_visual: np.ndarray,
                   user_latent: np.ndarray) -> np.ndarray:
+        """Every item's score for an int user or an index array of users.
+
+        ``user_visual`` and ``user_latent`` are the whole per-user matrices.
+        An int gives an ``(n_items,)`` row; an array is a block of users and
+        gives ``(len(users), n_items)``. Each term is one matrix product for
+        the block. The result lives in a buffer the table reuses: it holds
+        until the next ``score_all`` on this table, so copy it to keep it.
+        """
+        block = np.atleast_1d(users)
+        b = len(block)
+        if len(self._block) < b:
+            self._block = np.empty((b, self.n_items))
+            self._work = np.empty((b, self.n_items))
+        out = self._block[:b]
         if self.rand_seed is not None:
-            return rand_scores(self.rand_seed, user, self.n_items)
-        out = self.base.copy()
-        if self.theta.shape[1]:
-            out += self.theta @ user_visual
-        if self.latent.shape[1]:
-            out += self.latent @ user_latent
-        return out
+            for r, u in enumerate(block):
+                out[r] = rand_scores(self.rand_seed, int(u), self.n_items)
+        else:
+            if self.theta.shape[1]:
+                np.matmul(user_visual[block], self.theta.T, out=out)
+                out += self.base
+            else:
+                out[:] = self.base
+            if self.latent.shape[1]:
+                out += np.matmul(user_latent[block], self.latent.T,
+                                 out=self._work[:b])
+        return out if np.ndim(users) else out[0]
 
 
 class PreferenceModel:
@@ -390,12 +410,19 @@ class PreferenceModel:
             base += p.category_bias[self.item_leaf]
         return ItemTable(theta, p.item_latent, base)
 
-    def score_all(self, u: int, table: ItemTable | None = None) -> np.ndarray:
-        self._check_user(u)
+    def score_all(self, users, table: ItemTable | None = None) -> np.ndarray:
+        """Every item's score for an int user or an index array of users.
+
+        See ``ItemTable.score_all`` for the shapes; pass ``table`` to reuse
+        one ``item_table`` across calls.
+        """
+        block = np.atleast_1d(users)
+        if block.size and not (0 <= block.min() and block.max() < self.n_users):
+            raise UnknownUser(f"user index out of range [0, {self.n_users})")
         if table is None:
             table = self.item_table()
-        return table.score_all(u, self.params.user_visual[u],
-                               self.params.user_latent[u])
+        return table.score_all(users, self.params.user_visual,
+                               self.params.user_latent)
 
     def rank_by_dimension(self, d: int, top_n: int,
                           category: int | None = None) -> list[tuple[int, float]]:

@@ -321,14 +321,22 @@ class TestManifestErrors:
         (_put("model", "scheme", [1, 1.5]), "'model.scheme'"),
         (_put("", "cold_threshold", None), "'cold_threshold'"),
         (lambda raw: {**raw.pop("inputs"), **raw}, "'inputs'"),
+        # Well-typed but out of range.
+        (_put("train", "learning_rate", -1), "learning rate"),
+        (_put("model", "kind", "HBPR"), "'HBPR'"),
+        (_put("train", "iterations", 0), "iteration"),
+        (_put("train.reg", "latent", -0.5), "latent"),
     ], ids=["bogus_reg_key", "json_list", "missing_out_dir",
             "misspelled_train", "missing_input", "missing_model",
             "unknown_input", "unknown_model_key", "unknown_seed",
             "string_for_int", "bool_for_int", "number_for_section",
-            "float_in_scheme", "null_threshold", "flat_inputs"])
+            "float_in_scheme", "null_threshold", "flat_inputs",
+            "negative_learning_rate", "unknown_kind", "zero_iterations",
+            "negative_reg"])
     def test_one_line_parse_error(self, tmp_path, capsys, change, named):
         # The inputs do not exist, so reading any of them would end in an
-        # OSError: a ParseError shows the manifest was checked first.
+        # OSError: a ParseError shows the manifest was checked first, and
+        # before out_dir was created.
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(_manifest_with(tmp_path, change)))
         assert main(["run", "--manifest", str(path)]) == 1
@@ -339,6 +347,7 @@ class TestManifestErrors:
         payload = json.loads(lines[0])
         assert payload["error"] == "ParseError"
         assert named in payload["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "exp.json"

@@ -1,8 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hierbpr.errors import NoEvaluableUsers
+from hierbpr.checkpoint import load_checkpoint, save_checkpoint
+from hierbpr.errors import NoEvaluableUsers, UnknownUser
 from hierbpr.evaluation import (
+    SCORE_BLOCK_ELEMENTS,
     ColdItemSet,
     EvalSplit,
     auc,
@@ -10,11 +16,51 @@ from hierbpr.evaluation import (
     split_leave_one_out,
     validation_auc,
 )
+from hierbpr.hierarchy import AllocationScheme
 from hierbpr.ingestion import TrainingCorpus
-from hierbpr.model import KIND_RAND, PreferenceModel, make_baseline
+from hierbpr.model import (
+    KIND_HVBPR,
+    KIND_RAND,
+    PreferenceModel,
+    make_baseline,
+    rand_scores,
+)
 from hierbpr.synthdata import SynthConfig, make_corpus
 
 from conftest import auc_pair_counting
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def per_user_auc(model, targets, pos_lists, n_items, cold_mask,
+                 sample_candidates=None, rng=None):
+    """The per-user mask loop: the reference for the blocked pass."""
+    table = model.item_table()
+    total = 0.0
+    count = 0
+    for u in range(len(targets)):
+        t = int(targets[u])
+        if t < 0:
+            continue
+        if cold_mask is not None and not cold_mask[t]:
+            continue
+        mask = np.ones(n_items, dtype=bool)
+        mask[pos_lists[u]] = False
+        if cold_mask is not None:
+            mask &= cold_mask
+        if sample_candidates is not None:
+            idx = np.flatnonzero(mask)
+            if len(idx) > sample_candidates:
+                idx = rng.choice(idx, size=sample_candidates, replace=False)
+            mask = np.zeros(n_items, dtype=bool)
+            mask[idx] = True
+        n_cand = int(mask.sum())
+        if n_cand == 0:
+            continue
+        scores = model.score_all(u, table)
+        total += int((scores[mask] < scores[t]).sum()) / n_cand
+        count += 1
+    return total / count, count
 
 
 class ScoreTableModel:
@@ -284,3 +330,135 @@ class TestEvaluateReport:
         assert 0.0 <= report["warm"]["auc"] <= 1.0
         assert report["config"]["kind"] == "RAND"
         assert report["items_total"] == corpus.n_items
+
+
+@pytest.fixture(scope="module")
+def block_setup():
+    """100 users x 2,800 items: 23-row blocks, the last one partial."""
+    cfg = SynthConfig(n_users=100, n_items=2800, feature_dim=8,
+                      branching=(3,), n_positives=5, planted_scheme=(2, 2),
+                      rng_seed=21)
+    corpus, _ = make_corpus(cfg)
+    tc, split = split_leave_one_out(corpus, 4)
+    model = PreferenceModel.create(
+        make_baseline(KIND_HVBPR, total_dims=8, visual_dims=4,
+                      scheme=AllocationScheme((2, 2)), rng_seed=5), corpus)
+    model.params.item_bias[:] = np.random.default_rng(6).normal(
+        scale=0.01, size=corpus.n_items)
+    cold = ColdItemSet.from_training(tc, 5)
+    return corpus, tc, split, model, cold
+
+
+def spy_blocks(monkeypatch, model):
+    """Record the number of users in every ``score_all`` call."""
+    sizes = []
+    score_all = model.score_all
+
+    def spy(users, table=None):
+        sizes.append(len(users))
+        return score_all(users, table)
+
+    monkeypatch.setattr(model, "score_all", spy)
+    return sizes
+
+
+class TestBlockedPass:
+    def check_blocks(self, sizes, n_items):
+        rows = max(1, SCORE_BLOCK_ELEMENTS // n_items)
+        assert len(sizes) >= 3
+        assert sizes[:-1] == [rows] * (len(sizes) - 1)
+        assert 0 < sizes[-1] < rows
+
+    @pytest.mark.parametrize("setting", ["warm", "cold"])
+    def test_equals_reference_and_oracle(self, block_setup, monkeypatch,
+                                         setting):
+        corpus, _tc, split, model, cold = block_setup
+        cold_mask = cold.cold_mask if setting == "cold" else None
+        expected = per_user_auc(model, split.test_item, corpus.positives,
+                                corpus.n_items, cold_mask)
+        rows = np.stack([model.score_all(u) for u in range(corpus.n_users)])
+        oracle = auc_pair_counting(lambda u, j: rows[u, j], corpus.n_items,
+                                   split.test_item, corpus.positives,
+                                   cold_mask)
+        sizes = spy_blocks(monkeypatch, model)
+        result = auc(model, corpus, split, setting=setting, cold_set=cold)
+        self.check_blocks(sizes, corpus.n_items)
+        assert (result.auc, result.users_evaluated) == expected == oracle
+        # Reports print repr(auc): a numpy scalar would change their bytes.
+        assert type(result.auc) is float
+
+    def test_validation_equals_reference(self, block_setup, monkeypatch):
+        corpus, tc, split, model, _cold = block_setup
+        expected, _ = per_user_auc(model, split.val_item, tc.full_pos,
+                                   tc.n_items, None)
+        sizes = spy_blocks(monkeypatch, model)
+        assert validation_auc(model, tc, split) == expected
+        self.check_blocks(sizes, tc.n_items)
+
+    def test_user_without_cold_candidates_skipped(self, block_setup):
+        corpus, _tc, split, model, cold = block_setup
+        # User 0 holds every cold item, its test item among them.
+        positives = list(corpus.positives)
+        positives[0] = np.flatnonzero(cold.cold_mask)
+        test = split.test_item.copy()
+        test[0] = positives[0][0]
+        fake = FakeCorpus(positives, corpus.n_items)
+        expected = per_user_auc(model, test, fake.positives, corpus.n_items,
+                                cold.cold_mask)
+        result = auc(model, fake, split_of(test), setting="cold",
+                     cold_set=cold)
+        assert (result.auc, result.users_evaluated) == expected
+        full = auc(model, corpus, split, setting="cold", cold_set=cold)
+        assert result.users_evaluated == full.users_evaluated - (
+            1 if cold.cold_mask[split.test_item[0]] else 0)
+
+    @pytest.mark.parametrize("setting", ["warm", "cold"])
+    def test_sampled_candidates_equal_reference(self, block_setup, setting):
+        corpus, _tc, split, model, cold = block_setup
+        cold_mask = cold.cold_mask if setting == "cold" else None
+        expected = per_user_auc(model, split.test_item, corpus.positives,
+                                corpus.n_items, cold_mask,
+                                sample_candidates=50,
+                                rng=np.random.default_rng(7))
+        result = auc(model, corpus, split, setting=setting, cold_set=cold,
+                     sample_candidates=50, rng=7)
+        assert result.approximate
+        assert (result.auc, result.users_evaluated) == expected
+
+    def test_rand_block_stacks_rows(self, block_setup):
+        corpus = block_setup[0]
+        model = PreferenceModel.create(make_baseline(KIND_RAND, rng_seed=3),
+                                       corpus)
+        users = np.array([0, 7, 3, 99])
+        expected = np.stack([rand_scores(3, int(u), corpus.n_items)
+                             for u in users])
+        assert np.array_equal(model.score_all(users), expected)
+
+    def test_int_user_is_a_block_of_one(self, block_setup, tmp_path):
+        corpus, _tc, split, model, _cold = block_setup
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, split=split)
+        frozen = load_checkpoint(path).frozen_model()
+        users = np.array([0, 42, corpus.n_users - 1])
+        for scorer in (model, frozen):
+            table = scorer.item_table()
+            block = scorer.score_all(users, table).copy()
+            for r, u in enumerate(users):
+                # Copied: each call reuses the table's buffer.
+                row = scorer.score_all(int(u), table).copy()
+                assert row.shape == (corpus.n_items,)
+                assert np.array_equal(row,
+                                      scorer.score_all(np.array([u]), table)[0])
+                assert np.allclose(row, block[r], rtol=1e-12, atol=1e-15)
+        with pytest.raises(UnknownUser):
+            model.score_all(np.array([0, corpus.n_users]))
+
+
+class TestBenchOracle:
+    def test_selftest_passes(self):
+        # The benchmark's AUC oracle does not import hierbpr; its self-test
+        # checks it against evaluation.auc on a freshly trained model.
+        proc = subprocess.run([sys.executable, "bench/selftest.py"],
+                              cwd=REPO_ROOT, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
