@@ -51,8 +51,9 @@ model.params = result.best_params
 print(f"\nbest epoch {result.best_epoch} "
       f"(validation AUC {result.best_val_auc:.4f})")
 
-warm = auc(model, corpus, split)
-coldr = auc(model, corpus, split, setting="cold", cold_set=cold)
+warm = auc(model, corpus.positives, split)
+coldr = auc(model, corpus.positives, split, setting="cold",
+            cold_set=cold)
 print(f"test warm AUC: {warm.auc:.4f} over {warm.users_evaluated} users")
 print(f"test cold AUC: {coldr.auc:.4f} over {coldr.users_evaluated} users")
 

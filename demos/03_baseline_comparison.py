@@ -55,6 +55,7 @@ for name, model_config in candidates:
     if model_config.kind != KIND_RAND:
         train(model, training_corpus,
               TrainConfig(learning_rate=0.05, iterations=25, rng_seed=13))
-    warm = auc(model, corpus, split).auc
-    coldr = auc(model, corpus, split, setting="cold", cold_set=cold).auc
+    warm = auc(model, corpus.positives, split).auc
+    coldr = auc(model, corpus.positives, split, setting="cold",
+                cold_set=cold).auc
     print(f"{name:<12s} {warm:9.4f} {coldr:9.4f}")

@@ -38,11 +38,11 @@ train(model, training_corpus,
 # Dimensions 0-2 live on the root layer (shared by every category);
 # dimensions 3-4 are instantiated per leaf.
 print("top items per visual dimension (all categories):")
-for dim in range(5):
-    layer = model.assignment.layer_of_row(dim)
-    top = model.rank_by_dimension(dim, top_n=5)
-    ids = [corpus.item_ids[i] for i, _ in top]
-    print(f"  dim {dim} (layer {layer}): {', '.join(ids)}")
+for layer, (start, stop) in enumerate(model.assignment.layer_rows, start=1):
+    for dim in range(start, stop):
+        top = model.rank_by_dimension(dim, top_n=5)
+        ids = [corpus.item_ids[i] for i, _ in top]
+        print(f"  dim {dim} (layer {layer}): {', '.join(ids)}")
 
 leaf_name = ground_truth["leaf_names"][0]
 leaf = corpus.hierarchy.node_of(leaf_name)
@@ -54,7 +54,7 @@ for rank, (item, score) in enumerate(
 # Sanity check against the generator's ground truth: a learned shared
 # dimension should align with some direction of the true item positions.
 true_items = np.array(ground_truth["true_item_vectors"])
-learned = np.array([model.dimension_score(i, 0) for i in range(corpus.n_items)])
+learned = model.item_table().theta[:, 0]
 correlations = [float(abs(np.corrcoef(learned, true_items[:, k])[0, 1]))
                 for k in range(true_items.shape[1])]
 print(f"\n|corr| of learned dim 0 with each true dimension: "

@@ -21,7 +21,7 @@ from .hierarchy import (
     path_segments,
 )
 from .embedding import FeatureStore, SegmentStore
-from .ingestion import InteractionCorpus, TrainingCorpus, load_corpus
+from .ingestion import InteractionCorpus, Positives, TrainingCorpus, load_corpus
 from .model import (
     KIND_BPRMF,
     KIND_HVBPR,
@@ -74,6 +74,7 @@ __all__ = [
     "LayerAssignment",
     "ModelConfig",
     "ModelParams",
+    "Positives",
     "PreferenceModel",
     "RegWeights",
     "SegmentStore",

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ParseError
 from .evaluation import EvalSplit
 from .hierarchy import CategoryHierarchy, assign_layers, build_hierarchy
+from .ingestion import Positives
 from .model import (
     KIND_RAND,
     ItemTable,
@@ -149,20 +150,18 @@ class CheckpointBundle:
     def frozen_model(self) -> "FrozenModel":
         return FrozenModel(self)
 
-    def positives_from_pairs(self, pairs) -> tuple[list[np.ndarray], int]:
-        """Map (user, item) id pairs onto the checkpoint's dense space."""
+    def positives_from_pairs(self, pairs) -> tuple[Positives, int]:
+        """Positives of the pairs, and how many named an unknown id."""
         user_index = {u: k for k, u in enumerate(self.user_ids)}
         item_index = {i: k for k, i in enumerate(self.item_ids)}
-        sets: list[set[int]] = [set() for _ in self.user_ids]
-        dropped = 0
-        for u, i in pairs:
-            ku = user_index.get(u)
-            ki = item_index.get(i)
-            if ku is None or ki is None:
-                dropped += 1
-                continue
-            sets[ku].add(ki)
-        return [np.array(sorted(s), dtype=np.int64) for s in sets], dropped
+        users = np.array([user_index.get(u, -1) for u, _ in pairs],
+                         dtype=np.int64)
+        items = np.array([item_index.get(i, -1) for _, i in pairs],
+                         dtype=np.int64)
+        known = (users >= 0) & (items >= 0)
+        positives = Positives.from_pairs(users[known], items[known],
+                                         self.n_users, self.n_items)
+        return positives, len(known) - int(known.sum())
 
 
 class FrozenModel:
@@ -178,14 +177,6 @@ class FrozenModel:
             rand_seed=(bundle.config.rng_seed
                        if bundle.config.kind == KIND_RAND else None),
         )
-
-    @property
-    def n_items(self) -> int:
-        return self.bundle.n_items
-
-    @property
-    def n_users(self) -> int:
-        return self.bundle.n_users
 
     def item_table(self) -> ItemTable:
         return self._table

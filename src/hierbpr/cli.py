@@ -31,6 +31,8 @@ from .evaluation import (
 )
 from .hierarchy import AllocationScheme
 from .ingestion import (
+    FEATURE_NORMS,
+    POLICIES,
     InteractionCorpus,
     TrainingCorpus,
     load_corpus,
@@ -136,8 +138,15 @@ class ExperimentManifest:
         """Model and training configs; an out-of-range value is a ParseError.
 
         Cheap and reads no input, so callers check a manifest with it before
-        loading the corpus or creating ``out_dir``.
+        loading the corpus or creating ``out_dir``. It also checks the
+        manifest's own ``cold_threshold``, ``policy`` and ``feature_norm``.
         """
+        for key, ok in (("cold_threshold", self.cold_threshold >= 1),
+                        ("policy", self.policy in POLICIES),
+                        ("feature_norm", self.feature_norm in FEATURE_NORMS)):
+            if not ok:
+                raise ParseError(f"manifest value out of range: {key!r} is "
+                                 f"{getattr(self, key)!r}")
         try:
             return self.model_config(), self.train_config()
         except ValueError as exc:
@@ -160,15 +169,10 @@ class ExperimentManifest:
         )
 
     def train_config(self) -> TrainConfig:
-        t = self.train
-        reg = RegWeights(**t.get("reg", {}))
-        return TrainConfig(
-            learning_rate=float(t.get("learning_rate", 0.05)),
-            reg=reg,
-            iterations=int(t.get("iterations", 20)),
-            rng_seed=self.seeds.sample,
-            patience=t.get("patience"),
-        )
+        """``TrainConfig``'s own defaults fill every key left out."""
+        t = dict(self.train)
+        reg = RegWeights(**t.pop("reg", {}))
+        return TrainConfig(**t, reg=reg, rng_seed=self.seeds.sample)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -313,14 +317,15 @@ def _seeds_from_args(args) -> Seeds:
     )
 
 
-def _cmd_train(args) -> int:
+def _manifest_from_args(args) -> ExperimentManifest:
+    """The manifest that ``hierbpr train``'s flags describe."""
     if args.kprime > 0:
         scheme = (AllocationScheme.parse(args.scheme) if args.scheme
                   else AllocationScheme((args.kprime,)))
     else:
         scheme = AllocationScheme(())
     visual_bias = (args.kprime > 0) if args.visual_bias is None else args.visual_bias
-    manifest = ExperimentManifest(
+    return ExperimentManifest(
         feedback=args.feedback,
         features=args.features,
         hierarchy=args.hierarchy,
@@ -338,20 +343,17 @@ def _cmd_train(args) -> int:
             "learning_rate": args.lr,
             "iterations": args.epochs,
             "patience": args.patience,
-            "reg": {
-                "bias": args.reg_bias,
-                "latent": args.reg_latent,
-                "user_visual": args.reg_user_visual,
-                "visual_bias": args.reg_visual_bias,
-                "segments": args.reg_segments,
-                "category_bias": args.reg_category_bias,
-            },
+            "reg": {f.name: getattr(args, "reg_" + f.name)
+                    for f in fields(RegWeights)},
         },
         seeds=_seeds_from_args(args),
         policy=args.policy,
         feature_norm=args.feature_norm,
     )
-    fitted = fit(manifest)
+
+
+def _cmd_train(args) -> int:
+    fitted = fit(_manifest_from_args(args))
     fitted.save(args.out, args.metrics)
     print(json.dumps({"checkpoint": args.out,
                       "epochs_run": len(fitted.history),
@@ -366,14 +368,6 @@ def _cmd_eval(args) -> int:
         raise HierBprError("checkpoint carries no evaluation split")
     pairs = read_feedback(args.feedback)
     positives, dropped = bundle.positives_from_pairs(pairs)
-
-    class _Corpus:
-        pass
-
-    shim = _Corpus()
-    shim.positives = positives
-    shim.n_items = bundle.n_items
-    shim.n_users = bundle.n_users
     model = bundle.frozen_model()
 
     cold_set = None
@@ -383,7 +377,7 @@ def _cmd_eval(args) -> int:
         cold_set = ColdItemSet(
             threshold=args.cold_threshold,
             cold_mask=bundle.item_train_count < args.cold_threshold)
-    result = auc(model, shim, bundle.split, setting=args.setting,
+    result = auc(model, positives, bundle.split, setting=args.setting,
                  cold_set=cold_set, sample_candidates=args.sample_candidates,
                  rng=args.sample_seed)
     report = {
@@ -472,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--item-leaves", required=True)
-    p.add_argument("--policy", choices=["strict", "prune"], default="strict")
-    p.add_argument("--feature-norm", choices=["none", "l2"], default="none")
+    p.add_argument("--policy", choices=POLICIES, default="strict")
+    p.add_argument("--feature-norm", choices=FEATURE_NORMS, default="none")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("train", help="fit a model and write a checkpoint")
@@ -490,21 +484,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--visual-bias", action=argparse.BooleanOptionalAction,
                    default=None)
     p.add_argument("--category-bias", action="store_true")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=20)
+    # Defaults are read from the dataclasses, as manifests' are.
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.iterations)
     p.add_argument("--patience", type=int)
-    p.add_argument("--reg-bias", type=float, default=0.01)
-    p.add_argument("--reg-latent", type=float, default=0.01)
-    p.add_argument("--reg-user-visual", type=float, default=0.01)
-    p.add_argument("--reg-visual-bias", type=float, default=0.0)
-    p.add_argument("--reg-segments", type=float, default=0.0)
-    p.add_argument("--reg-category-bias", type=float, default=0.01)
+    for f in fields(RegWeights):
+        p.add_argument("--reg-" + f.name.replace("_", "-"), type=float,
+                       default=f.default)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split-seed", type=int)
     p.add_argument("--init-seed", type=int)
     p.add_argument("--sample-seed", type=int)
-    p.add_argument("--policy", choices=["strict", "prune"], default="strict")
-    p.add_argument("--feature-norm", choices=["none", "l2"], default="none")
+    p.add_argument("--policy", choices=POLICIES, default="strict")
+    p.add_argument("--feature-norm", choices=FEATURE_NORMS, default="none")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="warm/cold AUC from a checkpoint")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionOutOfRange, MissingFeature
+from .errors import MissingFeature
 from .hierarchy import LayerAssignment
 
 
@@ -110,16 +110,6 @@ class SegmentStore:
         for block, start, stop in self.assignment.blocks_for_leaf(leaf):
             np.matmul(self.blocks[block], f, out=out[start:stop])
         return out
-
-    def dimension_score(self, f: np.ndarray, leaf: int, d: int) -> float:
-        """Single visual dimension of the projection: one row dot product."""
-        if not 0 <= d < self.n_visual:
-            raise DimensionOutOfRange(
-                f"dimension {d} outside [0, {self.n_visual})")
-        for block, start, stop in self.assignment.blocks_for_leaf(leaf):
-            if start <= d < stop:
-                return float(np.dot(self.blocks[block][d - start], f))
-        raise DimensionOutOfRange(f"dimension {d} not covered by any layer")
 
     def stacked_matrix(self, leaf: int) -> np.ndarray:
         """Materialized K' x F projection matrix for one leaf node."""

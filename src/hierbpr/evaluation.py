@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoEvaluableUsers
-from .ingestion import InteractionCorpus, TrainingCorpus
+from .ingestion import InteractionCorpus, Positives, TrainingCorpus
 
 
 @dataclass
@@ -60,32 +60,27 @@ def split_leave_one_out(
     content, not on input file order.
     """
     rng = np.random.default_rng(rng)
-    n_users = corpus.n_users
+    full = corpus.positives
+    n_users = len(full)
     val = np.full(n_users, -1, dtype=np.int64)
     test = np.full(n_users, -1, dtype=np.int64)
-    train_pos: list[np.ndarray] = []
+    keep = np.ones(len(full.indices), dtype=bool)
+    bounds = full.indptr.tolist()
     for u in range(n_users):
-        pos = corpus.positives[u]
-        n = len(pos)
+        start = bounds[u]
+        n = bounds[u + 1] - start
         if n >= 3:
-            picks = rng.choice(n, size=2, replace=False)
-            val[u] = pos[picks[0]]
-            test[u] = pos[picks[1]]
-            keep = np.delete(pos, picks)
+            picks = start + rng.choice(n, size=2, replace=False)
+            val[u], test[u] = full.indices[picks]
+            keep[picks] = False
         elif n == 2:
-            k = int(rng.integers(2))
-            test[u] = pos[k]
-            keep = np.delete(pos, [k])
-        else:
-            keep = pos.copy()
-        train_pos.append(keep)
+            k = start + int(rng.integers(2))
+            test[u] = full.indices[k]
+            keep[k] = False
 
-    training = TrainingCorpus(
-        train_pos=train_pos,
-        full_pos=[p.copy() for p in corpus.positives],
-        users=np.arange(n_users),
-        n_items=corpus.n_items,
-    )
+    train_pos = Positives.from_pairs(full.rows()[keep], full.indices[keep],
+                                     n_users, full.n_items)
+    training = TrainingCorpus(train_pos=train_pos, full_pos=full)
     split = EvalSplit(val_item=val, test_item=test,
                       excluded_users=np.flatnonzero(test < 0))
     return training, split
@@ -105,8 +100,7 @@ SCORE_BLOCK_ELEMENTS = 2**16
 def _mean_user_auc(
     model,
     targets: np.ndarray,
-    pos_lists: list[np.ndarray],
-    n_items: int,
+    positives: Positives,
     cold_mask: np.ndarray | None,
     sample_candidates: int | None = None,
     rng: np.random.Generator | None = None,
@@ -123,6 +117,7 @@ def _mean_user_auc(
     duplicates. Fractions are added one user at a time, in user order.
     """
     table = model.item_table()
+    n_items = positives.n_items
     users = np.flatnonzero(targets >= 0)
     pool = np.arange(n_items)
     if cold_mask is not None:
@@ -135,12 +130,12 @@ def _mean_user_auc(
         block = users[start:start + rows]
         scores = model.score_all(block, table)
         target = scores[np.arange(len(block)), targets[block]]
-        positives = [pos_lists[u] for u in block]
+        pos_rows = [positives[u] for u in block]
         if sample_candidates is None:
-            wins, n_cand = _block_wins(scores, target, positives, cold_mask,
+            wins, n_cand = _block_wins(scores, target, pos_rows, cold_mask,
                                        len(pool))
         else:
-            wins, n_cand = _sampled_wins(scores, target, positives, pool,
+            wins, n_cand = _sampled_wins(scores, target, pos_rows, pool,
                                          sample_candidates, rng)
         for w, n in zip(wins, n_cand):
             if n:
@@ -180,7 +175,7 @@ def _sampled_wins(scores, target, positives, pool, size, rng):
 
 def auc(
     model,
-    corpus: InteractionCorpus,
+    positives: Positives,
     split: EvalSplit,
     setting: str = "warm",
     cold_set: ColdItemSet | None = None,
@@ -192,8 +187,11 @@ def auc(
     Candidates are all items outside the user's full positive set; the
     held-out validation item is therefore never a candidate. With
     ``sample_candidates`` set, each user's candidate pool is subsampled and
-    the result flagged approximate.
+    the result flagged approximate. An ``InteractionCorpus`` stands for its
+    own ``positives`` (``bench/selftest.py`` passes one).
     """
+    if isinstance(positives, InteractionCorpus):
+        positives = positives.positives
     if setting not in ("warm", "cold"):
         raise ValueError(f"unknown setting {setting!r}")
     if setting == "cold" and cold_set is None:
@@ -203,8 +201,7 @@ def auc(
     value, count = _mean_user_auc(
         model,
         targets=split.test_item,
-        pos_lists=corpus.positives,
-        n_items=corpus.n_items,
+        positives=positives,
         cold_mask=cold_set.cold_mask if setting == "cold" else None,
         sample_candidates=sample_candidates,
         rng=rng,
@@ -218,8 +215,7 @@ def validation_auc(model, corpus: TrainingCorpus, split: EvalSplit) -> float:
     value, _ = _mean_user_auc(
         model,
         targets=split.val_item,
-        pos_lists=corpus.full_pos,
-        n_items=corpus.n_items,
+        positives=corpus.full_pos,
         cold_mask=None,
     )
     return value
@@ -233,14 +229,15 @@ def evaluate_report(
 ) -> dict:
     """Warm and cold AUC plus counts, config echo, and wall time."""
     started = time.perf_counter()
-    warm = auc(model, corpus, split, setting="warm")
+    warm = auc(model, corpus.positives, split, setting="warm")
     report = {
         "config": model.config.to_dict(),
         "items_total": corpus.n_items,
         "warm": {"auc": warm.auc, "users_evaluated": warm.users_evaluated},
     }
     if cold_set is not None:
-        cold = auc(model, corpus, split, setting="cold", cold_set=cold_set)
+        cold = auc(model, corpus.positives, split, setting="cold",
+                   cold_set=cold_set)
         report["cold"] = {"auc": cold.auc,
                           "users_evaluated": cold.users_evaluated}
         report["cold_items"] = cold_set.n_cold

@@ -240,12 +240,6 @@ class LayerAssignment:
         start, stop = self.block_rows(block)
         return stop - start
 
-    def layer_of_row(self, d: int) -> int:
-        for layer, (start, stop) in enumerate(self.layer_rows, start=1):
-            if start <= d < stop:
-                return layer
-        raise ValueError(f"row {d} outside [0, {self.n_visual})")
-
     def blocks_for_leaf(self, leaf: int) -> tuple[tuple[int, int, int], ...]:
         """(block, row_start, row_stop) per nonempty layer, root-to-leaf.
 

@@ -11,7 +11,8 @@ order.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from .errors import DimensionMismatch, EmptyCorpus, OrphanItem, ParseError
 from .hierarchy import CategoryHierarchy, build_hierarchy
 
 FEATURE_MAGIC = b"VFEATB01"
+POLICIES = ("strict", "prune")
+FEATURE_NORMS = ("none", "l2")
 
 
 # ---------------------------------------------------------------- text files
@@ -198,13 +201,51 @@ def read_features(path) -> tuple[list[str], np.ndarray]:
 
 # ------------------------------------------------------------------- corpora
 
+@dataclass(frozen=True, eq=False)
+class Positives:
+    """Each user's positive items as CSR rows, sorted and unique per user.
+
+    User ``u``'s items are ``indices[indptr[u]:indptr[u + 1]]``; item ids are
+    dense indices below ``n_items``.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    n_items: int
+
+    @classmethod
+    def from_pairs(cls, users, items, n_users: int, n_items: int
+                   ) -> "Positives":
+        """Rows from dense (user, item) index arrays; duplicates collapse."""
+        keys = np.unique(np.asarray(users, dtype=np.int64) * n_items
+                         + np.asarray(items, dtype=np.int64))
+        indptr = np.zeros(n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n_items, minlength=n_users),
+                  out=indptr[1:])
+        return cls(indptr=indptr, indices=keys % n_items, n_items=n_items)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, u) -> np.ndarray:
+        return self.indices[self.indptr[u]:self.indptr[u + 1]]
+
+    def rows(self) -> np.ndarray:
+        """The user of each entry of ``indices``."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def keys(self) -> frozenset:
+        """Every (u, j) pair as the integer ``u * n_items + j``."""
+        return frozenset((self.rows() * self.n_items + self.indices).tolist())
+
+
 @dataclass
 class InteractionCorpus:
     """Everything a model needs: users, items, positives, tree, features."""
 
     user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
-    positives: list[np.ndarray]
+    positives: Positives
     hierarchy: CategoryHierarchy
     item_leaf: np.ndarray
     features: FeatureStore
@@ -223,35 +264,36 @@ class InteractionCorpus:
 
     @property
     def n_interactions(self) -> int:
-        return int(sum(len(p) for p in self.positives))
+        return len(self.positives.indices)
 
 
 @dataclass
 class TrainingCorpus:
     """Leave-one-out training side: positives minus held-out items.
 
-    ``full_pos`` keeps each user's complete positive set (train + held-out)
-    for negative-sampling rejection and ranking-candidate exclusion.
+    ``full_pos`` is each user's complete positive set (train + held-out),
+    used for negative-sampling rejection and ranking-candidate exclusion;
+    ``full_keys`` holds its pairs as ``Positives.keys`` for the sampler.
     """
 
-    train_pos: list[np.ndarray]
-    full_pos: list[np.ndarray]
-    users: np.ndarray
-    n_items: int
+    train_pos: Positives
+    full_pos: Positives
 
-    n_interactions: int = field(init=False)
-    full_sets: list[frozenset] = field(init=False, repr=False)
+    @cached_property
+    def full_keys(self) -> frozenset:
+        return self.full_pos.keys()
 
-    def __post_init__(self):
-        self.n_interactions = int(sum(len(p) for p in self.train_pos))
-        self.full_sets = [frozenset(p.tolist()) for p in self.full_pos]
+    @property
+    def n_items(self) -> int:
+        return self.full_pos.n_items
+
+    @property
+    def n_interactions(self) -> int:
+        return len(self.train_pos.indices)
 
     def item_counts(self) -> np.ndarray:
         """How often each item occurs in the training positives."""
-        if self.n_interactions == 0:
-            return np.zeros(self.n_items, dtype=np.int64)
-        stacked = np.concatenate([p for p in self.train_pos if len(p)])
-        return np.bincount(stacked, minlength=self.n_items)
+        return np.bincount(self.train_pos.indices, minlength=self.n_items)
 
 
 def assemble_corpus(
@@ -269,9 +311,9 @@ def assemble_corpus(
     leaf assignment; policy="prune" drops such items (and their feedback)
     and reports counts.
     """
-    if policy not in ("strict", "prune"):
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if feature_norm not in ("none", "l2"):
+    if feature_norm not in FEATURE_NORMS:
         raise ValueError(f"unknown feature_norm {feature_norm!r}")
     if not pairs:
         raise EmptyCorpus("no feedback pairs")
@@ -311,10 +353,9 @@ def assemble_corpus(
     users = sorted({u for u, _ in kept_pairs})
     user_index = {u: k for k, u in enumerate(users)}
 
-    positives: list[set[int]] = [set() for _ in users]
-    for u, i in kept_pairs:
-        positives[user_index[u]].add(item_index[i])
-    pos_arrays = [np.array(sorted(p), dtype=np.int64) for p in positives]
+    positives = Positives.from_pairs([user_index[u] for u, _ in kept_pairs],
+                                     [item_index[i] for _, i in kept_pairs],
+                                     len(users), len(catalog))
 
     hierarchy = build_hierarchy(edges, {i: leaf_map[i] for i in catalog})
     item_leaf = np.array([hierarchy.leaf_of_item[i] for i in catalog],
@@ -331,7 +372,7 @@ def assemble_corpus(
     report = {
         "users": len(users),
         "items": len(catalog),
-        "interactions": sum(len(p) for p in pos_arrays),
+        "interactions": len(positives.indices),
         "feature_dim": store.feature_dim,
         "policy": policy,
         "feature_norm": feature_norm,
@@ -345,7 +386,7 @@ def assemble_corpus(
     corpus = InteractionCorpus(
         user_ids=tuple(users),
         item_ids=tuple(catalog),
-        positives=pos_arrays,
+        positives=positives,
         hierarchy=hierarchy,
         item_leaf=item_leaf,
         features=store,

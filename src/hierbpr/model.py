@@ -355,13 +355,6 @@ class PreferenceModel:
         return self.params.segments.project(
             self.features.vector(i), int(self.item_leaf[i]))
 
-    def dimension_score(self, i: int, d: int) -> float:
-        self._check_item(i)
-        if self.params.segments is None:
-            raise DimensionOutOfRange("model has no visual dimensions")
-        return self.params.segments.dimension_score(
-            self.features.vector(i), int(self.item_leaf[i]), d)
-
     def score(self, u: int, i: int) -> float:
         """One pair scored term by term: the per-pair test oracle.
 
@@ -383,12 +376,6 @@ class PreferenceModel:
         if self.config.use_category_bias:
             total += float(p.category_bias[self.item_leaf[i]])
         return total
-
-    def score_margin(self, u: int, i: int, j: int) -> float:
-        """score(u, i) - score(u, j), the oracle for ``Trainer.margin``."""
-        if i == j:
-            raise ValueError("margin needs two distinct items")
-        return self.score(u, i) - self.score(u, j)
 
     # -- frozen-model helpers ------------------------------------------------
 

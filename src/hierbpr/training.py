@@ -125,15 +125,17 @@ def sample_triple(corpus: TrainingCorpus, rng: np.random.Generator
     positives blanket the catalog is skipped and another drawn; if that keeps
     failing the corpus is unusable.
     """
-    n_users = len(corpus.users)
+    n_users = len(corpus.train_pos)
+    n_items = corpus.n_items
+    full = corpus.full_keys
     for _ in range(_USER_RESAMPLE_LIMIT):
-        u = int(corpus.users[rng.integers(n_users)])
+        u = int(rng.integers(n_users))
         pos = corpus.train_pos[u]
         i = int(pos[rng.integers(len(pos))])
-        full = corpus.full_sets[u]
+        row = u * n_items
         for _ in range(_REJECTION_LIMIT):
-            j = int(rng.integers(corpus.n_items))
-            if j not in full:
+            j = int(rng.integers(n_items))
+            if row + j not in full:
                 return u, i, j
     raise ExhaustedRejection(
         "could not sample a non-positive item for any drawn user")

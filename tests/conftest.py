@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hierbpr.ingestion import assemble_corpus
+from hierbpr.ingestion import Positives, TrainingCorpus, assemble_corpus
 
 # Shape of the running example tree: three branches under the root, each
 # with fine-grained leaves (layer 1 = root, layer 2 = branches, layer 3 = leaves).
@@ -31,6 +31,19 @@ def build_corpus(edges, item_leaves, features, feedback, policy="strict"):
         list(feedback), ids, matrix, list(edges), dict(item_leaves),
         policy=policy)
     return corpus
+
+
+def positives_of(rows, n_items):
+    """Positives from per-user item lists (test convenience)."""
+    users = [u for u, row in enumerate(rows) for _ in row]
+    items = [int(i) for row in rows for i in row]
+    return Positives.from_pairs(users, items, len(rows), n_items)
+
+
+def training_corpus(train_rows, full_rows, n_items):
+    """TrainingCorpus from per-user training and full item lists."""
+    return TrainingCorpus(train_pos=positives_of(train_rows, n_items),
+                          full_pos=positives_of(full_rows, n_items))
 
 
 def tree3_corpus(rng=None, n_users=4, feature_dim=3):

@@ -82,7 +82,7 @@ def test_criterion_01_gradient_correctness():
                     rng.choice(corpus.n_items, 2, replace=False))
 
             def objective():
-                return log_sigmoid(model.score_margin(u, i, j))
+                return log_sigmoid(model.score(u, i) - model.score(u, j))
 
             deltas = analytic_gradients(
                 model, (u, i, j),
@@ -181,7 +181,8 @@ def test_criterion_03_auc_oracle_equivalence(rng):
             corpus = FakeCorpus(positives, n_items)
             if n == 0:
                 continue
-            result = auc(ScoreTableModel(scores), corpus, split_of(targets))
+            result = auc(ScoreTableModel(scores), corpus.positives,
+                         split_of(targets))
             assert result.auc == oracle
             assert result.users_evaluated == n
             models_checked += 1
@@ -214,7 +215,7 @@ def test_criterion_03_auc_oracle_equivalence(rng):
                                 for u in range(corpus.n_users)])
             oracle, n = auc_pair_counting(
                 model.score, corpus.n_items, targets, corpus.positives)
-            result = auc(model, corpus, split_of(list(targets)))
+            result = auc(model, corpus.positives, split_of(list(targets)))
             assert result.auc == oracle
             assert result.users_evaluated == n
             models_checked += 1
@@ -231,7 +232,7 @@ def test_criterion_04_rand_calibration():
         _tc, split = split_leave_one_out(corpus, 5)
         model = PreferenceModel.create(make_baseline(KIND_RAND, rng_seed=0),
                                        corpus)
-        result = auc(model, corpus, split)
+        result = auc(model, corpus.positives, split)
         assert result.users_evaluated == 500
         assert abs(result.auc - 0.5) <= 0.02, result.auc
 
@@ -252,7 +253,7 @@ def cold_start_runs():
         "HVBPR": train_model(KIND_HVBPR, corpus, tc,
                              scheme=AllocationScheme((5, 5)), epochs=35),
     }
-    cold_auc = {name: auc(model, corpus, split, setting="cold",
+    cold_auc = {name: auc(model, corpus.positives, split, setting="cold",
                           cold_set=cold).auc
                 for name, model in models.items()}
     return corpus, tc, split, cold, cold_auc
@@ -297,8 +298,10 @@ def test_criterion_06_hierarchy_advantage():
                                   scheme=AllocationScheme((10,)),
                                   epochs=30, init_seed=seed + 2,
                                   sample_seed=seed + 3)
-            a = auc(layered, corpus, split, setting="cold", cold_set=cold).auc
-            b = auc(allroot, corpus, split, setting="cold", cold_set=cold).auc
+            a = auc(layered, corpus.positives, split, setting="cold",
+                    cold_set=cold).auc
+            b = auc(allroot, corpus.positives, split, setting="cold",
+                    cold_set=cold).auc
             gaps.append(a - b)
         mean_gap = float(np.mean(gaps))
         elapsed = time.perf_counter() - started
@@ -453,7 +456,8 @@ def test_criterion_10_imbalanced_tree_reduction():
         train(model, tc, TrainConfig(learning_rate=0.05, iterations=3,
                                      rng_seed=6), split=split)
         cold = ColdItemSet.from_training(tc, 5)
-        warm = auc(model, corpus, split)
-        coldr = auc(model, corpus, split, setting="cold", cold_set=cold)
+        warm = auc(model, corpus.positives, split)
+        coldr = auc(model, corpus.positives, split, setting="cold",
+                    cold_set=cold)
         assert 0.0 <= warm.auc <= 1.0
         assert 0.0 <= coldr.auc <= 1.0

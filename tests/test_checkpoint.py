@@ -77,12 +77,13 @@ class TestRoundTrip:
                         item_train_count=tc.item_counts())
         bundle = load_checkpoint(path)
         frozen = bundle.frozen_model()
-        live = auc(model, corpus, split)
-        from_ckpt = auc(frozen, corpus, bundle.split)
+        live = auc(model, corpus.positives, split)
+        from_ckpt = auc(frozen, corpus.positives, bundle.split)
         assert live.auc == pytest.approx(from_ckpt.auc, abs=1e-12)
         cold = ColdItemSet.from_training(tc, 5)
-        live_cold = auc(model, corpus, split, setting="cold", cold_set=cold)
-        ckpt_cold = auc(frozen, corpus, bundle.split, setting="cold",
+        live_cold = auc(model, corpus.positives, split, setting="cold",
+                        cold_set=cold)
+        ckpt_cold = auc(frozen, corpus.positives, bundle.split, setting="cold",
                         cold_set=ColdItemSet(
                             5, bundle.item_train_count < 5))
         assert live_cold.auc == pytest.approx(ckpt_cold.auc, abs=1e-12)

@@ -4,7 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hierbpr.cli import ExperimentManifest, Seeds, main, run_experiment
+from hierbpr.cli import (
+    ExperimentManifest,
+    Seeds,
+    _manifest_from_args,
+    build_parser,
+    main,
+    run_experiment,
+)
+from hierbpr.training import TrainConfig
 
 
 def synth_args(out_dir, **overrides):
@@ -326,13 +334,17 @@ class TestManifestErrors:
         (_put("model", "kind", "HBPR"), "'HBPR'"),
         (_put("train", "iterations", 0), "iteration"),
         (_put("train.reg", "latent", -0.5), "latent"),
+        (_put("", "cold_threshold", -3), "'cold_threshold'"),
+        (_put("", "policy", "bogus"), "'policy'"),
+        (_put("", "feature_norm", "l3"), "'feature_norm'"),
     ], ids=["bogus_reg_key", "json_list", "missing_out_dir",
             "misspelled_train", "missing_input", "missing_model",
             "unknown_input", "unknown_model_key", "unknown_seed",
             "string_for_int", "bool_for_int", "number_for_section",
             "float_in_scheme", "null_threshold", "flat_inputs",
             "negative_learning_rate", "unknown_kind", "zero_iterations",
-            "negative_reg"])
+            "negative_reg", "negative_cold_threshold", "unknown_policy",
+            "unknown_feature_norm"])
     def test_one_line_parse_error(self, tmp_path, capsys, change, named):
         # The inputs do not exist, so reading any of them would end in an
         # OSError: a ParseError shows the manifest was checked first, and
@@ -365,6 +377,19 @@ class TestManifestErrors:
         assert manifest.train_config().reg.bias == 0.01
         assert manifest.seeds == Seeds()
         assert manifest.features == raw["inputs"]["features"]
+
+    def test_train_flags_and_manifest_share_defaults(self, tmp_path):
+        argv = ["train", "--out", str(tmp_path / "m.ckpt")]
+        for key in ("feedback", "features", "hierarchy", "item-leaves"):
+            argv += [f"--{key}", str(tmp_path / key)]
+        from_flags = _manifest_from_args(build_parser().parse_args(argv))
+        raw = _manifest_with(tmp_path, _put("", "train", {}))
+        raw["seeds"] = {}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(raw))
+        from_run = ExperimentManifest.from_json(path)
+        assert from_flags.train_config() == from_run.train_config()
+        assert from_run.train_config() == TrainConfig()
 
 
 class TestBench:

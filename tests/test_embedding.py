@@ -4,6 +4,7 @@ import pytest
 from hierbpr.embedding import FeatureStore, SegmentStore
 from hierbpr.errors import DimensionOutOfRange, MissingFeature
 from hierbpr.hierarchy import AllocationScheme, assign_layers, build_hierarchy
+from hierbpr.model import rank_items
 
 from conftest import TREE3_EDGES
 
@@ -52,32 +53,35 @@ class TestProject:
         leaves = np.array([h.node_of(f"leaf{k}") for k in range(3)])
         theta = store.project(features.vector(1), int(leaves[1]))
         assert theta.shape == (3,)
-        assert store.dimension_score(
-            features.vector(1), int(leaves[1]), 2) == pytest.approx(
-                theta[2], abs=1e-15)
+        assert store.project_all(features.matrix, leaves)[1, 2] == (
+            pytest.approx(theta[2], abs=1e-15))
         with pytest.raises(MissingFeature):
             features.vector(7)
 
 
 class TestDimensionScore:
+    """A visual dimension's item scores are one column of ``project_all``."""
+
     def test_constructed_inner_product(self):
         h = single_layer()
         a = assign_layers(h, AllocationScheme((1,)))
         store = SegmentStore(a, 3)
         f = np.array([1.0, 2.0, 2.0])
         store.blocks[0][0] = f / np.dot(f, f)
-        assert store.dimension_score(f, h.root, 0) == pytest.approx(1.0)
+        theta = store.project_all(f[None, :], np.array([h.root]))
+        assert theta[0, 0] == pytest.approx(1.0)
 
     def test_matches_projection_componentwise(self, rng):
         h = two_layer()
         a = assign_layers(h, AllocationScheme((2, 3)))
         store = SegmentStore.create(a, 6, rng)
-        f = rng.normal(size=6)
-        leaf = h.node_of("leaf1")
-        theta = store.project(f, leaf)
-        for d in range(5):
-            assert store.dimension_score(f, leaf, d) == pytest.approx(
-                theta[d], abs=1e-15)
+        features = rng.normal(size=(4, 6))
+        leaves = np.array([h.node_of(f"leaf{k % 3}") for k in range(4)])
+        theta = store.project_all(features, leaves)
+        for k in range(4):
+            row = store.project(features[k], int(leaves[k]))
+            for d in range(5):
+                assert theta[k, d] == pytest.approx(row[d], abs=1e-15)
 
     def test_naive_dot_oracle(self, rng):
         h = two_layer()
@@ -86,18 +90,21 @@ class TestDimensionScore:
         f = rng.normal(size=8)
         leaf = h.node_of("leaf2")
         stacked = store.stacked_matrix(leaf)
+        theta = store.project_all(f[None, :], np.array([leaf]))
         for d in range(5):
             naive = sum(stacked[d][k] * f[k] for k in range(8))
-            assert abs(store.dimension_score(f, leaf, d) - naive) < 1e-12
+            assert abs(theta[0, d] - naive) < 1e-12
 
     def test_out_of_range(self, rng):
         h = single_layer()
         a = assign_layers(h, AllocationScheme((2,)))
         store = SegmentStore.create(a, 3, rng)
+        leaves = np.array([h.root])
+        theta = store.project_all(np.zeros((1, 3)), leaves)
         with pytest.raises(DimensionOutOfRange):
-            store.dimension_score(np.zeros(3), h.root, 2)
+            rank_items(theta, leaves, 2, top_n=1)
         with pytest.raises(DimensionOutOfRange):
-            store.dimension_score(np.zeros(3), h.root, -1)
+            rank_items(theta, leaves, -1, top_n=1)
 
 
 class TestInvariants:

@@ -17,7 +17,6 @@ from hierbpr.evaluation import (
     validation_auc,
 )
 from hierbpr.hierarchy import AllocationScheme
-from hierbpr.ingestion import TrainingCorpus
 from hierbpr.model import (
     KIND_HVBPR,
     KIND_RAND,
@@ -27,7 +26,7 @@ from hierbpr.model import (
 )
 from hierbpr.synthdata import SynthConfig, make_corpus
 
-from conftest import auc_pair_counting
+from conftest import auc_pair_counting, positives_of, training_corpus
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -78,7 +77,7 @@ class ScoreTableModel:
 
 class FakeCorpus:
     def __init__(self, positives, n_items):
-        self.positives = [np.asarray(p, dtype=np.int64) for p in positives]
+        self.positives = positives_of(positives, n_items)
         self.n_items = n_items
         self.n_users = len(positives)
 
@@ -143,12 +142,8 @@ class TestSplitLeaveOneOut:
 
 class TestColdItemSet:
     def test_strict_threshold(self):
-        tc = TrainingCorpus(
-            train_pos=[np.array([0, 0, 1]), np.array([0, 2])][:1] + [np.array([0, 2])],
-            full_pos=[np.array([0, 1]), np.array([0, 2])],
-            users=np.arange(2),
-            n_items=4,
-        )
+        tc = training_corpus([[0, 1], [0, 2], [0]], [[0, 1], [0, 2], [0, 3]],
+                             n_items=4)
         # counts: item0 appears 3x, item1 1x, item2 1x, item3 0x
         cold = ColdItemSet.from_training(tc, threshold=2)
         assert list(cold.cold_mask) == [False, True, True, True]
@@ -163,14 +158,14 @@ class TestAuc:
         model = ScoreTableModel(scores)
         corpus = FakeCorpus([[0], [1]], n_items=4)
         split = split_of([0, 1])
-        result = auc(model, corpus, split)
+        result = auc(model, corpus.positives, split)
         assert result.auc == 1.0
         assert result.users_evaluated == 2
 
     def test_all_equal_scores_strict_ties_zero(self):
         model = ScoreTableModel(np.ones((2, 5)))
         corpus = FakeCorpus([[0], [1]], n_items=5)
-        result = auc(model, corpus, split_of([0, 1]))
+        result = auc(model, corpus.positives, split_of([0, 1]))
         assert result.auc == 0.0
 
     def test_hand_built_three_users(self):
@@ -184,7 +179,7 @@ class TestAuc:
         targets = [0, 1, 5]
         model = ScoreTableModel(scores)
         corpus = FakeCorpus(positives, n_items=6)
-        result = auc(model, corpus, split_of(targets))
+        result = auc(model, corpus.positives, split_of(targets))
         oracle, n = auc_pair_counting(
             lambda u, j: scores[u, j], 6, np.array(targets),
             [np.array(p) for p in positives])
@@ -213,9 +208,9 @@ class TestAuc:
                 positives)
             if n == 0:
                 with pytest.raises(NoEvaluableUsers):
-                    auc(model, corpus, split_of(targets))
+                    auc(model, corpus.positives, split_of(targets))
                 continue
-            result = auc(model, corpus, split_of(targets))
+            result = auc(model, corpus.positives, split_of(targets))
             assert result.auc == oracle
             assert result.users_evaluated == n
 
@@ -224,8 +219,9 @@ class TestAuc:
         positives = [[0, 1], [2], [3, 4, 5], [6]]
         targets = [0, 2, 3, 6]
         corpus = FakeCorpus(positives, 12)
-        base = auc(ScoreTableModel(scores), corpus, split_of(targets))
-        shifted = auc(ScoreTableModel(2.0 * scores + 1.0), corpus,
+        base = auc(ScoreTableModel(scores), corpus.positives,
+                   split_of(targets))
+        shifted = auc(ScoreTableModel(2.0 * scores + 1.0), corpus.positives,
                       split_of(targets))
         assert base.auc == shifted.auc
 
@@ -237,8 +233,9 @@ class TestAuc:
         model = ScoreTableModel(scores)
         split = split_of(targets)
         cold = ColdItemSet(threshold=5, cold_mask=np.ones(8, dtype=bool))
-        warm = auc(model, corpus, split)
-        coldr = auc(model, corpus, split, setting="cold", cold_set=cold)
+        warm = auc(model, corpus.positives, split)
+        coldr = auc(model, corpus.positives, split, setting="cold",
+                    cold_set=cold)
         assert warm.auc == coldr.auc
 
     def test_cold_filters_users_and_candidates(self):
@@ -249,8 +246,8 @@ class TestAuc:
         cold = ColdItemSet(threshold=5,
                            cold_mask=np.array([True, True, False, True]))
         corpus = FakeCorpus(positives, 4)
-        result = auc(ScoreTableModel(scores), corpus, split_of(targets),
-                     setting="cold", cold_set=cold)
+        result = auc(ScoreTableModel(scores), corpus.positives,
+                     split_of(targets), setting="cold", cold_set=cold)
         # Only user 0 evaluable; candidates {1, 3}; both below score 1.0.
         assert result.users_evaluated == 1
         assert result.auc == 1.0
@@ -261,7 +258,7 @@ class TestAuc:
                            cold_mask=np.array([False, True, True, True]))
         corpus = FakeCorpus([[0]], 4)
         with pytest.raises(NoEvaluableUsers):
-            auc(ScoreTableModel(scores), corpus, split_of([0]),
+            auc(ScoreTableModel(scores), corpus.positives, split_of([0]),
                 setting="cold", cold_set=cold)
 
     def test_validation_item_never_a_candidate(self):
@@ -270,7 +267,7 @@ class TestAuc:
         scores = np.array([[1.0, 9.0, 0.5, 0.2]])
         positives = [[0, 1]]
         corpus = FakeCorpus(positives, 4)
-        result = auc(ScoreTableModel(scores), corpus,
+        result = auc(ScoreTableModel(scores), corpus.positives,
                      split_of([0], val_items=[1]))
         assert result.auc == 1.0
 
@@ -279,9 +276,10 @@ class TestAuc:
         positives = [[k] for k in range(5)]
         targets = list(range(5))
         corpus = FakeCorpus(positives, 300)
-        exact = auc(ScoreTableModel(scores), corpus, split_of(targets))
-        approx = auc(ScoreTableModel(scores), corpus, split_of(targets),
-                     sample_candidates=100, rng=3)
+        exact = auc(ScoreTableModel(scores), corpus.positives,
+                    split_of(targets))
+        approx = auc(ScoreTableModel(scores), corpus.positives,
+                     split_of(targets), sample_candidates=100, rng=3)
         assert approx.approximate and not exact.approximate
         assert abs(approx.auc - exact.auc) < 0.1
 
@@ -293,19 +291,15 @@ class TestAuc:
                      for _ in range(n_users)]
         targets = [int(p[0]) for p in positives]
         corpus = FakeCorpus(positives, n_items)
-        result = auc(ScoreTableModel(scores), corpus, split_of(targets))
+        result = auc(ScoreTableModel(scores), corpus.positives,
+                     split_of(targets))
         assert abs(result.auc - 0.5) < 0.02
 
 
 class TestValidationAuc:
     def test_targets_are_validation_items(self):
         scores = np.array([[5.0, 4.0, 1.0, 2.0]])
-        tc = TrainingCorpus(
-            train_pos=[np.array([0])],
-            full_pos=[np.array([0, 1, 3])],
-            users=np.array([0]),
-            n_items=4,
-        )
+        tc = training_corpus([[0]], [[0, 1, 3]], n_items=4)
         split = split_of([3], val_items=[1])
         model = ScoreTableModel(scores)
         # Candidates exclude all full positives {0,1,3}: only item 2 remains,
@@ -381,7 +375,8 @@ class TestBlockedPass:
                                    split.test_item, corpus.positives,
                                    cold_mask)
         sizes = spy_blocks(monkeypatch, model)
-        result = auc(model, corpus, split, setting=setting, cold_set=cold)
+        result = auc(model, corpus.positives, split, setting=setting,
+                     cold_set=cold)
         self.check_blocks(sizes, corpus.n_items)
         assert (result.auc, result.users_evaluated) == expected == oracle
         # Reports print repr(auc): a numpy scalar would change their bytes.
@@ -398,17 +393,18 @@ class TestBlockedPass:
     def test_user_without_cold_candidates_skipped(self, block_setup):
         corpus, _tc, split, model, cold = block_setup
         # User 0 holds every cold item, its test item among them.
-        positives = list(corpus.positives)
+        positives = [corpus.positives[u] for u in range(corpus.n_users)]
         positives[0] = np.flatnonzero(cold.cold_mask)
         test = split.test_item.copy()
         test[0] = positives[0][0]
         fake = FakeCorpus(positives, corpus.n_items)
         expected = per_user_auc(model, test, fake.positives, corpus.n_items,
                                 cold.cold_mask)
-        result = auc(model, fake, split_of(test), setting="cold",
+        result = auc(model, fake.positives, split_of(test), setting="cold",
                      cold_set=cold)
         assert (result.auc, result.users_evaluated) == expected
-        full = auc(model, corpus, split, setting="cold", cold_set=cold)
+        full = auc(model, corpus.positives, split, setting="cold",
+                   cold_set=cold)
         assert result.users_evaluated == full.users_evaluated - (
             1 if cold.cold_mask[split.test_item[0]] else 0)
 
@@ -420,8 +416,8 @@ class TestBlockedPass:
                                 corpus.n_items, cold_mask,
                                 sample_candidates=50,
                                 rng=np.random.default_rng(7))
-        result = auc(model, corpus, split, setting=setting, cold_set=cold,
-                     sample_candidates=50, rng=7)
+        result = auc(model, corpus.positives, split, setting=setting,
+                     cold_set=cold, sample_candidates=50, rng=7)
         assert result.approximate
         assert (result.auc, result.users_evaluated) == expected
 
@@ -461,4 +457,14 @@ class TestBenchOracle:
         proc = subprocess.run([sys.executable, "bench/selftest.py"],
                               cwd=REPO_ROOT, capture_output=True, text=True,
                               timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_tracer_installs(self):
+        # bench/tracer.py wraps hierbpr functions by name; a renamed or
+        # moved name makes install raise.
+        code = ("import sys; sys.path[:0] = ['bench', 'src']\n"
+                "from tracer import Tracer, install\n"
+                "install(Tracer(), full=True)\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT,
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr

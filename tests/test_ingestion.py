@@ -188,7 +188,7 @@ class TestLoadCorpus:
             model = PreferenceModel.create(
                 make_baseline(KIND_VBPR, total_dims=4, visual_dims=2,
                               rng_seed=1), corpus)
-            result = auc(model, corpus, split)
+            result = auc(model, corpus.positives, split)
         tc_a, split_a = split_leave_one_out(corpus_a, 3)
         tc_b, split_b = split_leave_one_out(corpus_b, 3)
         assert np.array_equal(split_a.test_item, split_b.test_item)

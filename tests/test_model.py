@@ -103,14 +103,16 @@ class TestScoreMargin:
         model = PreferenceModel.create(config, corpus)
         p = model.params
         p.item_latent[1] = p.item_latent[0]
-        assert model.score_margin(0, 0, 1) == pytest.approx(0.0, abs=1e-12)
+        trainer = Trainer(model, TrainConfig())
+        assert trainer.margin(0, 0, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_antisymmetry(self, rng):
         corpus = flat_corpus(rng_seed=3)
         config = ModelConfig(2, 2, AllocationScheme((2,)), rng_seed=4)
         model = PreferenceModel.create(config, corpus)
-        m = model.score_margin(1, 0, 3)
-        assert model.score_margin(1, 3, 0) == pytest.approx(-m, abs=1e-12)
+        trainer = Trainer(model, TrainConfig())
+        m = trainer.margin(1, 0, 3)
+        assert trainer.margin(1, 3, 0) == pytest.approx(-m, abs=1e-12)
 
     def test_two_call_oracle(self, rng):
         corpus = flat_corpus(n_items=6, feature_dim=4, rng_seed=5)
@@ -127,12 +129,6 @@ class TestScoreMargin:
             oracle = model.score(u, int(i)) - model.score(u, int(j))
             assert direct == pytest.approx(oracle, abs=1e-12)
 
-    def test_same_item_rejected(self):
-        corpus = flat_corpus()
-        config = ModelConfig(1, 0, AllocationScheme(()))
-        model = PreferenceModel.create(config, corpus)
-        with pytest.raises(ValueError):
-            model.score_margin(0, 2, 2)
 
 class TestModelParams:
     def test_check_finite_sees_segment_nan(self):
@@ -223,7 +219,7 @@ class TestRankByDimension:
         config = ModelConfig(0, 2, AllocationScheme((2,)), rng_seed=7)
         model = PreferenceModel.create(config, corpus)
         ranked = model.rank_by_dimension(1, top_n=50)
-        scores = [model.dimension_score(i, 1) for i in range(n)]
+        scores = [model.project(i)[1] for i in range(n)]
         oracle = sorted(range(n), key=lambda i: (-scores[i], corpus.item_ids[i]))
         assert [i for i, _ in ranked] == oracle[:50]
 
@@ -263,8 +259,7 @@ class TestRankByDimension:
         train(model, tc, TrainConfig(learning_rate=0.05, iterations=20,
                                      rng_seed=6))
         true_items = np.array(gt["true_item_vectors"])
-        learned = np.array([model.dimension_score(i, 0)
-                            for i in range(corpus.n_items)])
+        learned = model.item_table().theta[:, 0]
         corr = [abs(np.corrcoef(learned, true_items[:, k])[0, 1])
                 for k in range(4)]
         root_best = max(corr[:2])     # planted root rows
@@ -291,7 +286,7 @@ class TestRandBaseline:
         _tc, split = split_leave_one_out(corpus, 3)
         model = PreferenceModel.create(make_baseline(KIND_RAND, rng_seed=0),
                                        corpus)
-        result = auc(model, corpus, split)
+        result = auc(model, corpus.positives, split)
         assert abs(result.auc - 0.5) < 0.02
 
 

@@ -1,0 +1,112 @@
+"""Property tests for ``Positives``, the one CSR form of users' positive items.
+
+Each checks the CSR rows against a per-user ``sorted(set(...))`` reference
+built from the raw pairs.
+"""
+
+from collections import Counter
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hierbpr.checkpoint import load_checkpoint, save_checkpoint
+from hierbpr.evaluation import split_leave_one_out
+from hierbpr.ingestion import Positives
+from hierbpr.model import KIND_BPRMF, PreferenceModel, make_baseline
+from hierbpr.synthdata import SynthConfig, make_corpus
+
+
+@st.composite
+def dense_pairs(draw):
+    """(n_users, n_items, pairs) with repeats and users left without items."""
+    n_users = draw(st.integers(1, 8))
+    n_items = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_users - 1),
+                                    st.integers(0, n_items - 1)),
+                          max_size=60))
+    return n_users, n_items, pairs
+
+
+def reference_rows(pairs, n_users):
+    rows = [set() for _ in range(n_users)]
+    for u, i in pairs:
+        rows[u].add(i)
+    return [sorted(row) for row in rows]
+
+
+def from_pairs(pairs, n_users, n_items):
+    users = [u for u, _ in pairs]
+    items = [i for _, i in pairs]
+    return Positives.from_pairs(users, items, n_users, n_items)
+
+
+@settings(deadline=None)
+@given(dense_pairs(), st.randoms())
+def test_rows_are_sorted_unique_sets(case, random):
+    n_users, n_items, pairs = case
+    positives = from_pairs(pairs, n_users, n_items)
+    assert len(positives) == n_users
+    assert positives.n_items == n_items
+    assert positives.indptr[0] == 0
+    assert positives.indptr[-1] == len(positives.indices)
+    expected = reference_rows(pairs, n_users)
+    assert [positives[u].tolist() for u in range(n_users)] == expected
+    assert positives.keys() == {u * n_items + i for u, i in pairs}
+    # Input order does not matter.
+    random.shuffle(pairs)
+    shuffled = from_pairs(pairs, n_users, n_items)
+    assert np.array_equal(shuffled.indptr, positives.indptr)
+    assert np.array_equal(shuffled.indices, positives.indices)
+
+
+@settings(deadline=None)
+@given(dense_pairs(), st.integers(0, 2**32 - 1))
+def test_split_item_counts_equal_counter(case, seed):
+    n_users, n_items, pairs = case
+    positives = from_pairs(pairs, n_users, n_items)
+    tc, split = split_leave_one_out(SimpleNamespace(positives=positives),
+                                    seed)
+    assert tc.full_pos is positives
+    held = {(u, int(split.val_item[u])) for u in range(n_users)}
+    held |= {(u, int(split.test_item[u])) for u in range(n_users)}
+    kept = sorted(set(pairs) - held)
+    assert [tc.train_pos[u].tolist() for u in range(n_users)] == (
+        reference_rows(kept, n_users))
+    counts = Counter(i for _, i in kept)
+    assert tc.item_counts().tolist() == [counts[j] for j in range(n_items)]
+    assert tc.n_interactions == len(kept)
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    cfg = SynthConfig(n_users=6, n_items=9, feature_dim=3, branching=(3,),
+                      n_positives=2, planted_scheme=(1,), rng_seed=2)
+    corpus, _ = make_corpus(cfg)
+    model = PreferenceModel.create(
+        make_baseline(KIND_BPRMF, total_dims=2, rng_seed=1), corpus)
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(path, model)
+    return load_checkpoint(path)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_positives_from_pairs_drops_unknown_ids(bundle, data):
+    users = list(bundle.user_ids) + ["ghost-user", ""]
+    items = list(bundle.item_ids) + ["ghost-item"]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(users),
+                                         st.sampled_from(items)),
+                               max_size=40))
+    positives, dropped = bundle.positives_from_pairs(pairs)
+    user_index = {u: k for k, u in enumerate(bundle.user_ids)}
+    item_index = {i: k for k, i in enumerate(bundle.item_ids)}
+    known = [(user_index[u], item_index[i]) for u, i in pairs
+             if u in user_index and i in item_index]
+    assert dropped == len(pairs) - len(known)
+    assert len(positives) == bundle.n_users
+    assert positives.n_items == bundle.n_items
+    assert [positives[u].tolist() for u in range(bundle.n_users)] == (
+        reference_rows(known, bundle.n_users))

@@ -120,7 +120,7 @@ class TestSignalStrength:
             corpus)
         train(model, tc, TrainConfig(learning_rate=0.05, iterations=10,
                                      rng_seed=4))
-        result = auc(model, corpus, split)
+        result = auc(model, corpus.positives, split)
         assert abs(result.auc - 0.5) < 0.08
 
     def test_clean_root_structure_highly_learnable(self):
@@ -135,5 +135,5 @@ class TestSignalStrength:
             corpus)
         train(model, tc, TrainConfig(learning_rate=0.05, iterations=30,
                                      rng_seed=6))
-        result = auc(model, corpus, split)
+        result = auc(model, corpus.positives, split)
         assert result.auc > 0.9

@@ -35,6 +35,7 @@ from conftest import (
     log_sigmoid,
     numeric_gradient,
     relative_error,
+    training_corpus,
 )
 
 
@@ -72,13 +73,8 @@ def tiny_model(rng_seed=0, n_items=6, n_users=3, feature_dim=4,
 
 
 def training_corpus_of(model):
-    corpus = model.corpus
-    return TrainingCorpus(
-        train_pos=[p.copy() for p in corpus.positives],
-        full_pos=[p.copy() for p in corpus.positives],
-        users=np.arange(corpus.n_users),
-        n_items=corpus.n_items,
-    )
+    positives = model.corpus.positives
+    return TrainingCorpus(train_pos=positives, full_pos=positives)
 
 
 def analytic_gradients(model, triple, groups):
@@ -99,12 +95,7 @@ def analytic_gradients(model, triple, groups):
 
 class TestSampleTriple:
     def test_forced_negative(self):
-        corpus = TrainingCorpus(
-            train_pos=[np.array([0])],
-            full_pos=[np.array([0])],
-            users=np.array([0]),
-            n_items=2,
-        )
+        corpus = training_corpus([[0]], [[0]], n_items=2)
         rng = np.random.default_rng(0)
         for _ in range(50):
             u, i, j = sample_triple(corpus, rng)
@@ -113,20 +104,17 @@ class TestSampleTriple:
     def test_negative_never_positive(self):
         model = tiny_model()
         tc = training_corpus_of(model)
+        full = [set(tc.full_pos[u].tolist()) for u in range(len(tc.full_pos))]
         rng = np.random.default_rng(7)
         for _ in range(10 ** 6):
             u, i, j = sample_triple(tc, rng)
-            if j in tc.full_sets[u]:
+            if j in full[u]:
                 raise AssertionError(f"sampled positive {j} for user {u}")
 
     def test_user_distribution_uniform(self):
         n_users = 10
-        corpus = TrainingCorpus(
-            train_pos=[np.array([u % 3]) for u in range(n_users)],
-            full_pos=[np.array([u % 3]) for u in range(n_users)],
-            users=np.arange(n_users),
-            n_items=50,
-        )
+        rows = [[u % 3] for u in range(n_users)]
+        corpus = training_corpus(rows, rows, n_items=50)
         rng = np.random.default_rng(11)
         counts = np.zeros(n_users)
         draws = 10 ** 5
@@ -139,12 +127,7 @@ class TestSampleTriple:
         assert chi2 < 21.666
 
     def test_exhausted_rejection(self):
-        corpus = TrainingCorpus(
-            train_pos=[np.array([0, 1])],
-            full_pos=[np.array([0, 1])],
-            users=np.array([0]),
-            n_items=2,
-        )
+        corpus = training_corpus([[0, 1]], [[0, 1]], n_items=2)
         with pytest.raises(ExhaustedRejection):
             sample_triple(corpus, np.random.default_rng(0))
 
@@ -205,7 +188,7 @@ class TestSgdStep:
             i, j = (int(x) for x in rng.choice(corpus.n_items, 2, replace=False))
 
             def objective():
-                return log_sigmoid(model.score_margin(u, i, j))
+                return log_sigmoid(model.score(u, i) - model.score(u, j))
 
             deltas = analytic_gradients(
                 model, (u, i, j),
@@ -238,7 +221,7 @@ class TestSgdStep:
         u, i, j = 0, 0, 4  # distinct leaves by construction (0 % 3 != 4 % 3)
 
         def objective():
-            return log_sigmoid(model.score_margin(u, i, j))
+            return log_sigmoid(model.score(u, i) - model.score(u, j))
 
         deltas = analytic_gradients(model, (u, i, j), ["category_bias"])
         arrays = model.params.arrays()
@@ -266,9 +249,9 @@ class TestSgdStep:
             u = int(rng.integers(model.corpus.n_users))
             i, j = (int(x) for x in
                     rng.choice(model.corpus.n_items, 2, replace=False))
-            before = log_sigmoid(model.score_margin(u, i, j))
+            before = log_sigmoid(model.score(u, i) - model.score(u, j))
             Trainer(model, config).step(u, i, j)
-            after = log_sigmoid(model.score_margin(u, i, j))
+            after = log_sigmoid(model.score(u, i) - model.score(u, j))
             assert after > before
 
     def test_untouched_parameters_bit_identical(self):
@@ -402,12 +385,7 @@ class TestSegmentKernel:
 class TestTrain:
     def test_empty_corpus(self):
         model = tiny_model()
-        empty = TrainingCorpus(
-            train_pos=[np.array([], dtype=np.int64)],
-            full_pos=[np.array([], dtype=np.int64)],
-            users=np.array([0]),
-            n_items=model.corpus.n_items,
-        )
+        empty = training_corpus([[]], [[]], n_items=model.corpus.n_items)
         with pytest.raises(EmptyCorpus):
             train(model, empty, TrainConfig(iterations=1))
 
@@ -482,7 +460,7 @@ class TestTrain:
         fake_split = EvalSplit(val_item=np.full(corpus.n_users, -1),
                                test_item=targets,
                                excluded_users=np.array([], dtype=np.int64))
-        result = auc(model, corpus, fake_split)
+        result = auc(model, corpus.positives, fake_split)
         assert result.auc > 0.9
 
 
