@@ -1,10 +1,11 @@
 """Command-line entry point wiring the library into reproducible runs.
 
 Subcommands: ``synth`` (generate a corpus), ``validate`` (ingestion report),
-``train`` (fit and checkpoint a model), ``eval`` (warm/cold AUC from a
-checkpoint), ``rank-dim`` (top items per visual dimension), ``bench-step``
-(per-triple cost table), and ``run`` (manifest-driven experiment: the same
-fit as ``train``, then warm and cold evaluation, all outputs written).
+``train`` (fit a manifest's model; write ``model.ckpt`` and ``metrics.tsv``),
+``run`` (``train``, then warm and cold evaluation and ``report.json``),
+``eval`` (warm/cold AUC from a checkpoint), ``rank-dim`` (top items per
+visual dimension) and ``bench-step`` (per-triple cost table). ``train`` and
+``run`` take the same arguments: a manifest and an optional ``--out-dir``.
 
 All randomness flows from three named seeds (split, init, sample) echoed in
 every report. Reports and checkpoints are byte-deterministic; timing lives
@@ -38,12 +39,7 @@ from .ingestion import (
     load_corpus,
     read_feedback,
 )
-from .model import (
-    KIND_RAND,
-    KINDS,
-    ModelConfig,
-    PreferenceModel,
-)
+from .model import KIND_RAND, ModelConfig, PreferenceModel
 from .synthdata import SynthConfig, generate
 from .training import RegWeights, TrainConfig, per_triple_cost_probe, train
 
@@ -192,7 +188,8 @@ def _write_metrics(path, history) -> None:
 
 @dataclass
 class Fitted:
-    """A model trained by ``fit``, holding its best-on-validation parameters."""
+    """What ``train_experiment`` fitted: the best-on-validation model and
+    the corpus, split and history it came from."""
 
     manifest: ExperimentManifest
     corpus: InteractionCorpus
@@ -204,21 +201,26 @@ class Fitted:
     best_epoch: int | None = None
     best_val_auc: float | None = None
 
-    def save(self, ckpt_path, metrics_path=None) -> None:
-        save_checkpoint(ckpt_path, self.model, split=self.split,
-                        seeds=self.manifest.seeds.to_dict(),
-                        item_train_count=self.training_corpus.item_counts())
-        if metrics_path:
-            _write_metrics(metrics_path, self.history)
+    def summary(self) -> dict:
+        """What ``train`` prints: the files written and the epoch kept."""
+        out_dir = Path(self.manifest.out_dir)
+        return {"checkpoint": str(out_dir / "model.ckpt"),
+                "metrics": str(out_dir / "metrics.tsv"),
+                "epochs_run": len(self.history),
+                "best_epoch": self.best_epoch,
+                "best_val_auc": self.best_val_auc}
 
 
-def fit(manifest: ExperimentManifest) -> Fitted:
-    """load -> split -> train -> restore the epoch best on validation.
+def train_experiment(manifest: ExperimentManifest) -> Fitted:
+    """load -> split -> train -> restore the epoch best on validation ->
+    write ``model.ckpt`` and ``metrics.tsv`` into ``out_dir``.
 
-    ``train`` and ``run`` share this step, so the same manifest gives the
-    same parameters (and checkpoint bytes) through either subcommand.
+    ``run`` is this step followed by evaluation, so a manifest writes the
+    same checkpoint through ``train`` and ``run``.
     """
+    # Out-of-range values fail before out_dir exists or any input is read.
     model_config, train_config = manifest.configs()
+    Path(manifest.out_dir).mkdir(parents=True, exist_ok=True)
     corpus, ingest_report = load_corpus(
         manifest.feedback, manifest.features, manifest.hierarchy,
         manifest.item_leaves, policy=manifest.policy,
@@ -234,16 +236,17 @@ def fit(manifest: ExperimentManifest) -> Fitted:
         fitted.history = result.history
         fitted.best_epoch = result.best_epoch
         fitted.best_val_auc = result.best_val_auc
+    paths = fitted.summary()
+    save_checkpoint(paths["checkpoint"], model, split=split,
+                    seeds=manifest.seeds.to_dict(),
+                    item_train_count=training_corpus.item_counts())
+    _write_metrics(paths["metrics"], fitted.history)
     return fitted
 
 
 def run_experiment(manifest: ExperimentManifest) -> dict:
-    """fit -> evaluate warm and cold -> write checkpoint, report, metrics."""
-    manifest.configs()  # out-of-range values fail before out_dir exists
-    out_dir = Path(manifest.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    fitted = fit(manifest)
+    """train_experiment -> evaluate warm and cold -> write ``report.json``."""
+    fitted = train_experiment(manifest)
     cold = ColdItemSet.from_training(fitted.training_corpus,
                                      threshold=manifest.cold_threshold)
     report = evaluate_report(fitted.model, fitted.corpus, fitted.split, cold)
@@ -262,16 +265,13 @@ def run_experiment(manifest: ExperimentManifest) -> dict:
         "best_epoch": fitted.best_epoch,
         "best_val_auc": fitted.best_val_auc,
     }
-
-    ckpt_path = out_dir / "model.ckpt"
-    report_path = out_dir / "report.json"
-    metrics_path = out_dir / "metrics.tsv"
-    fitted.save(ckpt_path, metrics_path)
+    report_path = Path(manifest.out_dir) / "report.json"
     _write_json(report_path, persisted)
+    paths = fitted.summary()
     return {
         "report": str(report_path),
-        "checkpoint": str(ckpt_path),
-        "metrics": str(metrics_path),
+        "checkpoint": paths["checkpoint"],
+        "metrics": paths["metrics"],
         "warm_auc": report["warm"]["auc"],
         "cold_auc": report["cold"]["auc"],
     }
@@ -308,61 +308,17 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _seeds_from_args(args) -> Seeds:
-    base = args.seed
-    return Seeds(
-        split=base if args.split_seed is None else args.split_seed,
-        init=base if args.init_seed is None else args.init_seed,
-        sample=base if args.sample_seed is None else args.sample_seed,
-    )
-
-
-def _manifest_from_args(args) -> ExperimentManifest:
-    """The manifest that ``hierbpr train``'s flags describe."""
-    if args.kprime > 0:
-        scheme = (AllocationScheme.parse(args.scheme) if args.scheme
-                  else AllocationScheme((args.kprime,)))
-    else:
-        scheme = AllocationScheme(())
-    visual_bias = (args.kprime > 0) if args.visual_bias is None else args.visual_bias
-    return ExperimentManifest(
-        feedback=args.feedback,
-        features=args.features,
-        hierarchy=args.hierarchy,
-        item_leaves=args.item_leaves,
-        out_dir=str(Path(args.out).parent),
-        model={
-            "kind": args.model_kind,
-            "n_latent": args.k,
-            "n_visual": args.kprime,
-            "scheme": list(scheme.per_layer),
-            "use_visual_bias": visual_bias,
-            "use_category_bias": args.category_bias,
-        },
-        train={
-            "learning_rate": args.lr,
-            "iterations": args.epochs,
-            "patience": args.patience,
-            "reg": {f.name: getattr(args, "reg_" + f.name)
-                    for f in fields(RegWeights)},
-        },
-        seeds=_seeds_from_args(args),
-        policy=args.policy,
-        feature_norm=args.feature_norm,
-    )
-
-
-def _cmd_train(args) -> int:
-    fitted = fit(_manifest_from_args(args))
-    fitted.save(args.out, args.metrics)
-    print(json.dumps({"checkpoint": args.out,
-                      "epochs_run": len(fitted.history),
-                      "best_epoch": fitted.best_epoch,
-                      "best_val_auc": fitted.best_val_auc}, sort_keys=True))
-    return 0
+def _check_at_least_one(args, *names) -> None:
+    """ParseError for an integer flag below 1, before any file is read."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ParseError(f"--{name.replace('_', '-')} must be at least 1, "
+                             f"got {value}")
 
 
 def _cmd_eval(args) -> int:
+    _check_at_least_one(args, "cold_threshold", "sample_candidates")
     bundle = load_checkpoint(args.model)
     if bundle.split is None:
         raise HierBprError("checkpoint carries no evaluation split")
@@ -399,6 +355,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_rank_dim(args) -> int:
+    _check_at_least_one(args, "top")
     bundle = load_checkpoint(args.model)
     model = bundle.frozen_model()
     category = None
@@ -429,11 +386,14 @@ def _cmd_bench_step(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _cmd_experiment(args) -> int:
     manifest = ExperimentManifest.from_json(args.manifest)
     if args.out_dir:
         manifest.out_dir = args.out_dir
-    summary = run_experiment(manifest)
+    if args.command == "train":
+        summary = train_experiment(manifest).summary()
+    else:
+        summary = run_experiment(manifest)
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
 
@@ -470,35 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature-norm", choices=FEATURE_NORMS, default="none")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("train", help="fit a model and write a checkpoint")
-    p.add_argument("--feedback", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--hierarchy", required=True)
-    p.add_argument("--item-leaves", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--metrics")
-    p.add_argument("--model-kind", choices=list(KINDS), default="HVBPR")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--kprime", type=int, default=10)
-    p.add_argument("--scheme", help="colon-separated rows per layer, e.g. 5:3:2")
-    p.add_argument("--visual-bias", action=argparse.BooleanOptionalAction,
-                   default=None)
-    p.add_argument("--category-bias", action="store_true")
-    # Defaults are read from the dataclasses, as manifests' are.
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--epochs", type=int, default=TrainConfig.iterations)
-    p.add_argument("--patience", type=int)
-    for f in fields(RegWeights):
-        p.add_argument("--reg-" + f.name.replace("_", "-"), type=float,
-                       default=f.default)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split-seed", type=int)
-    p.add_argument("--init-seed", type=int)
-    p.add_argument("--sample-seed", type=int)
-    p.add_argument("--policy", choices=POLICIES, default="strict")
-    p.add_argument("--feature-norm", choices=FEATURE_NORMS, default="none")
-    p.set_defaults(func=_cmd_train)
-
     p = sub.add_parser("eval", help="warm/cold AUC from a checkpoint")
     p.add_argument("--model", required=True)
     p.add_argument("--feedback", required=True)
@@ -526,10 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench_step)
 
-    p = sub.add_parser("run", help="manifest-driven end-to-end experiment")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir")
-    p.set_defaults(func=_cmd_run)
+    for name, help_text in (
+            ("train", "fit a manifest's model; write model.ckpt, metrics.tsv"),
+            ("run", "train, then evaluate warm and cold; write report.json")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--out-dir", help="overrides the manifest's out_dir")
+        p.set_defaults(func=_cmd_experiment)
 
     return parser
 

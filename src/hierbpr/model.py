@@ -60,6 +60,16 @@ class ModelConfig:
                 f"but n_visual is {self.n_visual}")
         if self.kind != KIND_RAND and self.n_latent + self.n_visual < 1:
             raise ValueError("model needs at least one rating dimension")
+        # A kind names a configuration, so the configuration must match it.
+        if self.kind == KIND_RAND and self.n_latent + self.n_visual > 0:
+            raise ValueError("RAND has no rating dimensions")
+        if self.kind == KIND_BPRMF and self.n_visual > 0:
+            raise ValueError("BPR-MF has no visual dimensions")
+        if self.kind in (KIND_VBPR, KIND_VBPRC) and self.scheme.depth_used > 1:
+            raise ValueError(f"{self.kind} allocates every visual row at the "
+                             f"root, got scheme {self.scheme}")
+        if self.kind == KIND_VBPRC and not self.use_category_bias:
+            raise ValueError("VBPR-C needs use_category_bias")
 
     def to_dict(self) -> dict:
         return {

@@ -7,7 +7,6 @@ import pytest
 from hierbpr.cli import (
     ExperimentManifest,
     Seeds,
-    _manifest_from_args,
     build_parser,
     main,
     run_experiment,
@@ -36,6 +35,19 @@ def data_paths(out_dir):
         "hierarchy": str(out / "hierarchy.tsv"),
         "item_leaves": str(out / "item_categories.tsv"),
     }
+
+
+def write_manifest(path, dataset, out_dir, **sections):
+    """An HVBPR 2:1 manifest over ``dataset``; ``sections`` replace its own."""
+    raw = {
+        "inputs": dataset,
+        "model": {"kind": "HVBPR", "n_latent": 3, "n_visual": 3,
+                  "scheme": [2, 1]},
+        "out_dir": str(out_dir),
+        **sections,
+    }
+    Path(path).write_text(json.dumps(raw))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -75,16 +87,11 @@ class TestSynthValidate:
 @pytest.fixture(scope="module")
 def checkpoint(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("model")
-    ckpt = out / "model.ckpt"
-    metrics = out / "metrics.tsv"
-    argv = ["train"]
-    for key, path in dataset.items():
-        argv += [f"--{key.replace('_', '-')}", path]
-    argv += ["--k", "3", "--kprime", "3", "--scheme", "2:1",
-             "--epochs", "3", "--seed", "9",
-             "--out", str(ckpt), "--metrics", str(metrics)]
-    assert main(argv) == 0
-    return ckpt, metrics
+    manifest = write_manifest(out / "exp.json", dataset, out,
+                              train={"iterations": 3},
+                              seeds={"split": 9, "init": 9, "sample": 9})
+    assert main(["train", "--manifest", manifest]) == 0
+    return out / "model.ckpt", out / "metrics.tsv"
 
 
 class TestTrainEvalRank:
@@ -187,28 +194,42 @@ class TestRunExperiment:
         assert 0.0 <= report["cold"]["auc"] <= 1.0
 
     def test_train_matches_run(self, dataset, tmp_path, capsys):
-        # One fit step: the same settings give the same best-epoch model.
-        manifest = self.manifest(dataset, tmp_path / "run")
-        manifest.train["iterations"] = 4
-        run_experiment(manifest)
-        ckpt = tmp_path / "train.ckpt"
-        argv = ["train"]
-        for key, path in dataset.items():
-            argv += [f"--{key.replace('_', '-')}", path]
-        argv += ["--k", "3", "--kprime", "3", "--scheme", "2:1",
-                 "--lr", "0.05", "--epochs", "4", "--split-seed", "1",
-                 "--init-seed", "2", "--sample-seed", "3", "--out", str(ckpt)]
-        capsys.readouterr()
-        assert main(argv) == 0
-        printed = json.loads(capsys.readouterr().out)
-        report = json.loads((tmp_path / "run" / "report.json").read_text())
-        assert printed["best_epoch"] == report["best_epoch"]
-        assert printed["best_val_auc"] == report["best_val_auc"]
+        # One manifest into two out_dirs: run is train plus evaluation.
+        manifest = write_manifest(
+            tmp_path / "exp.json", dataset, tmp_path / "unused",
+            train={"learning_rate": 0.05, "iterations": 4},
+            seeds={"split": 1, "init": 2, "sample": 3})
+        printed = {}
+        for command in ("train", "run"):
+            assert main([command, "--manifest", manifest,
+                         "--out-dir", str(tmp_path / command)]) == 0
+            printed[command] = json.loads(capsys.readouterr().out)
+        trained, ran = tmp_path / "train", tmp_path / "run"
+        report = json.loads((ran / "report.json").read_text())
+        assert printed["train"] == {
+            "checkpoint": str(trained / "model.ckpt"),
+            "metrics": str(trained / "metrics.tsv"),
+            "epochs_run": 4,
+            "best_epoch": report["best_epoch"],
+            "best_val_auc": report["best_val_auc"],
+        }
         # The last epoch is not the best one, so the rule is exercised.
-        assert printed["epochs_run"] == 4
-        assert printed["best_epoch"] < 4
-        assert (ckpt.read_bytes()
-                == (tmp_path / "run" / "model.ckpt").read_bytes())
+        assert report["best_epoch"] < 4
+        assert not (trained / "report.json").exists()
+        assert not (tmp_path / "unused").exists()
+        assert ((trained / "model.ckpt").read_bytes()
+                == (ran / "model.ckpt").read_bytes())
+
+        def columns(out_dir):  # all but the wall-clock seconds
+            lines = (out_dir / "metrics.tsv").read_text().splitlines()
+            return [line.split("\t")[:3] for line in lines]
+        assert columns(trained) == columns(ran)
+
+    def test_train_and_run_take_the_same_options(self):
+        for command in ("train", "run"):
+            args = build_parser().parse_args([command, "--manifest", "m"])
+            assert sorted(vars(args)) == ["command", "func", "manifest",
+                                          "out_dir"]
 
     def test_rand_baseline_runs(self, dataset, tmp_path):
         summary = run_experiment(self.manifest(dataset, tmp_path / "rand",
@@ -219,17 +240,13 @@ class TestRunExperiment:
         assert len(metrics) == 1  # header only
 
     def test_manifest_json_round_trip(self, dataset, tmp_path, capsys):
-        manifest_path = tmp_path / "exp.json"
-        payload = {
-            "inputs": dataset,
-            "model": {"kind": "VBPR", "n_latent": 3, "n_visual": 3,
-                      "scheme": [3]},
-            "train": {"learning_rate": 0.05, "iterations": 2},
-            "seeds": {"split": 4, "init": 5, "sample": 6},
-            "out_dir": str(tmp_path / "out"),
-        }
-        manifest_path.write_text(json.dumps(payload))
-        assert main(["run", "--manifest", str(manifest_path)]) == 0
+        manifest_path = write_manifest(
+            tmp_path / "exp.json", dataset, tmp_path / "out",
+            model={"kind": "VBPR", "n_latent": 3, "n_visual": 3,
+                   "scheme": [3]},
+            train={"learning_rate": 0.05, "iterations": 2},
+            seeds={"split": 4, "init": 5, "sample": 6})
+        assert main(["run", "--manifest", manifest_path]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert Path(summary["checkpoint"]).exists()
 
@@ -312,6 +329,18 @@ def _put(section, key, value):
     return change
 
 
+def assert_one_parse_error(capsys, argv, named):
+    """``main(argv)`` exits 1 with one JSON ParseError line naming ``named``."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ParseError"
+    assert named in payload["message"]
+
+
 class TestManifestErrors:
     @pytest.mark.parametrize("change, named", [
         (_put("train.reg", "bogus", 1), "'train.reg.bogus'"),
@@ -337,6 +366,12 @@ class TestManifestErrors:
         (_put("", "cold_threshold", -3), "'cold_threshold'"),
         (_put("", "policy", "bogus"), "'policy'"),
         (_put("", "feature_norm", "l3"), "'feature_norm'"),
+        # A kind that does not match the rest of the model section.
+        (_put("model", "kind", "RAND"), "RAND has no"),
+        (_put("model", "kind", "BPR-MF"), "BPR-MF has no visual"),
+        (_put("model", "kind", "VBPR"), "VBPR allocates"),
+        (lambda raw: _put("model", "kind", "VBPR-C")(
+            _put("model", "scheme", [2])(raw)), "use_category_bias"),
     ], ids=["bogus_reg_key", "json_list", "missing_out_dir",
             "misspelled_train", "missing_input", "missing_model",
             "unknown_input", "unknown_model_key", "unknown_seed",
@@ -344,22 +379,42 @@ class TestManifestErrors:
             "float_in_scheme", "null_threshold", "flat_inputs",
             "negative_learning_rate", "unknown_kind", "zero_iterations",
             "negative_reg", "negative_cold_threshold", "unknown_policy",
-            "unknown_feature_norm"])
+            "unknown_feature_norm", "rand_with_dimensions",
+            "bprmf_with_visual", "vbpr_layered_scheme",
+            "vbprc_without_category_bias"])
     def test_one_line_parse_error(self, tmp_path, capsys, change, named):
         # The inputs do not exist, so reading any of them would end in an
         # OSError: a ParseError shows the manifest was checked first, and
         # before out_dir was created.
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(_manifest_with(tmp_path, change)))
-        assert main(["run", "--manifest", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1
-        payload = json.loads(lines[0])
-        assert payload["error"] == "ParseError"
-        assert named in payload["message"]
+        assert_one_parse_error(capsys, ["run", "--manifest", str(path)],
+                               named)
         assert not (tmp_path / "out").exists()
+
+    def test_train_checks_manifest_first(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(_manifest_with(
+            tmp_path, _put("train", "learning_rate", -1))))
+        assert_one_parse_error(capsys, ["train", "--manifest", str(path)],
+                               "learning rate")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["eval", "--sample-candidates", "-1"], "--sample-candidates"),
+        (["eval", "--sample-candidates", "0"], "--sample-candidates"),
+        (["eval", "--setting", "cold", "--cold-threshold", "-2"],
+         "--cold-threshold"),
+        (["rank-dim", "--dim", "0", "--top", "-1"], "--top"),
+        (["rank-dim", "--dim", "0", "--top", "0"], "--top"),
+    ], ids=["negative_sample", "zero_sample", "negative_cold_threshold",
+            "negative_top", "zero_top"])
+    def test_flag_below_one(self, tmp_path, capsys, argv, named):
+        # The checkpoint does not exist, so reading it would be an OSError.
+        argv = argv + ["--model", str(tmp_path / "absent.ckpt")]
+        if argv[0] == "eval":
+            argv += ["--feedback", str(tmp_path / "absent.tsv")]
+        assert_one_parse_error(capsys, argv, named)
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
@@ -377,19 +432,11 @@ class TestManifestErrors:
         assert manifest.train_config().reg.bias == 0.01
         assert manifest.seeds == Seeds()
         assert manifest.features == raw["inputs"]["features"]
-
-    def test_train_flags_and_manifest_share_defaults(self, tmp_path):
-        argv = ["train", "--out", str(tmp_path / "m.ckpt")]
-        for key in ("feedback", "features", "hierarchy", "item-leaves"):
-            argv += [f"--{key}", str(tmp_path / key)]
-        from_flags = _manifest_from_args(build_parser().parse_args(argv))
-        raw = _manifest_with(tmp_path, _put("", "train", {}))
-        raw["seeds"] = {}
-        path = tmp_path / "exp.json"
-        path.write_text(json.dumps(raw))
-        from_run = ExperimentManifest.from_json(path)
-        assert from_flags.train_config() == from_run.train_config()
-        assert from_run.train_config() == TrainConfig()
+        # An empty train section leaves every default to TrainConfig.
+        path.write_text(json.dumps(_manifest_with(
+            tmp_path, lambda raw: {**raw, "train": {}, "seeds": {}})))
+        manifest = ExperimentManifest.from_json(path)
+        assert manifest.train_config() == TrainConfig()
 
 
 class TestBench:

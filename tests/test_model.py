@@ -15,6 +15,7 @@ from hierbpr.model import (
     KIND_RAND,
     KIND_VBPR,
     KIND_VBPRC,
+    KINDS,
     ModelConfig,
     PreferenceModel,
     make_baseline,
@@ -186,6 +187,22 @@ class TestMakeBaseline:
             ModelConfig(0, 0, AllocationScheme(()))  # needs a dimension
         with pytest.raises(ValueError):
             ModelConfig(2, 3, AllocationScheme((2,)))  # scheme total mismatch
+        # The kind must match the configuration it names.
+        for n_latent, scheme, kind, category_bias in (
+                (2, (), KIND_RAND, False),
+                (0, (1,), KIND_RAND, False),
+                (2, (3,), KIND_BPRMF, False),
+                (2, (2, 1), KIND_VBPR, False),
+                (2, (2, 1), KIND_VBPRC, True),
+                (2, (3,), KIND_VBPRC, False)):
+            with pytest.raises(ValueError, match=kind):
+                ModelConfig(n_latent, sum(scheme), AllocationScheme(scheme),
+                            use_category_bias=category_bias, kind=kind)
+        # A trailing empty layer is still an all-root scheme.
+        ModelConfig(2, 3, AllocationScheme((3, 0)), kind=KIND_VBPR)
+        for kind in KINDS:  # every named baseline passes
+            layered = AllocationScheme((5, 5)) if kind == KIND_HVBPR else None
+            make_baseline(kind, scheme=layered)
 
 
 class TestRankByDimension:
