@@ -38,7 +38,6 @@ from .training import (
     RegWeights,
     TrainConfig,
     Trainer,
-    per_triple_cost_probe,
     sample_triple,
     train,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "make_baseline",
     "make_corpus",
     "path_segments",
-    "per_triple_cost_probe",
     "sample_triple",
     "save_checkpoint",
     "split_leave_one_out",

@@ -58,23 +58,14 @@ def save_checkpoint(
     """Serialize params, id maps, hierarchy, and frozen item tables."""
     corpus = model.corpus
     table = model.item_table()
-    p = model.params
 
     arrays: dict[str, np.ndarray] = {
         "parent": np.asarray(model.corpus.hierarchy.parent, dtype=np.int64),
         "item_leaf": np.asarray(corpus.item_leaf, dtype=np.int64),
-        "item_bias": p.item_bias,
-        "item_latent": p.item_latent,
-        "user_latent": p.user_latent,
-        "user_visual": p.user_visual,
-        "visual_bias": p.visual_bias,
         "item_theta": table.theta,
         "item_base": table.base,
+        **model.params.arrays(),
     }
-    if p.segments is not None:
-        arrays["segments"] = p.segments.backing
-    if p.category_bias is not None:
-        arrays["category_bias"] = p.category_bias
     if split is not None:
         arrays["split_val"] = np.asarray(split.val_item, dtype=np.int64)
         arrays["split_test"] = np.asarray(split.test_item, dtype=np.int64)
@@ -271,7 +262,6 @@ def _bundle(header: dict, arrays: dict[str, np.ndarray]) -> CheckpointBundle:
         split = EvalSplit(
             val_item=arrays["split_val"],
             test_item=arrays["split_test"],
-            excluded_users=np.flatnonzero(arrays["split_test"] < 0),
         )
     return CheckpointBundle(
         config=config,

@@ -3,9 +3,10 @@
 Subcommands: ``synth`` (generate a corpus), ``validate`` (ingestion report),
 ``train`` (fit a manifest's model; write ``model.ckpt`` and ``metrics.tsv``),
 ``run`` (``train``, then warm and cold evaluation and ``report.json``),
-``eval`` (warm/cold AUC from a checkpoint), ``rank-dim`` (top items per
-visual dimension) and ``bench-step`` (per-triple cost table). ``train`` and
-``run`` take the same arguments: a manifest and an optional ``--out-dir``.
+``eval`` (exact warm/cold AUC from a checkpoint) and ``rank-dim`` (top
+items per visual dimension). ``train`` and ``run`` take the same arguments:
+a manifest and an optional ``--out-dir``. Per-step timing is the
+benchmark's (``bench/run.py --trace 1``).
 
 All randomness flows from three named seeds (split, init, sample) echoed in
 every report. Reports and checkpoints are byte-deterministic; timing lives
@@ -41,7 +42,7 @@ from .ingestion import (
 )
 from .model import KIND_RAND, ModelConfig, PreferenceModel
 from .synthdata import SynthConfig, generate
-from .training import RegWeights, TrainConfig, per_triple_cost_probe, train
+from .training import RegWeights, TrainConfig, train
 
 
 @dataclass
@@ -135,14 +136,20 @@ class ExperimentManifest:
 
         Cheap and reads no input, so callers check a manifest with it before
         loading the corpus or creating ``out_dir``. It also checks the
-        manifest's own ``cold_threshold``, ``policy`` and ``feature_norm``.
+        manifest's own ``cold_threshold``, ``policy``, ``feature_norm`` and
+        seeds (numpy takes no negative seed).
         """
-        for key, ok in (("cold_threshold", self.cold_threshold >= 1),
-                        ("policy", self.policy in POLICIES),
-                        ("feature_norm", self.feature_norm in FEATURE_NORMS)):
+        checks = [("cold_threshold", self.cold_threshold,
+                   self.cold_threshold >= 1),
+                  ("policy", self.policy, self.policy in POLICIES),
+                  ("feature_norm", self.feature_norm,
+                   self.feature_norm in FEATURE_NORMS)]
+        checks += [(f"seeds.{name}", value, value >= 0)
+                   for name, value in self.seeds.to_dict().items()]
+        for key, value, ok in checks:
             if not ok:
                 raise ParseError(f"manifest value out of range: {key!r} is "
-                                 f"{getattr(self, key)!r}")
+                                 f"{value!r}")
         try:
             return self.model_config(), self.train_config()
         except ValueError as exc:
@@ -308,17 +315,16 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _check_at_least_one(args, *names) -> None:
+def _check_at_least_one(args, name: str) -> None:
     """ParseError for an integer flag below 1, before any file is read."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 1:
-            raise ParseError(f"--{name.replace('_', '-')} must be at least 1, "
-                             f"got {value}")
+    value = getattr(args, name)
+    if value < 1:
+        raise ParseError(f"--{name.replace('_', '-')} must be at least 1, "
+                         f"got {value}")
 
 
 def _cmd_eval(args) -> int:
-    _check_at_least_one(args, "cold_threshold", "sample_candidates")
+    _check_at_least_one(args, "cold_threshold")
     bundle = load_checkpoint(args.model)
     if bundle.split is None:
         raise HierBprError("checkpoint carries no evaluation split")
@@ -334,8 +340,7 @@ def _cmd_eval(args) -> int:
             threshold=args.cold_threshold,
             cold_mask=bundle.item_train_count < args.cold_threshold)
     result = auc(model, positives, bundle.split, setting=args.setting,
-                 cold_set=cold_set, sample_candidates=args.sample_candidates,
-                 rng=args.sample_seed)
+                 cold_set=cold_set)
     report = {
         "setting": args.setting,
         "auc": result.auc,
@@ -345,7 +350,6 @@ def _cmd_eval(args) -> int:
         "cold_threshold": args.cold_threshold if cold_set is not None else None,
         "seed": bundle.seeds,
         "config": bundle.config.to_dict(),
-        "approximate": result.approximate,
         "feedback_pairs_ignored": dropped,
     }
     if args.out:
@@ -369,20 +373,6 @@ def _cmd_rank_dim(args) -> int:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-    return 0
-
-
-def _cmd_bench_step(args) -> int:
-    configs = []
-    for feat in _parse_ints(args.feature_dims):
-        for k in _parse_ints(args.latent_dims):
-            configs.append({"n_latent": k, "n_visual": args.kprime,
-                            "feature_dim": feat})
-    rows = per_triple_cost_probe(configs, n_steps=args.steps, seed=args.seed)
-    print("n_latent\tn_visual\tfeature_dim\tseconds_per_step")
-    for row in rows:
-        print(f"{row['n_latent']}\t{row['n_visual']}\t{row['feature_dim']}"
-              f"\t{row['seconds_per_step']:.6e}")
     return 0
 
 
@@ -435,9 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feedback", required=True)
     p.add_argument("--setting", choices=["warm", "cold"], default="warm")
     p.add_argument("--cold-threshold", type=int, default=5)
-    p.add_argument("--sample-candidates", type=int,
-                   help="approximate AUC with this many candidates per user")
-    p.add_argument("--sample-seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
 
@@ -448,14 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category", help="restrict to one leaf category id")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_rank_dim)
-
-    p = sub.add_parser("bench-step", help="per-triple update cost table")
-    p.add_argument("--feature-dims", default="512,1024")
-    p.add_argument("--latent-dims", default="10")
-    p.add_argument("--kprime", type=int, default=10)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench_step)
 
     for name, help_text in (
             ("train", "fit a manifest's model; write model.ckpt, metrics.tsv"),

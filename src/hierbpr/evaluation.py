@@ -26,7 +26,6 @@ class EvalSplit:
 
     val_item: np.ndarray
     test_item: np.ndarray
-    excluded_users: np.ndarray
 
     def n_test_users(self) -> int:
         return int((self.test_item >= 0).sum())
@@ -81,16 +80,13 @@ def split_leave_one_out(
     train_pos = Positives.from_pairs(full.rows()[keep], full.indices[keep],
                                      n_users, full.n_items)
     training = TrainingCorpus(train_pos=train_pos, full_pos=full)
-    split = EvalSplit(val_item=val, test_item=test,
-                      excluded_users=np.flatnonzero(test < 0))
-    return training, split
+    return training, EvalSplit(val_item=val, test_item=test)
 
 
 @dataclass
 class AucResult:
     auc: float
     users_evaluated: int
-    approximate: bool = False
 
 
 # Scores held per ``score_all`` block: rows are ``max(1, budget // n_items)``.
@@ -102,8 +98,6 @@ def _mean_user_auc(
     targets: np.ndarray,
     positives: Positives,
     cold_mask: np.ndarray | None,
-    sample_candidates: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> tuple[float, int]:
     """Mean, over evaluable users in user order, of each user's AUC.
 
@@ -119,10 +113,10 @@ def _mean_user_auc(
     table = model.item_table()
     n_items = positives.n_items
     users = np.flatnonzero(targets >= 0)
-    pool = np.arange(n_items)
+    n_pool = n_items
     if cold_mask is not None:
         users = users[cold_mask[targets[users]]]
-        pool = np.flatnonzero(cold_mask)
+        n_pool = int(np.count_nonzero(cold_mask))
     rows = max(1, SCORE_BLOCK_ELEMENTS // n_items)
     total = 0.0
     count = 0
@@ -130,13 +124,9 @@ def _mean_user_auc(
         block = users[start:start + rows]
         scores = model.score_all(block, table)
         target = scores[np.arange(len(block)), targets[block]]
-        pos_rows = [positives[u] for u in block]
-        if sample_candidates is None:
-            wins, n_cand = _block_wins(scores, target, pos_rows, cold_mask,
-                                       len(pool))
-        else:
-            wins, n_cand = _sampled_wins(scores, target, pos_rows, pool,
-                                         sample_candidates, rng)
+        wins, n_cand = _block_wins(scores, target,
+                                   [positives[u] for u in block],
+                                   cold_mask, n_pool)
         for w, n in zip(wins, n_cand):
             if n:
                 total += w / n
@@ -161,34 +151,19 @@ def _block_wins(scores, target, positives, cold_mask, n_pool):
     return wins.tolist(), n_cand.tolist()
 
 
-def _sampled_wins(scores, target, positives, pool, size, rng):
-    """As ``_block_wins`` over at most ``size`` candidates drawn per user."""
-    wins, n_cand = [], []
-    for r, pos in enumerate(positives):
-        idx = np.setdiff1d(pool, pos)
-        if len(idx) > size:
-            idx = rng.choice(idx, size=size, replace=False)
-        wins.append(int((scores[r, idx] < target[r]).sum()))
-        n_cand.append(len(idx))
-    return wins, n_cand
-
-
 def auc(
     model,
     positives: Positives,
     split: EvalSplit,
     setting: str = "warm",
     cold_set: ColdItemSet | None = None,
-    sample_candidates: int | None = None,
-    rng=None,
 ) -> AucResult:
     """Average test AUC under the warm or cold protocol.
 
     Candidates are all items outside the user's full positive set; the
-    held-out validation item is therefore never a candidate. With
-    ``sample_candidates`` set, each user's candidate pool is subsampled and
-    the result flagged approximate. An ``InteractionCorpus`` stands for its
-    own ``positives`` (``bench/selftest.py`` passes one).
+    held-out validation item is therefore never a candidate. An
+    ``InteractionCorpus`` stands for its own ``positives``
+    (``bench/selftest.py`` passes one).
     """
     if isinstance(positives, InteractionCorpus):
         positives = positives.positives
@@ -196,18 +171,13 @@ def auc(
         raise ValueError(f"unknown setting {setting!r}")
     if setting == "cold" and cold_set is None:
         raise ValueError("cold setting needs a ColdItemSet")
-    if sample_candidates is not None:
-        rng = np.random.default_rng(rng)
     value, count = _mean_user_auc(
         model,
         targets=split.test_item,
         positives=positives,
         cold_mask=cold_set.cold_mask if setting == "cold" else None,
-        sample_candidates=sample_candidates,
-        rng=rng,
     )
-    return AucResult(auc=value, users_evaluated=count,
-                     approximate=sample_candidates is not None)
+    return AucResult(auc=value, users_evaluated=count)
 
 
 def validation_auc(model, corpus: TrainingCorpus, split: EvalSplit) -> float:

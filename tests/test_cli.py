@@ -125,15 +125,6 @@ class TestTrainEvalRank:
                 assert report["cold_items"] > 0
                 assert report["cold_threshold"] == 5
 
-    def test_eval_sampled_candidates(self, checkpoint, dataset, capsys):
-        ckpt, _ = checkpoint
-        argv = ["eval", "--model", str(ckpt),
-                "--feedback", dataset["feedback"],
-                "--setting", "warm", "--sample-candidates", "20"]
-        assert main(argv) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["approximate"] is True
-
     def test_rank_dim_output(self, checkpoint, capsys):
         ckpt, _ = checkpoint
         assert main(["rank-dim", "--model", str(ckpt), "--dim", "0",
@@ -366,6 +357,9 @@ class TestManifestErrors:
         (_put("", "cold_threshold", -3), "'cold_threshold'"),
         (_put("", "policy", "bogus"), "'policy'"),
         (_put("", "feature_norm", "l3"), "'feature_norm'"),
+        (_put("seeds", "split", -1), "'seeds.split'"),
+        (_put("seeds", "init", -2), "'seeds.init'"),
+        (_put("seeds", "sample", -3), "'seeds.sample'"),
         # A kind that does not match the rest of the model section.
         (_put("model", "kind", "RAND"), "RAND has no"),
         (_put("model", "kind", "BPR-MF"), "BPR-MF has no visual"),
@@ -379,7 +373,9 @@ class TestManifestErrors:
             "float_in_scheme", "null_threshold", "flat_inputs",
             "negative_learning_rate", "unknown_kind", "zero_iterations",
             "negative_reg", "negative_cold_threshold", "unknown_policy",
-            "unknown_feature_norm", "rand_with_dimensions",
+            "unknown_feature_norm", "negative_split_seed",
+            "negative_init_seed", "negative_sample_seed",
+            "rand_with_dimensions",
             "bprmf_with_visual", "vbpr_layered_scheme",
             "vbprc_without_category_bias"])
     def test_one_line_parse_error(self, tmp_path, capsys, change, named):
@@ -401,14 +397,11 @@ class TestManifestErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, named", [
-        (["eval", "--sample-candidates", "-1"], "--sample-candidates"),
-        (["eval", "--sample-candidates", "0"], "--sample-candidates"),
         (["eval", "--setting", "cold", "--cold-threshold", "-2"],
          "--cold-threshold"),
         (["rank-dim", "--dim", "0", "--top", "-1"], "--top"),
         (["rank-dim", "--dim", "0", "--top", "0"], "--top"),
-    ], ids=["negative_sample", "zero_sample", "negative_cold_threshold",
-            "negative_top", "zero_top"])
+    ], ids=["negative_cold_threshold", "negative_top", "zero_top"])
     def test_flag_below_one(self, tmp_path, capsys, argv, named):
         # The checkpoint does not exist, so reading it would be an OSError.
         argv = argv + ["--model", str(tmp_path / "absent.ckpt")]
@@ -439,11 +432,17 @@ class TestManifestErrors:
         assert manifest.train_config() == TrainConfig()
 
 
-class TestBench:
-    def test_bench_step_table(self, capsys):
-        assert main(["bench-step", "--feature-dims", "16,32",
-                     "--latent-dims", "2", "--kprime", "2",
-                     "--steps", "20"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "n_latent\tn_visual\tfeature_dim\tseconds_per_step"
-        assert len(lines) == 3
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--sample-candidates", "5"],
+        ["eval", "--sample-seed", "1"],
+        ["bench-step"],
+    ], ids=["eval_sample_candidates", "eval_sample_seed", "bench_step"])
+    def test_removed_options_rejected(self, tmp_path, capsys, argv):
+        # AUC is always exact, and per-step timing is bench/run.py's.
+        if argv[0] == "eval":
+            argv = argv + ["--model", str(tmp_path / "absent.ckpt"),
+                           "--feedback", str(tmp_path / "absent.tsv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: hierbpr" in capsys.readouterr().err

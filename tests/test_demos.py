@@ -13,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ["01_hierarchy_layout.py", "02_train_and_evaluate.py",
-         "04_visual_dimensions.py", "05_step_timing.py"]
+         "04_visual_dimensions.py"]
 
 
 @pytest.mark.parametrize("script", DEMOS)

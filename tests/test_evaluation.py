@@ -31,8 +31,7 @@ from conftest import auc_pair_counting, positives_of, training_corpus
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def per_user_auc(model, targets, pos_lists, n_items, cold_mask,
-                 sample_candidates=None, rng=None):
+def per_user_auc(model, targets, pos_lists, n_items, cold_mask):
     """The per-user mask loop: the reference for the blocked pass."""
     table = model.item_table()
     total = 0.0
@@ -47,12 +46,6 @@ def per_user_auc(model, targets, pos_lists, n_items, cold_mask,
         mask[pos_lists[u]] = False
         if cold_mask is not None:
             mask &= cold_mask
-        if sample_candidates is not None:
-            idx = np.flatnonzero(mask)
-            if len(idx) > sample_candidates:
-                idx = rng.choice(idx, size=sample_candidates, replace=False)
-            mask = np.zeros(n_items, dtype=bool)
-            mask[idx] = True
         n_cand = int(mask.sum())
         if n_cand == 0:
             continue
@@ -86,8 +79,7 @@ def split_of(test_items, val_items=None):
     test = np.asarray(test_items, dtype=np.int64)
     val = (np.full(len(test), -1, dtype=np.int64) if val_items is None
            else np.asarray(val_items, dtype=np.int64))
-    return EvalSplit(val_item=val, test_item=test,
-                     excluded_users=np.flatnonzero(test < 0))
+    return EvalSplit(val_item=val, test_item=test)
 
 
 class TestSplitLeaveOneOut:
@@ -116,7 +108,6 @@ class TestSplitLeaveOneOut:
         assert split.test_item[0] == -1
         assert split.val_item[0] == -1
         assert list(tc.train_pos[0]) == [4]
-        assert 0 in split.excluded_users
 
     def test_disjointness_exhaustiveize(self):
         cfg = SynthConfig(n_users=1000, n_items=400, feature_dim=4,
@@ -271,18 +262,6 @@ class TestAuc:
                      split_of([0], val_items=[1]))
         assert result.auc == 1.0
 
-    def test_sampled_candidates_flagged_approximate(self, rng):
-        scores = rng.normal(size=(5, 300))
-        positives = [[k] for k in range(5)]
-        targets = list(range(5))
-        corpus = FakeCorpus(positives, 300)
-        exact = auc(ScoreTableModel(scores), corpus.positives,
-                    split_of(targets))
-        approx = auc(ScoreTableModel(scores), corpus.positives,
-                     split_of(targets), sample_candidates=100, rng=3)
-        assert approx.approximate and not exact.approximate
-        assert abs(approx.auc - exact.auc) < 0.1
-
     def test_random_scorer_near_half(self):
         rng = np.random.default_rng(0)
         n_users, n_items = 200, 520
@@ -407,19 +386,6 @@ class TestBlockedPass:
                    cold_set=cold)
         assert result.users_evaluated == full.users_evaluated - (
             1 if cold.cold_mask[split.test_item[0]] else 0)
-
-    @pytest.mark.parametrize("setting", ["warm", "cold"])
-    def test_sampled_candidates_equal_reference(self, block_setup, setting):
-        corpus, _tc, split, model, cold = block_setup
-        cold_mask = cold.cold_mask if setting == "cold" else None
-        expected = per_user_auc(model, split.test_item, corpus.positives,
-                                corpus.n_items, cold_mask,
-                                sample_candidates=50,
-                                rng=np.random.default_rng(7))
-        result = auc(model, corpus.positives, split, setting=setting,
-                     cold_set=cold, sample_candidates=50, rng=7)
-        assert result.approximate
-        assert (result.auc, result.users_evaluated) == expected
 
     def test_rand_block_stacks_rows(self, block_setup):
         corpus = block_setup[0]

@@ -458,8 +458,7 @@ class TestTrain:
         targets = np.array([int(rng.choice(tc.train_pos[u]))
                             for u in range(corpus.n_users)])
         fake_split = EvalSplit(val_item=np.full(corpus.n_users, -1),
-                               test_item=targets,
-                               excluded_users=np.array([], dtype=np.int64))
+                               test_item=targets)
         result = auc(model, corpus.positives, fake_split)
         assert result.auc > 0.9
 
@@ -508,8 +507,7 @@ class TestStepBuffer:
         model = tiny_model()
         tc = training_corpus_of(model)
         split = EvalSplit(val_item=np.zeros(model.corpus.n_users, dtype=int),
-                          test_item=np.ones(model.corpus.n_users, dtype=int),
-                          excluded_users=np.array([], dtype=np.int64))
+                          test_item=np.ones(model.corpus.n_users, dtype=int))
         seen_in_validation = []
 
         def recording_validation(*args):
