@@ -3,10 +3,11 @@
 Builds the running example: a root with three branches (clothing, shoes,
 intimates) and five fine-grained leaves, then distributes 7 visual
 dimensions with a 4:2:1 split and shows which segment blocks each item
-inherits.
+inherits. The tree holds category nodes only; each item's node is catalog
+data, looked up here in ``item_leaves``.
 """
 
-from hierbpr import AllocationScheme, assign_layers, build_hierarchy, path_segments
+from hierbpr import AllocationScheme, assign_layers, build_hierarchy
 
 edges = [
     ("clothing", "root"), ("shoes", "root"), ("intimates", "root"),
@@ -18,7 +19,7 @@ item_leaves = {
     "item_d": "flats", "item_e": "bras",
 }
 
-hierarchy = build_hierarchy(edges, item_leaves)
+hierarchy = build_hierarchy(edges, item_leaves.values())
 print(f"tree: {hierarchy.n_nodes} nodes, height {hierarchy.height}, "
       f"effective height {hierarchy.effective_height}")
 
@@ -37,8 +38,9 @@ print(f"embedding parameters at F=4096: "
 
 print("\nsegment chain per item (block owner per layer):")
 for item in sorted(item_leaves):
-    chain = path_segments(hierarchy, assignment, item)
-    owners = [hierarchy.node_ids[assignment.block_owner[b]] for b in chain]
+    chain = assignment.blocks_for_leaf(hierarchy.node_of(item_leaves[item]))
+    owners = [hierarchy.node_ids[assignment.block_owner[b]]
+              for b, _, _ in chain]
     print(f"  {item:7s} ({item_leaves[item]:9s}) -> {' / '.join(owners)}")
 
 print("\nitems under 'clothing' share the root and clothing blocks;")

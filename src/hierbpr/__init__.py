@@ -18,7 +18,6 @@ from .hierarchy import (
     LayerAssignment,
     assign_layers,
     build_hierarchy,
-    path_segments,
 )
 from .embedding import FeatureStore, SegmentStore
 from .ingestion import InteractionCorpus, Positives, TrainingCorpus, load_corpus
@@ -90,7 +89,6 @@ __all__ = [
     "load_corpus",
     "make_baseline",
     "make_corpus",
-    "path_segments",
     "sample_triple",
     "save_checkpoint",
     "split_leave_one_out",

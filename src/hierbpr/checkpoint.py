@@ -4,8 +4,9 @@ Layout: 8-byte magic, little-endian u64 header length, a JSON header (config,
 id maps, seeds, array directory, CRC-32 of the payload), then raw
 little-endian array bytes. The writer is fully deterministic (same model,
 same bytes), which is what makes rerun-identity checks possible; zip-based
-containers embed timestamps. The reader checks every length and the digest
-and raises ``ParseError`` for any damaged file.
+containers embed timestamps. The reader checks every length, that the array
+directory tiles the payload, and the digest, and raises ``ParseError`` for
+any damaged file.
 
 Checkpoints carry the raw parameter blocks plus the frozen per-item
 projections and visual-bias scores, so ranking and evaluation need only the
@@ -40,12 +41,17 @@ VERSION = 2            # 2 added the payload digest
 _DTYPES = {"float64": "<f8", "int64": "<i8"}
 
 
-def _hierarchy_from_parts(node_ids, parent, item_ids, item_leaf) -> CategoryHierarchy:
+def _hierarchy_from_parts(node_ids, parent, item_leaf) -> CategoryHierarchy:
     edges = [(node_ids[k], node_ids[int(p)])
              for k, p in enumerate(parent) if p >= 0]
-    leaves = {item_ids[k]: node_ids[int(leaf)]
-              for k, leaf in enumerate(item_leaf)}
-    return build_hierarchy(edges, leaves)
+    leaves = np.unique(item_leaf)
+    if leaves.size and not 0 <= leaves[0] <= leaves[-1] < len(node_ids):
+        raise ValueError(f"item_leaf holds node indices outside "
+                         f"[0, {len(node_ids)})")
+    hierarchy = build_hierarchy(edges, [node_ids[n] for n in leaves])
+    if hierarchy.node_ids != tuple(node_ids):
+        raise ValueError("node ids are not sorted and unique")
+    return hierarchy
 
 
 def save_checkpoint(
@@ -209,19 +215,29 @@ def _read_checked(path) -> tuple[dict, dict[str, np.ndarray]]:
     if any(a >= b for a, b in zip(ids, ids[1:])):
         raise ParseError(f"{path}: item ids are not strictly increasing")
 
+    # The directory must tile the payload: each array starts where the
+    # previous one ends, and the last ends with the file.
     payload = memoryview(blob)[16 + header_len:]
     arrays: dict[str, np.ndarray] = {}
+    end = 0
     for entry in header["arrays"]:
         name, start, nbytes = entry["name"], entry["offset"], entry["nbytes"]
         if (entry["dtype"] not in _DTYPES
                 or nbytes != 8 * int(np.prod(entry["shape"]))):
             raise ParseError(f"{path}: bad directory entry for {name!r}")
-        if not 0 <= start <= start + nbytes <= len(payload):
+        if start != end:
+            raise ParseError(f"{path}: array {name!r} starts at payload byte "
+                             f"{start}, not {end}")
+        if not 0 <= nbytes <= len(payload) - start:
             raise ParseError(f"{path}: array {name!r} runs past the end of "
                              "the file (truncated?)")
+        end = start + nbytes
         arrays[name] = np.frombuffer(
-            payload[start:start + nbytes],
+            payload[start:end],
             dtype=_DTYPES[entry["dtype"]]).reshape(entry["shape"]).copy()
+    if end != len(payload):
+        raise ParseError(f"{path}: {len(payload) - end} payload bytes follow "
+                         "the last array")
     if zlib.crc32(payload) != header["payload_crc32"]:
         raise ParseError(f"{path}: payload digest mismatch (corrupted file)")
     return header, arrays
@@ -231,7 +247,7 @@ def load_checkpoint(path) -> CheckpointBundle:
     """Restore a checkpoint; a damaged or malformed file raises ParseError."""
     try:
         return _bundle(*_read_checked(path))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         # The header is outside input: a missing or mistyped field ends here.
         raise ParseError(f"{path}: malformed checkpoint: {exc!r}") from None
 
@@ -241,7 +257,7 @@ def _bundle(header: dict, arrays: dict[str, np.ndarray]) -> CheckpointBundle:
     item_ids = tuple(header["item_ids"])
     user_ids = tuple(header["user_ids"])
     hierarchy = _hierarchy_from_parts(header["node_ids"], arrays["parent"],
-                                      item_ids, arrays["item_leaf"])
+                                      arrays["item_leaf"])
 
     segments = None
     if "segments" in arrays:

@@ -84,11 +84,10 @@ class SegmentStore:
 
     @classmethod
     def create(cls, assignment: LayerAssignment, feature_dim: int,
-               rng: np.random.Generator, scale: float | None = None) -> "SegmentStore":
-        """Seeded uniform init in [-scale, scale]; default scale 1/sqrt(F)."""
+               rng: np.random.Generator) -> "SegmentStore":
+        """Seeded uniform init in [-1/sqrt(F), 1/sqrt(F)]."""
         store = cls(assignment, feature_dim)
-        if scale is None:
-            scale = 1.0 / np.sqrt(feature_dim)
+        scale = 1.0 / np.sqrt(feature_dim)
         store.backing[:] = rng.uniform(-scale, scale, size=store.backing.shape)
         return store
 
@@ -103,10 +102,9 @@ class SegmentStore:
     def copy(self) -> "SegmentStore":
         return SegmentStore(self.assignment, self.feature_dim, self.backing.copy())
 
-    def project(self, f: np.ndarray, leaf: int, out: np.ndarray | None = None) -> np.ndarray:
+    def project(self, f: np.ndarray, leaf: int) -> np.ndarray:
         """Visual projection of feature vector ``f`` under leaf node ``leaf``."""
-        if out is None:
-            out = np.empty(self.n_visual)
+        out = np.empty(self.n_visual)
         for block, start, stop in self.assignment.blocks_for_leaf(leaf):
             np.matmul(self.blocks[block], f, out=out[start:stop])
         return out

@@ -1,11 +1,13 @@
 """Category tree handling: validation, layer numbering, and segment allocation.
 
-A hierarchy is a single rooted tree of category nodes. Every item is attached
-to one node (normally a leaf); the root-to-node path decides which embedding
-segments the item inherits. Layers are numbered from 1 at the root, so a
-node's layer equals the length of its root path. The *effective height* is
-the depth of the shallowest node any item maps to; allocation schemes may not
-reach below it, which is what reduces an imbalanced tree to a balanced one.
+A hierarchy is a single rooted tree of category nodes; it knows nothing of
+items. Which node each item sits on (normally a leaf) is catalog data, kept
+as the corpus's ``item_leaf`` array of node indices; the root-to-node path
+decides which embedding segments the item inherits. Layers are numbered from
+1 at the root, so a node's layer equals the length of its root path. The
+*effective height* is the depth of the shallowest node any item maps to;
+allocation schemes may not reach below it, which is what reduces an
+imbalanced tree to a balanced one.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ class CategoryHierarchy:
     parent: np.ndarray
     root: int
     depth: np.ndarray
-    leaf_of_item: dict[str, int]
     height: int
     effective_height: int
     node_index: dict[str, int] = field(repr=False, default_factory=dict)
@@ -64,28 +65,24 @@ class CategoryHierarchy:
             raise ValueError(f"node {node} is shallower than layer {layer}")
         return cur
 
-    def leaf_node(self, item_id: str) -> int:
-        try:
-            return self.leaf_of_item[item_id]
-        except KeyError:
-            raise UnknownItem(f"unknown item {item_id!r}") from None
-
 
 def build_hierarchy(
-    edges: list[tuple[str, str]], item_leaves: dict[str, str]
+    edges: list[tuple[str, str]], leaf_ids
 ) -> CategoryHierarchy:
     """Build and validate a hierarchy from (child, parent) edges.
 
-    ``item_leaves`` maps item id to the id of its category node. With an
-    empty edge list the node universe falls back to the item targets, which
-    must then all name the same single (root) node.
+    ``leaf_ids`` are the ids of the nodes that items attach to (repeats are
+    fine); the shallowest of them sets the effective height. With an empty
+    edge list the node universe falls back to these ids, which must then
+    all name the same single (root) node.
 
     Raises:
         MultipleParents: a child id is listed under two different parents.
         MultipleRoots: zero or more than one parentless node.
         CycleDetected: a node cannot reach the root.
-        DanglingItemLeaf: an item references a node outside the tree.
+        DanglingItemLeaf: a leaf id names a node outside the tree.
     """
+    leaf_ids = set(leaf_ids)
     parent_of: dict[str, str] = {}
     ids: set[str] = set()
     for child, parent in edges:
@@ -98,7 +95,7 @@ def build_hierarchy(
                                   f"{parent_of[child]!r} and {parent!r}")
         parent_of[child] = parent
     if not edges:
-        ids.update(item_leaves.values())
+        ids.update(leaf_ids)
 
     if not ids:
         raise MultipleRoots("hierarchy has no nodes at all")
@@ -136,16 +133,13 @@ def build_hierarchy(
     if unreached.size:
         raise CycleDetected(f"node {node_ids[unreached[0]]!r} cannot reach the root")
 
-    leaf_of_item: dict[str, int] = {}
-    for item_id, node_id in item_leaves.items():
-        if node_id not in index:
-            raise DanglingItemLeaf(
-                f"item {item_id!r} maps to unknown node {node_id!r}")
-        leaf_of_item[item_id] = index[node_id]
+    dangling = sorted(leaf_ids - index.keys())
+    if dangling:
+        raise DanglingItemLeaf(f"items map to unknown node {dangling[0]!r}")
 
     height = int(depth.max())
-    if leaf_of_item:
-        effective = int(min(depth[n] for n in leaf_of_item.values()))
+    if leaf_ids:
+        effective = int(min(depth[index[n]] for n in leaf_ids))
     else:
         has_child = np.zeros(len(node_ids), dtype=bool)
         has_child[parent[parent >= 0]] = True
@@ -158,7 +152,6 @@ def build_hierarchy(
         parent=parent,
         root=root,
         depth=depth,
-        leaf_of_item=leaf_of_item,
         height=height,
         effective_height=effective,
         node_index=index,
@@ -302,11 +295,3 @@ def assign_layers(h: CategoryHierarchy, s: AllocationScheme) -> LayerAssignment:
         block_owner=tuple(block_owner),
         block_layer=tuple(block_layer),
     )
-
-
-def path_segments(
-    h: CategoryHierarchy, a: LayerAssignment, item_id: str
-) -> list[int]:
-    """Segment block ids along the item's root-to-leaf path, in order."""
-    leaf = h.leaf_node(item_id)
-    return [block for block, _, _ in a.blocks_for_leaf(leaf)]

@@ -11,6 +11,7 @@ order.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -18,7 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import FeatureStore
-from .errors import DimensionMismatch, EmptyCorpus, OrphanItem, ParseError
+from .errors import (
+    DanglingItemLeaf,
+    DimensionMismatch,
+    EmptyCorpus,
+    OrphanItem,
+    ParseError,
+)
 from .hierarchy import CategoryHierarchy, build_hierarchy
 
 FEATURE_MAGIC = b"VFEATB01"
@@ -28,10 +35,8 @@ FEATURE_NORMS = ("none", "l2")
 
 # ---------------------------------------------------------------- text files
 
-def read_feedback(path) -> list[tuple[str, str]]:
-    """Parse (user, item) pairs, dropping duplicates but keeping order."""
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
+def _read_pairs(path, expected: str) -> Iterator[tuple[str, str]]:
+    """The first two tab-separated columns of every nonblank line, in order."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -39,12 +44,13 @@ def read_feedback(path) -> list[tuple[str, str]]:
                 continue
             cols = line.split("\t")
             if len(cols) < 2 or not cols[0] or not cols[1]:
-                raise ParseError(f"{path}:{lineno}: expected user<TAB>item")
-            pair = (cols[0], cols[1])
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
-    return pairs
+                raise ParseError(f"{path}:{lineno}: expected {expected}")
+            yield cols[0], cols[1]
+
+
+def read_feedback(path) -> list[tuple[str, str]]:
+    """Parse (user, item) pairs, dropping duplicates but keeping order."""
+    return list(dict.fromkeys(_read_pairs(path, "user<TAB>item")))
 
 
 def write_feedback(path, pairs) -> None:
@@ -54,17 +60,7 @@ def write_feedback(path, pairs) -> None:
 
 
 def read_hierarchy_edges(path) -> list[tuple[str, str]]:
-    edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) < 2 or not cols[0] or not cols[1]:
-                raise ParseError(f"{path}:{lineno}: expected child<TAB>parent")
-            edges.append((cols[0], cols[1]))
-    return edges
+    return list(_read_pairs(path, "child<TAB>parent"))
 
 
 def write_hierarchy_edges(path, edges) -> None:
@@ -74,16 +70,12 @@ def write_hierarchy_edges(path, edges) -> None:
 
 
 def read_item_leaves(path) -> dict[str, str]:
+    """Each item's category node; a repeated line is accepted, a conflict not."""
     leaves: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) < 2 or not cols[0] or not cols[1]:
-                raise ParseError(f"{path}:{lineno}: expected item<TAB>node")
-            leaves[cols[0]] = cols[1]
+    for item, node in _read_pairs(path, "item<TAB>node"):
+        if leaves.setdefault(item, node) != node:
+            raise ParseError(f"{path}: item {item!r} is listed under both "
+                             f"{leaves[item]!r} and {node!r}")
     return leaves
 
 
@@ -308,8 +300,9 @@ def assemble_corpus(
     """Cross-validate the three sources and densify ids.
 
     policy="strict" raises OrphanItem on any item missing a feature vector or
-    leaf assignment; policy="prune" drops such items (and their feedback)
-    and reports counts.
+    category, and DanglingItemLeaf on one whose category node is not in the
+    tree; policy="prune" drops such items (and their feedback) and reports
+    them.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -332,15 +325,17 @@ def assemble_corpus(
             raise OrphanItem(f"item {missing_leaf[0]!r} has no category")
     catalog = sorted(have_feat & have_leaf)
 
-    # In prune mode an item may name a category node the tree does not have;
-    # strict mode lets build_hierarchy raise DanglingItemLeaf with the id.
+    # An item may name a node the tree lacks. Without edges the tree is the
+    # single node the items name, so nothing can dangle.
     dangling: list[str] = []
-    if edges and policy == "prune":
-        node_universe = {n for edge in edges for n in edge}
-        dangling = sorted(i for i in catalog if leaf_map[i] not in node_universe)
+    if edges:
+        nodes = {n for edge in edges for n in edge}
+        dangling = [i for i in catalog if leaf_map[i] not in nodes]
+        if dangling and policy == "strict":
+            raise DanglingItemLeaf(f"item {dangling[0]!r} maps to unknown "
+                                   f"node {leaf_map[dangling[0]]!r}")
         if dangling:
-            gone = set(dangling)
-            catalog = [i for i in catalog if i not in gone]
+            catalog = [i for i in catalog if leaf_map[i] in nodes]
     if not catalog:
         raise EmptyCorpus("no item has both features and a category")
 
@@ -357,8 +352,9 @@ def assemble_corpus(
                                      [item_index[i] for _, i in kept_pairs],
                                      len(users), len(catalog))
 
-    hierarchy = build_hierarchy(edges, {i: leaf_map[i] for i in catalog})
-    item_leaf = np.array([hierarchy.leaf_of_item[i] for i in catalog],
+    leaf_ids = [leaf_map[i] for i in catalog]
+    hierarchy = build_hierarchy(edges, leaf_ids)
+    item_leaf = np.array([hierarchy.node_index[n] for n in leaf_ids],
                          dtype=np.int64)
     item_leaf.flags.writeable = False
 

@@ -14,7 +14,7 @@ import pytest
 from hierbpr.checkpoint import load_checkpoint
 from hierbpr.cli import ExperimentManifest, Seeds, run_experiment
 from hierbpr.evaluation import ColdItemSet, auc, split_leave_one_out
-from hierbpr.hierarchy import AllocationScheme, assign_layers, path_segments
+from hierbpr.hierarchy import AllocationScheme, assign_layers
 from hierbpr.model import (
     KIND_BPRMF,
     KIND_HVBPR,
@@ -443,8 +443,9 @@ def test_criterion_10_imbalanced_tree_reduction():
 
         scheme = AllocationScheme((5, 5))
         assignment = assign_layers(corpus.hierarchy, scheme)
-        chain = path_segments(corpus.hierarchy, assignment, "i01")  # deep item
-        owners = [assignment.block_owner[b] for b in chain]
+        deep = int(corpus.item_leaf[corpus.item_ids.index("i01")])
+        chain = assignment.blocks_for_leaf(deep)
+        owners = [assignment.block_owner[b] for b, _, _ in chain]
         owner_depths = [int(corpus.hierarchy.depth[o]) for o in owners]
         assert owner_depths == [1, 2]
         deep_names = {corpus.hierarchy.node_ids[o] for o in owners}

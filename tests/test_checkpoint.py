@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ def _swap_first_ids(header):
     ids[0], ids[1] = ids[1], ids[0]
 
 
+def _shift_item_leaf(header):
+    entry = next(e for e in header["arrays"] if e["name"] == "item_leaf")
+    entry["offset"] += 8
+
+
+def _negative_item_leaf(blob: bytes) -> bytes:
+    """First item on node -1, with the digest recomputed to match."""
+    size = int.from_bytes(blob[8:16], "little")
+    start = 16 + size + next(e["offset"]
+                             for e in json.loads(blob[16:16 + size])["arrays"]
+                             if e["name"] == "item_leaf")
+    blob = (blob[:start] + (-1).to_bytes(8, "little", signed=True)
+            + blob[start + 8:])
+    crc = zlib.crc32(blob[16 + size:])
+    return _rewrite_header(blob, lambda h: h.update(payload_crc32=crc))
+
+
 def _shorten_header_length(blob: bytes) -> bytes:
     size = int.from_bytes(blob[8:16], "little")
     return blob[:8] + (size - 5).to_bytes(8, "little") + blob[16:]
@@ -128,6 +146,9 @@ DAMAGE = {
     "header_cut_mid_json": _shorten_header_length,
     "version_1": lambda blob: _rewrite_header(blob, _as_v1),
     "unsorted_item_ids": lambda blob: _rewrite_header(blob, _swap_first_ids),
+    "shifted_array_offset": lambda blob: _rewrite_header(blob,
+                                                         _shift_item_leaf),
+    "negative_item_leaf": _negative_item_leaf,
 }
 
 

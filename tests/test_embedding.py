@@ -11,12 +11,11 @@ from conftest import TREE3_EDGES
 
 def two_layer(n_leaves=3):
     edges = [(f"leaf{k}", "root") for k in range(n_leaves)]
-    items = {f"i{k}": f"leaf{k}" for k in range(n_leaves)}
-    return build_hierarchy(edges, items)
+    return build_hierarchy(edges, [f"leaf{k}" for k in range(n_leaves)])
 
 
 def single_layer():
-    return build_hierarchy([], {"i0": "root"})
+    return build_hierarchy([], ["root"])
 
 
 class TestProject:
@@ -121,7 +120,7 @@ class TestInvariants:
         assert np.allclose(combined, split, atol=1e-12)
 
     def test_stacking_equivalence(self, rng):
-        h = build_hierarchy(TREE3_EDGES, {"x": "skirts", "y": "boots"})
+        h = build_hierarchy(TREE3_EDGES, ["skirts", "boots"])
         a = assign_layers(h, AllocationScheme((4, 2, 1)))
         store = SegmentStore.create(a, 6, rng)
         for leaf_name in ("skirts", "boots"):

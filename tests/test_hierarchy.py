@@ -12,21 +12,23 @@ from hierbpr.hierarchy import (
     AllocationScheme,
     assign_layers,
     build_hierarchy,
-    path_segments,
 )
 
 from conftest import TREE3_EDGES
 
 
-def tree3(items=None):
-    items = items or {"it_skirts": "skirts", "it_boots": "boots",
-                      "it_bras": "bras"}
-    return build_hierarchy(TREE3_EDGES, items)
+def tree3(leaves=("skirts", "boots", "bras")):
+    return build_hierarchy(TREE3_EDGES, leaves)
+
+
+def path_blocks(h, a, node_id):
+    """Segment block ids along the node's root path, in order."""
+    return [block for block, _, _ in a.blocks_for_leaf(h.node_of(node_id))]
 
 
 class TestBuildHierarchy:
     def test_single_root_degenerate(self):
-        h = build_hierarchy([], {"a": "root", "b": "root"})
+        h = build_hierarchy([], ["root", "root"])
         assert h.height == 1
         assert h.effective_height == 1
         assert h.n_nodes == 1
@@ -43,8 +45,7 @@ class TestBuildHierarchy:
     def test_imbalanced_tree_effective_height(self):
         # One branch two layers deep, another four; items on both ends.
         edges = [("a", "root"), ("b", "root"), ("b1", "b"), ("b2", "b1")]
-        items = {"x": "a", "y": "b2"}
-        h = build_hierarchy(edges, items)
+        h = build_hierarchy(edges, ["a", "b2"])
         # Independent oracle: minimum depth over the items' nodes.
         depths = {"a": 2, "b2": 4}
         assert h.effective_height == min(depths.values())
@@ -52,42 +53,42 @@ class TestBuildHierarchy:
 
     def test_effective_height_tracks_items_only(self):
         edges = [("a", "root"), ("b", "root"), ("b1", "b")]
-        h = build_hierarchy(edges, {"x": "b1"})
+        h = build_hierarchy(edges, ["b1"])
         assert h.effective_height == 3
 
     def test_cycle_detected(self):
         edges = [("a", "root"), ("b", "c"), ("c", "b")]
         with pytest.raises(CycleDetected) as err:
-            build_hierarchy(edges, {})
+            build_hierarchy(edges, [])
         assert "b" in str(err.value) or "c" in str(err.value)
 
     def test_self_parent_rejected(self):
         with pytest.raises(CycleDetected):
-            build_hierarchy([("a", "a")], {})
+            build_hierarchy([("a", "a")], [])
 
     def test_all_nodes_on_cycle(self):
         with pytest.raises(CycleDetected):
-            build_hierarchy([("a", "b"), ("b", "a")], {})
+            build_hierarchy([("a", "b"), ("b", "a")], [])
 
     def test_multiple_roots(self):
         edges = [("a", "r1"), ("b", "r2")]
         with pytest.raises(MultipleRoots) as err:
-            build_hierarchy(edges, {})
+            build_hierarchy(edges, [])
         assert "r1" in str(err.value) and "r2" in str(err.value)
 
     def test_multiple_parents(self):
         edges = [("a", "root"), ("b", "root"), ("a", "b")]
         with pytest.raises(MultipleParents) as err:
-            build_hierarchy(edges, {})
+            build_hierarchy(edges, [])
         assert "'a'" in str(err.value)
 
     def test_dangling_item_leaf(self):
         with pytest.raises(DanglingItemLeaf) as err:
-            build_hierarchy([("a", "root")], {"item9": "nowhere"})
-        assert "item9" in str(err.value)
+            build_hierarchy([("a", "root")], ["a", "nowhere"])
+        assert "'nowhere'" in str(err.value)
 
     def test_item_on_internal_node_allowed(self):
-        h = build_hierarchy(TREE3_EDGES, {"x": "clothing"})
+        h = build_hierarchy(TREE3_EDGES, ["clothing"])
         assert h.effective_height == 2
 
 
@@ -108,7 +109,7 @@ class TestAssignLayers:
         assert a.layer_rows == ((0, 7), (7, 7), (7, 7))
 
     def test_trailing_zeros_fit_shallow_tree(self):
-        h = build_hierarchy([], {"a": "root"})
+        h = build_hierarchy([], ["root"])
         a = assign_layers(h, AllocationScheme((10, 0, 0)))
         assert a.n_blocks == 1
 
@@ -116,13 +117,13 @@ class TestAssignLayers:
         # 1 root, 3 mid, 9 leaves; scheme 2:2 puts blocks on layers 1 and 2.
         edges = [(f"m{k}", "root") for k in range(3)]
         edges += [(f"l{k}", f"m{k % 3}") for k in range(9)]
-        h = build_hierarchy(edges, {f"i{k}": f"l{k}" for k in range(9)})
+        h = build_hierarchy(edges, [f"l{k}" for k in range(9)])
         a = assign_layers(h, AllocationScheme((2, 2)))
         assert a.n_blocks == 1 + 3
         assert a.layer_rows == ((0, 2), (2, 4))
 
     def test_scheme_too_deep(self):
-        h = build_hierarchy([("a", "root")], {"x": "a"})
+        h = build_hierarchy([("a", "root")], ["a"])
         with pytest.raises(SchemeTooDeep):
             assign_layers(h, AllocationScheme((1, 1, 1)))
 
@@ -142,9 +143,9 @@ class TestAssignLayers:
 
 class TestPathSegments:
     def test_root_to_leaf_order(self):
-        h = tree3({"item": "skirts"})
+        h = tree3(["skirts"])
         a = assign_layers(h, AllocationScheme((4, 2, 1)))
-        blocks = path_segments(h, a, "item")
+        blocks = path_blocks(h, a, "skirts")
         assert len(blocks) == 3
         assert a.block_layer[blocks[0]] == 1
         assert a.block_layer[blocks[1]] == 2
@@ -153,29 +154,30 @@ class TestPathSegments:
         assert a.block_owner[blocks[2]] == h.node_of("skirts")
 
     def test_degenerate_split_same_block_for_all(self):
-        items = {"i1": "skirts", "i2": "boots", "i3": "bras"}
-        h = tree3(items)
+        leaves = ["skirts", "boots", "bras"]
+        h = tree3(leaves)
         a = assign_layers(h, AllocationScheme((7, 0, 0)))
-        chains = {item: tuple(path_segments(h, a, item)) for item in items}
+        chains = {leaf: tuple(path_blocks(h, a, leaf)) for leaf in leaves}
         assert set(chains.values()) == {(0,)}
 
     def test_same_leaf_same_chain(self):
-        items = {"i1": "jeans", "i2": "jeans"}
-        h = tree3(items)
+        item_leaf = {"i1": "jeans", "i2": "jeans"}
+        h = tree3(item_leaf.values())
         a = assign_layers(h, AllocationScheme((2, 2, 3)))
-        assert path_segments(h, a, "i1") == path_segments(h, a, "i2")
+        assert (path_blocks(h, a, item_leaf["i1"])
+                == path_blocks(h, a, item_leaf["i2"]))
 
-    def test_unknown_item(self):
+    def test_unknown_node(self):
         h = tree3()
         a = assign_layers(h, AllocationScheme((1,)))
         with pytest.raises(UnknownItem):
-            path_segments(h, a, "ghost")
+            path_blocks(h, a, "ghost")
 
     def test_imbalanced_deep_branch_uses_shallow_ancestors_only(self):
         edges = [("a", "root"), ("b", "root"), ("b1", "b"), ("b2", "b1")]
-        h = build_hierarchy(edges, {"x": "a", "y": "b2"})
+        h = build_hierarchy(edges, ["a", "b2"])
         a = assign_layers(h, AllocationScheme((2, 1)))
-        chain = path_segments(h, a, "y")
+        chain = path_blocks(h, a, "b2")
         owners = [a.block_owner[b] for b in chain]
         assert owners == [h.root, h.node_of("b")]
         depths = [int(h.depth[o]) for o in owners]
@@ -196,12 +198,11 @@ class TestProperties:
             assert covered == list(range(sum(counts)))
 
     def test_sharing_property(self):
-        items = {"i_sk": "skirts", "i_je": "jeans", "i_bo": "boots"}
-        h = tree3(items)
+        h = tree3(["skirts", "jeans", "boots"])
         a = assign_layers(h, AllocationScheme((2, 2, 2)))
-        sk = path_segments(h, a, "i_sk")
-        je = path_segments(h, a, "i_je")
-        bo = path_segments(h, a, "i_bo")
+        sk = path_blocks(h, a, "skirts")
+        je = path_blocks(h, a, "jeans")
+        bo = path_blocks(h, a, "boots")
         # Same parent (clothing): shared blocks on layers 1 and 2 only.
         assert sk[0] == je[0] == bo[0]
         assert sk[1] == je[1]

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from hierbpr.cli import main
 from hierbpr.errors import (
+    DanglingItemLeaf,
     DimensionMismatch,
     EmptyCorpus,
     OrphanItem,
@@ -206,3 +210,54 @@ class TestLoadCorpus:
         with pytest.raises(ValueError):
             assemble_corpus(PAIRS, ["i0"], np.ones((1, 2)), EDGES,
                             {"i0": "a"}, policy="whatever")
+
+
+def validate(paths, *extra):
+    argv = ["validate"]
+    for key, path in paths.items():
+        argv += [f"--{key.replace('_', '-')}", str(path)]
+    return main(argv + list(extra))
+
+
+def one_error(capsys) -> dict:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+class TestItemCategories:
+    def test_conflicting_duplicate_rejected(self, tmp_path, capsys):
+        paths = write_inputs(tmp_path)
+        with open(paths["item_leaves"], "a", encoding="utf-8") as fh:
+            fh.write("i0\tb\n")
+        assert validate(paths) == 1
+        error = one_error(capsys)
+        assert error["error"] == "ParseError"
+        for name in ("'i0'", "'a'", "'b'"):
+            assert name in error["message"]
+
+    def test_identical_duplicate_accepted(self, tmp_path, capsys):
+        paths = write_inputs(tmp_path)
+        with open(paths["item_leaves"], "a", encoding="utf-8") as fh:
+            fh.write("i0\ta\n")
+        assert validate(paths) == 0
+        assert json.loads(capsys.readouterr().out)["items"] == 3
+
+    def test_strict_dangling_leaf(self, tmp_path, capsys):
+        paths = write_inputs(tmp_path, leaves={**LEAVES, "i2": "nowhere"})
+        with pytest.raises(DanglingItemLeaf) as err:
+            load_corpus(paths["feedback"], paths["features"],
+                        paths["hierarchy"], paths["item_leaves"])
+        assert str(err.value) == "item 'i2' maps to unknown node 'nowhere'"
+        assert validate(paths) == 1
+        error = one_error(capsys)
+        assert error == {"error": "DanglingItemLeaf",
+                         "message": str(err.value)}
+
+    def test_prune_drops_dangling_leaf(self, tmp_path, capsys):
+        paths = write_inputs(tmp_path, leaves={**LEAVES, "i2": "nowhere"})
+        assert validate(paths, "--policy", "prune") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["items"] == 2
+        assert report["pruned"]["items_dangling_category"] == ["i2"]
+        assert report["pruned"]["feedback_pairs_dropped"] == 1
