@@ -19,7 +19,7 @@ from .hierarchy import (
     assign_layers,
     build_hierarchy,
 )
-from .embedding import FeatureStore, SegmentStore
+from .embedding import SegmentStore
 from .ingestion import InteractionCorpus, Positives, TrainingCorpus, load_corpus
 from .model import (
     KIND_BPRMF,
@@ -59,7 +59,6 @@ __all__ = [
     "CheckpointBundle",
     "ColdItemSet",
     "EvalSplit",
-    "FeatureStore",
     "FrozenModel",
     "HierBprError",
     "InteractionCorpus",

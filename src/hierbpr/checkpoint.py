@@ -5,8 +5,8 @@ id maps, seeds, array directory, CRC-32 of the payload), then raw
 little-endian array bytes. The writer is fully deterministic (same model,
 same bytes), which is what makes rerun-identity checks possible; zip-based
 containers embed timestamps. The reader checks every length, that the array
-directory tiles the payload, and the digest, and raises ``ParseError`` for
-any damaged file.
+directory tiles the payload, the digest, and every array's shape against
+the id lists and config, and raises ``ParseError`` for any damaged file.
 
 Checkpoints carry the raw parameter blocks plus the frozen per-item
 projections and visual-bias scores, so ranking and evaluation need only the
@@ -252,8 +252,38 @@ def load_checkpoint(path) -> CheckpointBundle:
         raise ParseError(f"{path}: malformed checkpoint: {exc!r}") from None
 
 
+def _check_shapes(header: dict, config: ModelConfig,
+                  arrays: dict[str, np.ndarray]) -> None:
+    """Every array has one row per item, user, node or feature, as it applies.
+
+    ``segments`` is left to ``SegmentStore``, which knows the block rows.
+    """
+    items, users = len(header["item_ids"]), len(header["user_ids"])
+    nodes, feat = len(header["node_ids"]), header["feature_dim"]
+    expected = {
+        "parent": (nodes,),
+        "item_leaf": (items,),
+        "item_theta": (items, config.n_visual),
+        "item_base": (items,),
+        "item_bias": (items,),
+        "item_latent": (items, config.n_latent),
+        "item_train_count": (items,),
+        "user_latent": (users, config.n_latent),
+        "user_visual": (users, config.n_visual),
+        "split_val": (users,),
+        "split_test": (users,),
+        "visual_bias": (feat,),
+        "category_bias": (nodes,),
+    }
+    for name, shape in expected.items():
+        if name in arrays and arrays[name].shape != shape:
+            raise ValueError(f"array {name!r} has shape "
+                             f"{arrays[name].shape}, expected {shape}")
+
+
 def _bundle(header: dict, arrays: dict[str, np.ndarray]) -> CheckpointBundle:
     config = ModelConfig.from_dict(header["config"])
+    _check_shapes(header, config, arrays)
     item_ids = tuple(header["item_ids"])
     user_ids = tuple(header["user_ids"])
     hierarchy = _hierarchy_from_parts(header["node_ids"], arrays["parent"],

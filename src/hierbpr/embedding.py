@@ -12,46 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingFeature
 from .hierarchy import LayerAssignment
-
-
-class FeatureStore:
-    """Dense per-item raw feature vectors.
-
-    Rows are indexed by dense item index. Values are promoted to float64 on
-    construction (feature files carry float32).
-    """
-
-    def __init__(self, matrix: np.ndarray, item_ids: tuple[str, ...] | None = None):
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError("feature matrix must be 2-D (items x F)")
-        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-        if bad.size:
-            which = item_ids[bad[0]] if item_ids else int(bad[0])
-            raise ValueError(f"non-finite feature vector for item {which!r}")
-        self.matrix = matrix
-        self.item_ids = item_ids
-
-    @property
-    def n_items(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def vector(self, item: int) -> np.ndarray:
-        if not 0 <= item < self.n_items:
-            raise MissingFeature(f"no feature vector for item index {item}")
-        return self.matrix[item]
-
-    def normalized(self) -> "FeatureStore":
-        """Copy with every row scaled to unit L2 norm (zero rows stay zero)."""
-        norms = np.linalg.norm(self.matrix, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        return FeatureStore(self.matrix / norms, self.item_ids)
 
 
 class SegmentStore:

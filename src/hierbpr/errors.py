@@ -37,10 +37,6 @@ class UnknownUser(HierBprError):
     """User id or index not present in the corpus."""
 
 
-class MissingFeature(HierBprError):
-    """Item has no feature vector registered."""
-
-
 class DimensionOutOfRange(HierBprError):
     """Visual dimension index outside [0, n_visual)."""
 

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import FeatureStore
 from .errors import (
     DanglingItemLeaf,
     DimensionMismatch,
@@ -31,6 +30,9 @@ from .hierarchy import CategoryHierarchy, build_hierarchy
 FEATURE_MAGIC = b"VFEATB01"
 POLICIES = ("strict", "prune")
 FEATURE_NORMS = ("none", "l2")
+# Rows per pass over the feature matrix: an l2 norm squares a whole block,
+# so the block, not the matrix, bounds that temporary.
+FEATURE_BLOCK_ROWS = 256
 
 
 # ---------------------------------------------------------------- text files
@@ -122,6 +124,7 @@ def _read_features_binary(path) -> tuple[list[str], np.ndarray]:
         raise ParseError(f"{path}: missing id sidecar {ids_path}")
     with open(ids_path, "r", encoding="utf-8") as fh:
         ids = [line.rstrip("\n") for line in fh if line.strip()]
+    _check_unique(ids_path, ids)
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != FEATURE_MAGIC:
@@ -146,6 +149,9 @@ def _read_features_binary(path) -> tuple[list[str], np.ndarray]:
                 raise ParseError(f"{path}: truncated vector at record {k}")
             matrix[idx] = np.frombuffer(payload, dtype="<f4")
             filled[idx] = True
+        if fh.read(1):
+            raise ParseError(f"{path}: bytes follow the {n} records the "
+                             "header counts")
     if not filled.all():
         raise ParseError(f"{path}: missing vector for id_index "
                          f"{int(np.flatnonzero(~filled)[0])}")
@@ -179,7 +185,18 @@ def _read_features_csv(path) -> tuple[list[str], np.ndarray]:
             rows.append(vec)
     if feat is None:
         raise ParseError(f"{path}: no feature rows")
+    _check_unique(path, ids)
     return ids, np.vstack(rows)
+
+
+def _check_unique(path, ids: list[str]) -> None:
+    """One feature row per item: a repeated id would silently pick a row."""
+    seen: set[str] = set()
+    for item in ids:
+        if item in seen:
+            raise ParseError(f"{path}: item {item!r} has more than one "
+                             "feature row")
+        seen.add(item)
 
 
 def read_features(path) -> tuple[list[str], np.ndarray]:
@@ -233,14 +250,18 @@ class Positives:
 
 @dataclass
 class InteractionCorpus:
-    """Everything a model needs: users, items, positives, tree, features."""
+    """Everything a model needs: users, items, positives, tree, features.
+
+    ``features`` is the read-only, C-contiguous float64 ``(n_items, F)``
+    matrix whose row ``k`` belongs to ``item_ids[k]``.
+    """
 
     user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
     positives: Positives
     hierarchy: CategoryHierarchy
     item_leaf: np.ndarray
-    features: FeatureStore
+    features: np.ndarray
 
     @property
     def n_users(self) -> int:
@@ -252,7 +273,7 @@ class InteractionCorpus:
 
     @property
     def feature_dim(self) -> int:
-        return self.features.feature_dim
+        return self.features.shape[1]
 
     @property
     def n_interactions(self) -> int:
@@ -288,6 +309,31 @@ class TrainingCorpus:
         return np.bincount(self.train_pos.indices, minlength=self.n_items)
 
 
+def _catalog_features(feat_ids: list[str], feat_matrix: np.ndarray,
+                      catalog: list[str], feature_norm: str) -> np.ndarray:
+    """The catalog's feature rows as one read-only float64 matrix.
+
+    A block of rows at a time is gathered into catalog order, checked and
+    (for ``l2``) scaled to unit norm in place; zero rows stay zero.
+    """
+    feat_row = {item: k for k, item in enumerate(feat_ids)}
+    rows = [feat_row[i] for i in catalog]
+    features = np.empty((len(catalog), feat_matrix.shape[1]))
+    for start in range(0, len(features), FEATURE_BLOCK_ROWS):
+        block = features[start:start + FEATURE_BLOCK_ROWS]
+        block[:] = feat_matrix[rows[start:start + FEATURE_BLOCK_ROWS]]
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+        if bad.size:
+            raise ParseError(f"item {catalog[start + bad[0]]!r} has a "
+                             "non-finite feature value")
+        if feature_norm == "l2":
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+            norms[norms == 0.0] = 1.0
+            block /= norms
+    features.flags.writeable = False
+    return features
+
+
 def assemble_corpus(
     pairs: list[tuple[str, str]],
     feat_ids: list[str],
@@ -302,7 +348,7 @@ def assemble_corpus(
     policy="strict" raises OrphanItem on any item missing a feature vector or
     category, and DanglingItemLeaf on one whose category node is not in the
     tree; policy="prune" drops such items (and their feedback) and reports
-    them.
+    them. A kept item with a non-finite feature value raises ParseError.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -358,18 +404,13 @@ def assemble_corpus(
                          dtype=np.int64)
     item_leaf.flags.writeable = False
 
-    feat_row = {item: k for k, item in enumerate(feat_ids)}
-    matrix = np.ascontiguousarray(
-        feat_matrix[[feat_row[i] for i in catalog]], dtype=np.float64)
-    store = FeatureStore(matrix, tuple(catalog))
-    if feature_norm == "l2":
-        store = store.normalized()
+    features = _catalog_features(feat_ids, feat_matrix, catalog, feature_norm)
 
     report = {
         "users": len(users),
         "items": len(catalog),
         "interactions": len(positives.indices),
-        "feature_dim": store.feature_dim,
+        "feature_dim": features.shape[1],
         "policy": policy,
         "feature_norm": feature_norm,
         "pruned": {
@@ -385,7 +426,7 @@ def assemble_corpus(
         positives=positives,
         hierarchy=hierarchy,
         item_leaf=item_leaf,
-        features=store,
+        features=features,
     )
     return corpus, report
 

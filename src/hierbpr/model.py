@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import FeatureStore, SegmentStore
+from .embedding import SegmentStore
 from .errors import (
     DimensionOutOfRange,
     InvalidSchemeForBaseline,
@@ -323,7 +323,7 @@ class PreferenceModel:
         self.corpus = corpus
         self.params = params
         self.assignment = assignment
-        self.features: FeatureStore = corpus.features
+        self.features: np.ndarray = corpus.features
         self.item_leaf: np.ndarray = corpus.item_leaf
 
     @classmethod
@@ -362,8 +362,8 @@ class PreferenceModel:
         self._check_item(i)
         if self.params.segments is None:
             return np.zeros(0)
-        return self.params.segments.project(
-            self.features.vector(i), int(self.item_leaf[i]))
+        return self.params.segments.project(self.features[i],
+                                            int(self.item_leaf[i]))
 
     def score(self, u: int, i: int) -> float:
         """One pair scored term by term: the per-pair test oracle.
@@ -382,7 +382,7 @@ class PreferenceModel:
         if self.config.n_visual:
             total += float(np.dot(p.user_visual[u], self.project(i)))
         if self.config.use_visual_bias:
-            total += float(np.dot(p.visual_bias, self.features.vector(i)))
+            total += float(np.dot(p.visual_bias, self.features[i]))
         if self.config.use_category_bias:
             total += float(p.category_bias[self.item_leaf[i]])
         return total
@@ -397,12 +397,12 @@ class PreferenceModel:
             return ItemTable(zeros, zeros, np.zeros(self.n_items),
                              rand_seed=self.config.rng_seed)
         if p.segments is not None:
-            theta = p.segments.project_all(self.features.matrix, self.item_leaf)
+            theta = p.segments.project_all(self.features, self.item_leaf)
         else:
             theta = np.zeros((self.n_items, 0))
         base = p.item_bias.copy()
         if self.config.use_visual_bias:
-            base += self.features.matrix @ p.visual_bias
+            base += self.features @ p.visual_bias
         if self.config.use_category_bias:
             base += p.category_bias[self.item_leaf]
         return ItemTable(theta, p.item_latent, base)

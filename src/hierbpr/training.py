@@ -166,7 +166,7 @@ class Trainer:
         self.visual_bias = p.visual_bias
         self.category_bias = p.category_bias
         self.segments = p.segments
-        self.features = model.features.matrix
+        self.features = model.features
         self.leaves = model.item_leaf
         self.lr = config.learning_rate
         r = config.reg
@@ -176,7 +176,7 @@ class Trainer:
         self.shrink_vb = 1.0 - self.lr * r.visual_bias
         self.shrink_cb = 1.0 - self.lr * r.category_bias
         self.seg_reg = r.segments
-        feat_dim = model.features.feature_dim
+        feat_dim = self.features.shape[1]
         self._fd = np.empty(feat_dim)
         self._ti = np.empty(self.n_visual)
         self._tj = np.empty(self.n_visual)

@@ -122,16 +122,32 @@ def _shift_item_leaf(header):
     entry["offset"] += 8
 
 
-def _negative_item_leaf(blob: bytes) -> bytes:
-    """First item on node -1, with the digest recomputed to match."""
-    size = int.from_bytes(blob[8:16], "little")
-    start = 16 + size + next(e["offset"]
-                             for e in json.loads(blob[16:16 + size])["arrays"]
-                             if e["name"] == "item_leaf")
-    blob = (blob[:start] + (-1).to_bytes(8, "little", signed=True)
-            + blob[start + 8:])
-    crc = zlib.crc32(blob[16 + size:])
-    return _rewrite_header(blob, lambda h: h.update(payload_crc32=crc))
+def _edit_array(name, edit):
+    """Damage that rewrites one array through ``edit``.
+
+    Later offsets and the digest are recomputed, so only the array's own
+    content or shape is wrong.
+    """
+    def damage(blob: bytes) -> bytes:
+        size = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + size])
+        payload, offset = [], 0
+        for entry in header["arrays"]:
+            start = 16 + size + entry["offset"]
+            part = blob[start:start + entry["nbytes"]]
+            if entry["name"] == name:
+                dtype = "<f8" if entry["dtype"] == "float64" else "<i8"
+                arr = edit(np.frombuffer(part, dtype).reshape(entry["shape"]))
+                part = np.ascontiguousarray(arr, dtype).tobytes()
+                entry["shape"] = list(arr.shape)
+            entry["offset"], entry["nbytes"] = offset, len(part)
+            payload.append(part)
+            offset += len(part)
+        payload = b"".join(payload)
+        header["payload_crc32"] = zlib.crc32(payload)
+        raw = json.dumps(header).encode()
+        return blob[:8] + len(raw).to_bytes(8, "little") + raw + payload
+    return damage
 
 
 def _shorten_header_length(blob: bytes) -> bytes:
@@ -148,7 +164,14 @@ DAMAGE = {
     "unsorted_item_ids": lambda blob: _rewrite_header(blob, _swap_first_ids),
     "shifted_array_offset": lambda blob: _rewrite_header(blob,
                                                          _shift_item_leaf),
-    "negative_item_leaf": _negative_item_leaf,
+    "negative_item_leaf": _edit_array("item_leaf",
+                                      lambda leaf: np.r_[-1, leaf[1:]]),
+    # One row or column short, with a digest that matches.
+    **{f"short_{name}": _edit_array(name, lambda arr: arr[:-1])
+       for name in ("parent", "item_leaf", "item_theta", "item_base",
+                    "item_bias", "user_visual", "split_test", "visual_bias")},
+    **{f"narrow_{name}": _edit_array(name, lambda arr: arr[:, :-1])
+       for name in ("item_theta", "item_latent", "user_latent")},
 }
 
 

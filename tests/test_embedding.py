@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hierbpr.embedding import FeatureStore, SegmentStore
-from hierbpr.errors import DimensionOutOfRange, MissingFeature
+from hierbpr.embedding import SegmentStore
+from hierbpr.errors import DimensionOutOfRange
 from hierbpr.hierarchy import AllocationScheme, assign_layers, build_hierarchy
 from hierbpr.model import rank_items
 
@@ -48,14 +48,12 @@ class TestProject:
         h = two_layer()
         a = assign_layers(h, AllocationScheme((2, 1)))
         store = SegmentStore.create(a, 3, rng)
-        features = FeatureStore(rng.normal(size=(3, 3)))
+        features = rng.normal(size=(3, 3))
         leaves = np.array([h.node_of(f"leaf{k}") for k in range(3)])
-        theta = store.project(features.vector(1), int(leaves[1]))
+        theta = store.project(features[1], int(leaves[1]))
         assert theta.shape == (3,)
-        assert store.project_all(features.matrix, leaves)[1, 2] == (
+        assert store.project_all(features, leaves)[1, 2] == (
             pytest.approx(theta[2], abs=1e-15))
-        with pytest.raises(MissingFeature):
-            features.vector(7)
 
 
 class TestDimensionScore:
@@ -149,21 +147,3 @@ class TestInvariants:
         assert store.backing.shape == (2 + 3 + 3, 4)
         store.blocks[1][0, 0] = 123.0
         assert store.backing[2, 0] == 123.0
-
-
-class TestFeatureStore:
-    def test_rejects_non_finite(self):
-        matrix = np.array([[1.0, 2.0], [np.inf, 0.0]])
-        with pytest.raises(ValueError) as err:
-            FeatureStore(matrix, ("a", "b"))
-        assert "b" in str(err.value)
-
-    def test_l2_normalization(self):
-        store = FeatureStore(np.array([[3.0, 4.0], [0.0, 0.0]]))
-        normed = store.normalized()
-        assert np.allclose(normed.matrix[0], [0.6, 0.8])
-        assert np.all(normed.matrix[1] == 0.0)
-
-    def test_float32_promotion(self):
-        store = FeatureStore(np.ones((2, 3), dtype=np.float32))
-        assert store.matrix.dtype == np.float64

@@ -13,6 +13,7 @@ from hierbpr.errors import (
 )
 from hierbpr.evaluation import split_leave_one_out, auc
 from hierbpr.ingestion import (
+    FEATURE_BLOCK_ROWS,
     assemble_corpus,
     load_corpus,
     read_features,
@@ -122,6 +123,14 @@ class TestFeatureFiles:
         with pytest.raises(ParseError):
             read_features(path)
 
+    def test_extra_binary_record(self, tmp_path):
+        path = tmp_path / "f.bin"
+        write_features_binary(path, ["a", "b"], np.ones((2, 3), dtype=np.float32))
+        blob = path.read_bytes()
+        path.write_bytes(blob + blob[-(8 + 3 * 4):])  # the last record again
+        with pytest.raises(ParseError, match="bytes follow the 2 records"):
+            read_features(path)
+
 
 class TestLoadCorpus:
     def test_empty_feedback(self, tmp_path):
@@ -168,7 +177,7 @@ class TestLoadCorpus:
         assert list(corpus.user_ids) == sorted(corpus.user_ids)
         # Bijection: features row k belongs to item_ids[k].
         for k, item in enumerate(corpus.item_ids):
-            assert np.allclose(corpus.features.matrix[k], FEATS[item])
+            assert np.allclose(corpus.features[k], FEATS[item])
 
     def test_order_independence(self, tmp_path):
         paths = write_inputs(tmp_path)
@@ -202,7 +211,7 @@ class TestLoadCorpus:
         corpus, report = load_corpus(paths["feedback"], paths["features"],
                                      paths["hierarchy"], paths["item_leaves"],
                                      feature_norm="l2")
-        norms = np.linalg.norm(corpus.features.matrix, axis=1)
+        norms = np.linalg.norm(corpus.features, axis=1)
         assert np.allclose(norms, 1.0)
         assert report["feature_norm"] == "l2"
 
@@ -261,3 +270,52 @@ class TestItemCategories:
         assert report["items"] == 2
         assert report["pruned"]["items_dangling_category"] == ["i2"]
         assert report["pruned"]["feedback_pairs_dropped"] == 1
+
+
+class TestFeatureMatrix:
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_repeated_item_id_rejected(self, tmp_path, capsys, fmt):
+        paths = write_inputs(tmp_path, fmt=fmt)
+        writer = write_features_binary if fmt == "binary" else write_features_csv
+        writer(paths["features"], ["i0", "i1", "i2", "i0"],
+               np.arange(8, dtype=np.float32).reshape(4, 2))
+        assert validate(paths) == 1
+        error = one_error(capsys)
+        assert error["error"] == "ParseError"
+        assert "'i0'" in error["message"]
+
+    def test_binary_nan_names_item(self, tmp_path, capsys):
+        paths = write_inputs(tmp_path, feats={**FEATS, "i1": [0.5, np.nan]})
+        assert validate(paths) == 1
+        error = one_error(capsys)
+        assert error["error"] == "ParseError"
+        assert "'i1'" in error["message"]
+
+    def test_read_only_float64(self, tmp_path):
+        paths = write_inputs(tmp_path)  # the file holds float32
+        corpus, _ = load_corpus(paths["feedback"], paths["features"],
+                                paths["hierarchy"], paths["item_leaves"])
+        features = corpus.features
+        assert isinstance(features, np.ndarray)
+        assert features.dtype == np.float64
+        assert features.flags.c_contiguous
+        assert not features.flags.writeable
+        assert corpus.feature_dim == features.shape[1] == 2
+
+    def test_l2_bits_match_whole_matrix_norm(self):
+        n = 2 * FEATURE_BLOCK_ROWS + 3
+        ids = [f"i{k:04d}" for k in range(n)]
+        matrix = np.random.default_rng(3).normal(size=(n, 5)).astype(np.float32)
+        zero = FEATURE_BLOCK_ROWS + 1
+        matrix[zero] = 0.0
+        # Reversed rows: the gather must put them back in catalog order.
+        corpus, _ = assemble_corpus([("u0", ids[0])], ids[::-1], matrix[::-1],
+                                    [], dict.fromkeys(ids, "root"),
+                                    feature_norm="l2")
+        reference = matrix.astype(np.float64)
+        norms = np.linalg.norm(reference, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        assert np.array_equal(corpus.features, reference / norms)
+        assert np.all(corpus.features[zero] == 0.0)
+        assert np.allclose(np.linalg.norm(np.delete(corpus.features, zero, 0),
+                                          axis=1), 1.0)

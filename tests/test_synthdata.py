@@ -76,7 +76,7 @@ class TestGenerate:
         mem_corpus, _ = make_corpus(cfg)
         assert corpus.item_ids == mem_corpus.item_ids
         assert corpus.user_ids == mem_corpus.user_ids
-        assert np.array_equal(corpus.features.matrix, mem_corpus.features.matrix)
+        assert np.array_equal(corpus.features, mem_corpus.features)
         for u in range(corpus.n_users):
             assert np.array_equal(corpus.positives[u], mem_corpus.positives[u])
 
@@ -86,7 +86,7 @@ class TestGenerate:
         corpus, _ = load_corpus(paths["feedback"], paths["features"],
                                 paths["hierarchy"], paths["item_leaves"])
         mem_corpus, _ = make_corpus(cfg)
-        assert np.allclose(corpus.features.matrix, mem_corpus.features.matrix,
+        assert np.allclose(corpus.features, mem_corpus.features,
                            atol=1e-6)
 
     def test_ground_truth_record(self, tmp_path):

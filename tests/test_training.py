@@ -352,7 +352,7 @@ def two_loop_step(model, config, u, i, j):
         shrink = 1.0 - config.learning_rate * config.reg.segments
         for blk in sorted({b for b, _, _ in path_i + path_j}):
             blocks[blk] *= shrink
-    features = model.features.matrix
+    features = model.features
     for su, item, path in ((tu_old * ac, i, path_i),
                            (tu_old * -ac, j, path_j)):
         for blk, start, stop in path:
