@@ -19,6 +19,7 @@ from hierbpr import (
     split_leave_one_out,
     train,
 )
+from hierbpr.model import rank_items
 
 config = SynthConfig(
     n_users=300, n_items=600, feature_dim=48, branching=(4,),
@@ -37,10 +38,12 @@ train(model, training_corpus,
 
 # Dimensions 0-2 live on the root layer (shared by every category);
 # dimensions 3-4 are instantiated per leaf.
+theta = model.item_table().theta
 print("top items per visual dimension (all categories):")
-for layer, (start, stop) in enumerate(model.assignment.layer_rows, start=1):
+layer_rows = model.params.segments.assignment.layer_rows
+for layer, (start, stop) in enumerate(layer_rows, start=1):
     for dim in range(start, stop):
-        top = model.rank_by_dimension(dim, top_n=5)
+        top = rank_items(theta, model.item_leaf, dim, top_n=5)
         ids = [corpus.item_ids[i] for i, _ in top]
         print(f"  dim {dim} (layer {layer}): {', '.join(ids)}")
 
@@ -48,13 +51,14 @@ leaf_name = ground_truth["leaf_names"][0]
 leaf = corpus.hierarchy.node_of(leaf_name)
 print(f"\ntop items on dimension 4 within category {leaf_name!r}:")
 for rank, (item, score) in enumerate(
-        model.rank_by_dimension(4, top_n=5, category=leaf), start=1):
+        rank_items(theta, model.item_leaf, 4, top_n=5, category=leaf),
+        start=1):
     print(f"  {rank}. {corpus.item_ids[item]}  score {score:+.3f}")
 
 # Sanity check against the generator's ground truth: a learned shared
 # dimension should align with some direction of the true item positions.
 true_items = np.array(ground_truth["true_item_vectors"])
-learned = model.item_table().theta[:, 0]
+learned = theta[:, 0]
 correlations = [float(abs(np.corrcoef(learned, true_items[:, k])[0, 1]))
                 for k in range(true_items.shape[1])]
 print(f"\n|corr| of learned dim 0 with each true dimension: "

@@ -56,15 +56,6 @@ class CategoryHierarchy:
         """Dense indices of all nodes on the given layer, ascending."""
         return np.flatnonzero(self.depth == layer)
 
-    def ancestor_at(self, node: int, layer: int) -> int:
-        """The ancestor of ``node`` sitting on ``layer`` (may be node itself)."""
-        cur = node
-        while self.depth[cur] > layer:
-            cur = int(self.parent[cur])
-        if self.depth[cur] != layer:
-            raise ValueError(f"node {node} is shallower than layer {layer}")
-        return cur
-
 
 def build_hierarchy(
     edges: list[tuple[str, str]], leaf_ids
@@ -206,16 +197,18 @@ class LayerAssignment:
 
     Row ranges partition [0, K') in layer order. Every node on a layer with a
     nonzero count owns one block; block ids are dense, layer-major, node
-    ascending. Deeper tree structure carries no blocks.
+    ascending. Deeper tree structure carries no blocks. ``chains[node]`` is
+    the node's ``(block, row_start, row_stop)`` per nonempty layer,
+    root-to-node, or None for a node above the deepest allocated layer.
     """
 
-    hierarchy: CategoryHierarchy
     scheme: AllocationScheme
     layer_rows: tuple[tuple[int, int], ...]
     block_of_node: np.ndarray
     block_owner: tuple[int, ...]
     block_layer: tuple[int, ...]
-    _leaf_cache: dict = field(repr=False, default_factory=dict)
+    chains: tuple[tuple[tuple[int, int, int], ...] | None, ...] = field(
+        repr=False)
 
     @property
     def n_blocks(self) -> int:
@@ -236,19 +229,14 @@ class LayerAssignment:
     def blocks_for_leaf(self, leaf: int) -> tuple[tuple[int, int, int], ...]:
         """(block, row_start, row_stop) per nonempty layer, root-to-leaf.
 
-        Cached per leaf node; all items of a leaf share the same chain.
+        Raises:
+            ValueError: the node lies above the deepest allocated layer.
         """
-        cached = self._leaf_cache.get(leaf)
-        if cached is None:
-            chain = []
-            for layer, (start, stop) in enumerate(self.layer_rows, start=1):
-                if stop == start:
-                    continue
-                node = self.hierarchy.ancestor_at(leaf, layer)
-                chain.append((int(self.block_of_node[node]), start, stop))
-            cached = tuple(chain)
-            self._leaf_cache[leaf] = cached
-        return cached
+        chain = self.chains[leaf]
+        if chain is None:
+            raise ValueError(f"node {leaf} lies above layer "
+                             f"{self.scheme.depth_used}, the deepest allocated")
+        return chain
 
     def parameter_count(self, feature_dim: int) -> int:
         """Total embedding parameters across every instantiated block."""
@@ -275,23 +263,32 @@ def assign_layers(h: CategoryHierarchy, s: AllocationScheme) -> LayerAssignment:
         layer_rows.append((offset, offset + count))
         offset += count
 
+    # Top-down, so each node extends its parent's finished chain.
     block_of_node = np.full(h.n_nodes, -1, dtype=np.int64)
     block_owner: list[int] = []
     block_layer: list[int] = []
-    for layer, count in enumerate(s.per_layer, start=1):
-        if count == 0:
-            continue
+    chains: list = [()] * h.n_nodes
+    for layer in range(1, h.height + 1):
+        start, stop = (layer_rows[layer - 1] if layer <= len(layer_rows)
+                       else (offset, offset))
         for node in h.nodes_at(layer):
-            block_of_node[node] = len(block_owner)
-            block_owner.append(int(node))
-            block_layer.append(layer)
+            parent = h.parent[node]
+            chain = chains[parent] if parent >= 0 else ()
+            if stop > start:
+                chain += ((len(block_owner), start, stop),)
+                block_of_node[node] = len(block_owner)
+                block_owner.append(int(node))
+                block_layer.append(layer)
+            chains[node] = chain
+    for node in np.flatnonzero(h.depth < s.depth_used):
+        chains[node] = None
 
     block_of_node.flags.writeable = False
     return LayerAssignment(
-        hierarchy=h,
         scheme=s,
         layer_rows=tuple(layer_rows),
         block_of_node=block_of_node,
         block_owner=tuple(block_owner),
         block_layer=tuple(block_layer),
+        chains=tuple(chains),
     )

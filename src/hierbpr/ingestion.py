@@ -10,6 +10,7 @@ order.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -89,6 +90,11 @@ def write_item_leaves(path, leaves: dict[str, str]) -> None:
 
 # ------------------------------------------------------------- feature files
 
+def _feature_record(feat: int) -> np.dtype:
+    """One binary feature record: id_index(u64), then F float32 values."""
+    return np.dtype([("index", "<u8"), ("vector", "<f4", (feat,))])
+
+
 def write_features_binary(path, item_ids, matrix) -> None:
     """Binary feature file plus ``<path>.ids`` sidecar (one id per line).
 
@@ -96,16 +102,17 @@ def write_features_binary(path, item_ids, matrix) -> None:
     followed by F little-endian float32 values. id_index is the line number
     of the item's id in the sidecar.
     """
-    matrix = np.asarray(matrix, dtype="<f4")
+    matrix = np.asarray(matrix)
     n, feat = matrix.shape
     if n != len(item_ids):
         raise ValueError("item_ids and matrix row count differ")
+    records = np.empty(n, dtype=_feature_record(feat))
+    records["index"] = np.arange(n)
+    records["vector"] = matrix
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<QQ", n, feat))
-        for k in range(n):
-            fh.write(struct.pack("<Q", k))
-            fh.write(matrix[k].tobytes())
+        records.tofile(fh)
     with open(str(path) + ".ids", "w", encoding="utf-8") as fh:
         for item_id in item_ids:
             fh.write(f"{item_id}\n")
@@ -119,6 +126,7 @@ def write_features_csv(path, item_ids, matrix) -> None:
 
 
 def _read_features_binary(path) -> tuple[list[str], np.ndarray]:
+    """Ids and vectors in record order; the vectors view the records."""
     ids_path = str(path) + ".ids"
     if not Path(ids_path).exists():
         raise ParseError(f"{path}: missing id sidecar {ids_path}")
@@ -133,29 +141,30 @@ def _read_features_binary(path) -> tuple[list[str], np.ndarray]:
         if n != len(ids):
             raise ParseError(
                 f"{path}: header says {n} items, sidecar lists {len(ids)}")
-        matrix = np.empty((n, feat), dtype=np.float32)
-        filled = np.zeros(n, dtype=bool)
-        record = struct.Struct("<Q")
-        row_bytes = feat * 4
-        for k in range(n):
-            head = fh.read(8)
-            if len(head) < 8:
-                raise ParseError(f"{path}: truncated at record {k}")
-            (idx,) = record.unpack(head)
-            if idx >= n:
-                raise ParseError(f"{path}: id_index {idx} out of range")
-            payload = fh.read(row_bytes)
-            if len(payload) < row_bytes:
-                raise ParseError(f"{path}: truncated vector at record {k}")
-            matrix[idx] = np.frombuffer(payload, dtype="<f4")
-            filled[idx] = True
-        if fh.read(1):
+        # numpy sizes a record's vector with a C int.
+        if not 0 < feat < 2**31:
+            raise ParseError(f"{path}: header gives feature vectors of "
+                             f"length {feat}")
+        # Sizes are checked before any record is read, so a corrupt F
+        # cannot ask for more memory than the file holds.
+        record_bytes = 8 + 4 * feat
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if body < n * record_bytes:
+            k, part = divmod(body, record_bytes)
+            where = "vector at record" if part >= 8 else "at record"
+            raise ParseError(f"{path}: truncated {where} {k}")
+        if body > n * record_bytes:
             raise ParseError(f"{path}: bytes follow the {n} records the "
                              "header counts")
-    if not filled.all():
-        raise ParseError(f"{path}: missing vector for id_index "
-                         f"{int(np.flatnonzero(~filled)[0])}")
-    return ids, matrix
+        records = np.fromfile(fh, dtype=_feature_record(feat), count=n)
+    index = records["index"]
+    if n and index.max() >= n:
+        raise ParseError(f"{path}: id_index {index[index >= n][0]} out of "
+                         "range")
+    missing = np.setdiff1d(np.arange(n, dtype=index.dtype), index)
+    if missing.size:
+        raise ParseError(f"{path}: missing vector for id_index {missing[0]}")
+    return [ids[k] for k in index.tolist()], records["vector"]
 
 
 def _read_features_csv(path) -> tuple[list[str], np.ndarray]:

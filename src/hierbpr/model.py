@@ -317,12 +317,10 @@ class ItemTable:
 class PreferenceModel:
     """Parameters plus the corpus-side stores needed to score pairs."""
 
-    def __init__(self, config: ModelConfig, corpus, params: ModelParams,
-                 assignment: LayerAssignment | None):
+    def __init__(self, config: ModelConfig, corpus, params: ModelParams):
         self.config = config
         self.corpus = corpus
         self.params = params
-        self.assignment = assignment
         self.features: np.ndarray = corpus.features
         self.item_leaf: np.ndarray = corpus.item_leaf
 
@@ -335,7 +333,7 @@ class PreferenceModel:
         params = init_params(config, corpus.n_users, corpus.n_items,
                              corpus.hierarchy.n_nodes, corpus.feature_dim,
                              assignment)
-        return cls(config, corpus, params, assignment)
+        return cls(config, corpus, params)
 
     # -- bounds ------------------------------------------------------------
 
@@ -420,9 +418,3 @@ class PreferenceModel:
             table = self.item_table()
         return table.score_all(users, self.params.user_visual,
                                self.params.user_latent)
-
-    def rank_by_dimension(self, d: int, top_n: int,
-                          category: int | None = None) -> list[tuple[int, float]]:
-        """Top items by one visual dimension; see ``rank_items``."""
-        return rank_items(self.item_table().theta, self.item_leaf, d, top_n,
-                          category)

@@ -18,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .embedding import SegmentStore
 from .errors import InvalidShape
+from .hierarchy import AllocationScheme, assign_layers, build_hierarchy
 from .ingestion import (
     InteractionCorpus,
     assemble_corpus,
@@ -106,37 +108,23 @@ def _materialize(cfg: SynthConfig) -> SynthData:
     features = centers[item_leaf] + cfg.feature_noise * rng.normal(
         0.0, 1.0, size=(cfg.n_items, feat))
 
-    # Planted projection rows: one matrix per node on each planted layer,
-    # drawn in (layer, node) order so the stream is reproducible.
+    # Planted projection: one block per node on each planted layer, drawn
+    # in (layer, node) generation order so the stream is reproducible. The
+    # hierarchy numbers nodes in sorted-id order, where c2_1000 comes before
+    # c2_101, so each block is found by its node's name.
     k_true = sum(cfg.planted_scheme)
-    planted: dict[tuple[int, int], np.ndarray] = {}
+    hierarchy = build_hierarchy(edges, leaf_names)
+    assignment = assign_layers(hierarchy, AllocationScheme(cfg.planted_scheme))
+    projection = SegmentStore(assignment, feat)
     for layer, rows in enumerate(cfg.planted_scheme, start=1):
         if rows == 0:
             continue
-        for node in range(len(layers[layer - 1])):
-            planted[(layer, node)] = rng.normal(
+        for name in layers[layer - 1]:
+            block = assignment.block_of_node[hierarchy.node_of(name)]
+            projection.blocks[block][:] = rng.normal(
                 0.0, 1.0 / np.sqrt(feat), size=(rows, feat))
-
-    # Ancestor index of each leaf on every planted layer, for stacking.
-    def leaf_ancestors(leaf_idx: int) -> list[int]:
-        chain = [leaf_idx]
-        for fanout in reversed(cfg.branching):
-            chain.append(chain[-1] // fanout)
-        chain.reverse()  # root..leaf, indices within their own layers
-        return chain
-
-    true_item = np.empty((cfg.n_items, k_true))
-    stacked_cache: dict[int, np.ndarray] = {}
-    for leaf in range(n_leaves):
-        chain = leaf_ancestors(leaf)
-        parts = [planted[(layer, chain[layer - 1])]
-                 for layer, rows in enumerate(cfg.planted_scheme, start=1)
-                 if rows]
-        stacked_cache[leaf] = np.vstack(parts)
-    for leaf in range(n_leaves):
-        sel = np.flatnonzero(item_leaf == leaf)
-        if sel.size:
-            true_item[sel] = features[sel] @ stacked_cache[leaf].T
+    leaf_nodes = np.array([hierarchy.node_of(name) for name in leaf_names])
+    true_item = projection.project_all(features, leaf_nodes[item_leaf])
     if cfg.unit_norm_items:
         # Flat popularity: every item the same preference-space magnitude.
         norms = np.linalg.norm(true_item, axis=1, keepdims=True)

@@ -186,8 +186,10 @@ class Trainer:
         self._gd = np.empty(self.n_latent)
         self._gu_old = np.empty(self.n_latent)
         max_rows = 0
+        self._chains = ()
         if self.segments is not None:
             max_rows = max((b.shape[0] for b in self.segments.blocks), default=0)
+            self._chains = self.segments.assignment.chains
         self._scratch = np.empty((max_rows, feat_dim))
         self._paths = ((), ())         # (path_i, path_j), set by margin()
 
@@ -199,9 +201,8 @@ class Trainer:
             m += self.user_latent[u] @ self._gd
         if self.n_visual:
             # Both paths list the same row ranges in the same layer order.
-            path_for = self.segments.assignment.blocks_for_leaf
-            path_i = path_for(int(self.leaves[i]))
-            path_j = path_for(int(self.leaves[j]))
+            path_i = self._chains[self.leaves[i]]
+            path_j = self._chains[self.leaves[j]]
             self._paths = (path_i, path_j)
             blocks = self.segments.blocks
             fi, fj = self.features[i], self.features[j]

@@ -14,6 +14,7 @@ from hierbpr.model import (
     KIND_RAND,
     PreferenceModel,
     make_baseline,
+    rank_items,
 )
 from hierbpr.synthdata import SynthConfig, make_corpus
 from hierbpr.training import TrainConfig, train
@@ -94,7 +95,8 @@ class TestRoundTrip:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, split=split)
         frozen = load_checkpoint(path).frozen_model()
-        live = model.rank_by_dimension(1, top_n=10)
+        live = rank_items(model.item_table().theta, model.item_leaf, 1,
+                          top_n=10)
         ckpt = frozen.rank_by_dimension(1, top_n=10)
         assert [i for i, _ in live] == [i for i, _ in ckpt]
 

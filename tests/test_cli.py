@@ -11,6 +11,7 @@ from hierbpr.cli import (
     main,
     run_experiment,
 )
+from hierbpr.ingestion import write_features_binary
 from hierbpr.training import TrainConfig
 
 
@@ -282,6 +283,30 @@ class TestRunExperiment:
         after = {k: digest(p) for k, p in dataset.items()}
         after["ids"] = digest(dataset["features"] + ".ids")
         assert before == after
+
+
+class TestZeroWidthFeatures:
+    """A binary feature file whose header gives F = 0 is a parse error."""
+
+    @pytest.fixture
+    def inputs(self, dataset, tmp_path):
+        ids = Path(dataset["features"] + ".ids").read_text().split()
+        inputs = dict(dataset, features=str(tmp_path / "features.bin"))
+        write_features_binary(inputs["features"], ids,
+                              np.zeros((len(ids), 0)))
+        return inputs
+
+    def test_validate(self, inputs, capsys):
+        argv = ["validate"]
+        for key, path in inputs.items():
+            argv += [f"--{key.replace('_', '-')}", path]
+        assert_one_parse_error(capsys, argv, inputs["features"])
+
+    def test_run(self, inputs, tmp_path, capsys):
+        manifest = write_manifest(tmp_path / "exp.json", inputs,
+                                  tmp_path / "out")
+        assert_one_parse_error(capsys, ["run", "--manifest", manifest],
+                               inputs["features"])
 
 
 def _manifest_with(tmp_path, change):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierbpr.errors import (
     CycleDetected,
@@ -229,3 +231,47 @@ class TestProperties:
             AllocationScheme.parse("5:x")
         with pytest.raises(ValueError):
             AllocationScheme((-1, 2))
+
+
+@st.composite
+def tree_and_scheme(draw):
+    """A random tree, the nodes items sit on, and a scheme that fits it.
+
+    Node ``n<k>`` hangs under an earlier node, so unpadded names make the
+    sorted-id order differ from the drawing order.
+    """
+    n = draw(st.integers(1, 14))
+    parents = [draw(st.integers(0, k - 1)) for k in range(1, n)]
+    edges = [(f"n{k}", f"n{p}") for k, p in enumerate(parents, start=1)]
+    leaves = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    h = build_hierarchy(edges, [f"n{k}" for k in leaves])
+    counts = draw(st.lists(st.integers(0, 3), min_size=1,
+                           max_size=h.effective_height))
+    return h, AllocationScheme(counts)
+
+
+class TestChainProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(tree_and_scheme())
+    def test_chain_matches_parent_walk(self, case):
+        h, scheme = case
+        a = assign_layers(h, scheme)
+        counts = scheme.per_layer
+        # Oracle block ids: layer-major over nonempty layers, node ascending.
+        owners = sorted((int(h.depth[v]), v) for v in range(h.n_nodes)
+                        if h.depth[v] <= len(counts) and counts[h.depth[v] - 1])
+        block_of = {v: b for b, (_, v) in enumerate(owners)}
+        offsets = [sum(counts[:k]) for k in range(len(counts) + 1)]
+        for node in range(h.n_nodes):
+            path = [node]
+            while h.parent[path[-1]] >= 0:
+                path.append(int(h.parent[path[-1]]))
+            path.reverse()                    # path[layer - 1] is on layer
+            nonempty = [layer for layer, c in enumerate(counts, start=1) if c]
+            if nonempty and nonempty[-1] > len(path):
+                with pytest.raises(ValueError):
+                    a.blocks_for_leaf(node)
+                continue
+            expected = tuple((block_of[path[layer - 1]], offsets[layer - 1],
+                              offsets[layer]) for layer in nonempty)
+            assert a.blocks_for_leaf(node) == expected

@@ -123,6 +123,22 @@ class TestFeatureFiles:
         with pytest.raises(ParseError):
             read_features(path)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda blob: blob[:24] + (9).to_bytes(8, "little") + blob[32:],
+         "id_index 9 out of range"),
+        (lambda blob: blob[:24] + (1).to_bytes(8, "little") + blob[32:],
+         "missing vector for id_index 0"),
+        (lambda blob: blob[:-6], "truncated vector at record 1"),
+        (lambda blob: blob[:-16], "truncated at record 1"),
+    ], ids=["index_out_of_range", "index_repeated", "cut_vector",
+            "cut_index"])
+    def test_damaged_binary_named(self, tmp_path, damage, message):
+        path = tmp_path / "f.bin"
+        write_features_binary(path, ["a", "b"], np.ones((2, 3), dtype=np.float32))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ParseError, match=message):
+            read_features(path)
+
     def test_extra_binary_record(self, tmp_path):
         path = tmp_path / "f.bin"
         write_features_binary(path, ["a", "b"], np.ones((2, 3), dtype=np.float32))

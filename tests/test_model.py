@@ -20,6 +20,7 @@ from hierbpr.model import (
     PreferenceModel,
     make_baseline,
     rand_scores,
+    rank_items,
 )
 from hierbpr.synthdata import SynthConfig, make_corpus
 from hierbpr.training import TrainConfig, Trainer, sample_triple
@@ -212,7 +213,8 @@ class TestRankByDimension:
         corpus = build_corpus([], items, features, [("u0", "i0")])
         config = ModelConfig(0, 2, AllocationScheme((2,)), rng_seed=0)
         model = PreferenceModel.create(config, corpus)
-        ranked = model.rank_by_dimension(0, top_n=5)
+        ranked = rank_items(model.item_table().theta, model.item_leaf,
+                            0, top_n=5)
         assert [corpus.item_ids[i] for i, _ in ranked] == [
             "i0", "i1", "i2", "i3", "i4"]
 
@@ -224,7 +226,8 @@ class TestRankByDimension:
         config = ModelConfig(0, 1, AllocationScheme((1,)), rng_seed=0)
         model = PreferenceModel.create(config, corpus)
         model.params.segments.blocks[0][0, 0] = 1.0
-        ranked = model.rank_by_dimension(0, top_n=2)
+        ranked = rank_items(model.item_table().theta, model.item_leaf,
+                            0, top_n=2)
         assert [corpus.item_ids[i] for i, _ in ranked] == ["i4", "i2"]
         assert [s for _, s in ranked] == [5.0, 4.0]
 
@@ -235,7 +238,8 @@ class TestRankByDimension:
         corpus = build_corpus([], items, features, [("u0", "i0000")])
         config = ModelConfig(0, 2, AllocationScheme((2,)), rng_seed=7)
         model = PreferenceModel.create(config, corpus)
-        ranked = model.rank_by_dimension(1, top_n=50)
+        ranked = rank_items(model.item_table().theta, model.item_leaf,
+                            1, top_n=50)
         scores = [model.project(i)[1] for i in range(n)]
         oracle = sorted(range(n), key=lambda i: (-scores[i], corpus.item_ids[i]))
         assert [i for i, _ in ranked] == oracle[:50]
@@ -248,7 +252,8 @@ class TestRankByDimension:
         config = ModelConfig(0, 2, AllocationScheme((1, 1)), rng_seed=3)
         model = PreferenceModel.create(config, corpus)
         cat = corpus.hierarchy.node_of("a")
-        ranked = model.rank_by_dimension(0, top_n=10, category=cat)
+        ranked = rank_items(model.item_table().theta, model.item_leaf,
+                            0, top_n=10, category=cat)
         assert all(corpus.item_leaf[i] == cat for i, _ in ranked)
         assert len(ranked) == 5
 
@@ -257,7 +262,8 @@ class TestRankByDimension:
         config = ModelConfig(0, 2, AllocationScheme((2,)))
         model = PreferenceModel.create(config, corpus)
         with pytest.raises(DimensionOutOfRange):
-            model.rank_by_dimension(2, top_n=1)
+            rank_items(model.item_table().theta, model.item_leaf,
+                       2, top_n=1)
 
     def test_learned_root_dimension_tracks_planted_root_structure(self):
         # After training, a root-layer dimension should align with the
