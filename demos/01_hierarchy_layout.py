@@ -23,7 +23,7 @@ hierarchy = build_hierarchy(edges, item_leaves.values())
 print(f"tree: {hierarchy.n_nodes} nodes, height {hierarchy.height}, "
       f"effective height {hierarchy.effective_height}")
 
-scheme = AllocationScheme.parse("4:2:1")
+scheme = AllocationScheme((4, 2, 1))
 assignment = assign_layers(hierarchy, scheme)
 print(f"\nscheme {scheme} over {scheme.total} visual dimensions:")
 for layer, (start, stop) in enumerate(assignment.layer_rows, start=1):
@@ -46,5 +46,5 @@ for item in sorted(item_leaves):
 print("\nitems under 'clothing' share the root and clothing blocks;")
 print("their leaf row is category-specific. An all-root split (7:0:0)")
 print("collapses everything to one shared block:")
-flat = assign_layers(hierarchy, AllocationScheme.parse("7:0:0"))
+flat = assign_layers(hierarchy, AllocationScheme((7, 0, 0)))
 print(f"  blocks under 7:0:0 -> {flat.n_blocks}")

@@ -19,7 +19,6 @@ from hierbpr import (
     split_leave_one_out,
     train,
 )
-from hierbpr.model import rank_items
 
 config = SynthConfig(
     n_users=300, n_items=600, feature_dim=48, branching=(4,),
@@ -38,12 +37,12 @@ train(model, training_corpus,
 
 # Dimensions 0-2 live on the root layer (shared by every category);
 # dimensions 3-4 are instantiated per leaf.
-theta = model.item_table().theta
+table = model.item_table()
 print("top items per visual dimension (all categories):")
 layer_rows = model.params.segments.assignment.layer_rows
 for layer, (start, stop) in enumerate(layer_rows, start=1):
     for dim in range(start, stop):
-        top = rank_items(theta, model.item_leaf, dim, top_n=5)
+        top = table.rank_by_dimension(dim, top_n=5)
         ids = [corpus.item_ids[i] for i, _ in top]
         print(f"  dim {dim} (layer {layer}): {', '.join(ids)}")
 
@@ -51,14 +50,14 @@ leaf_name = ground_truth["leaf_names"][0]
 leaf = corpus.hierarchy.node_of(leaf_name)
 print(f"\ntop items on dimension 4 within category {leaf_name!r}:")
 for rank, (item, score) in enumerate(
-        rank_items(theta, model.item_leaf, 4, top_n=5, category=leaf),
+        table.rank_by_dimension(4, top_n=5, category=leaf),
         start=1):
     print(f"  {rank}. {corpus.item_ids[item]}  score {score:+.3f}")
 
 # Sanity check against the generator's ground truth: a learned shared
 # dimension should align with some direction of the true item positions.
 true_items = np.array(ground_truth["true_item_vectors"])
-learned = theta[:, 0]
+learned = table.theta[:, 0]
 correlations = [float(abs(np.corrcoef(learned, true_items[:, k])[0, 1]))
                 for k in range(true_items.shape[1])]
 print(f"\n|corr| of learned dim 0 with each true dimension: "

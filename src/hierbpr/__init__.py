@@ -28,6 +28,7 @@ from .model import (
     KIND_VBPR,
     KIND_VBPRC,
     KINDS,
+    ItemTable,
     ModelConfig,
     ModelParams,
     PreferenceModel,
@@ -50,7 +51,7 @@ from .evaluation import (
     validation_auc,
 )
 from .synthdata import SynthConfig, generate, make_corpus
-from .checkpoint import CheckpointBundle, FrozenModel, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
 
 __all__ = [
     "AllocationScheme",
@@ -59,9 +60,9 @@ __all__ = [
     "CheckpointBundle",
     "ColdItemSet",
     "EvalSplit",
-    "FrozenModel",
     "HierBprError",
     "InteractionCorpus",
+    "ItemTable",
     "KIND_BPRMF",
     "KIND_HVBPR",
     "KIND_RAND",

@@ -25,14 +25,7 @@ from .errors import ParseError
 from .evaluation import EvalSplit
 from .hierarchy import CategoryHierarchy, assign_layers, build_hierarchy
 from .ingestion import Positives
-from .model import (
-    KIND_RAND,
-    ItemTable,
-    ModelConfig,
-    ModelParams,
-    PreferenceModel,
-    rank_items,
-)
+from .model import KIND_RAND, ItemTable, ModelConfig, ModelParams, PreferenceModel
 from .embedding import SegmentStore
 
 MAGIC = b"HBPRCKP1"
@@ -144,8 +137,18 @@ class CheckpointBundle:
     def n_items(self) -> int:
         return len(self.item_ids)
 
-    def frozen_model(self) -> "FrozenModel":
-        return FrozenModel(self)
+    def frozen_model(self) -> ItemTable:
+        """The checkpoint's scorer: its frozen item table and user matrices."""
+        return ItemTable(
+            theta=self.item_theta,
+            latent=self.params.item_latent,
+            base=self.item_base,
+            item_leaf=self.item_leaf,
+            user_visual=self.params.user_visual,
+            user_latent=self.params.user_latent,
+            rand_seed=(self.config.rng_seed
+                       if self.config.kind == KIND_RAND else None),
+        )
 
     def positives_from_pairs(self, pairs) -> tuple[Positives, int]:
         """Positives of the pairs, and how many named an unknown id."""
@@ -161,33 +164,8 @@ class CheckpointBundle:
         return positives, len(known) - int(known.sum())
 
 
-class FrozenModel:
-    """Checkpoint-backed scorer: same surface evaluation needs, no features."""
-
-    def __init__(self, bundle: CheckpointBundle):
-        self.bundle = bundle
-        self.config = bundle.config
-        self._table = ItemTable(
-            theta=bundle.item_theta,
-            latent=bundle.params.item_latent,
-            base=bundle.item_base,
-            rand_seed=(bundle.config.rng_seed
-                       if bundle.config.kind == KIND_RAND else None),
-        )
-
-    def item_table(self) -> ItemTable:
-        return self._table
-
-    def score_all(self, users, table: ItemTable | None = None) -> np.ndarray:
-        """Every item's score for an int user or an index array of users."""
-        table = table or self._table
-        p = self.bundle.params
-        return table.score_all(users, p.user_visual, p.user_latent)
-
-    def rank_by_dimension(self, d: int, top_n: int,
-                          category: int | None = None) -> list[tuple[int, float]]:
-        return rank_items(self.bundle.item_theta, self.bundle.item_leaf, d,
-                          top_n, category)
+# ``bench/tracer.py`` patches the checkpoint scorer under its old name.
+FrozenModel = ItemTable
 
 
 def _read_checked(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -210,10 +188,14 @@ def _read_checked(path) -> tuple[dict, dict[str, np.ndarray]]:
             f"again with this release (version {VERSION})")
     if version != VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version!r}")
-    # Rankings break ties by dense index, which must follow the item ids.
-    ids = header["item_ids"]
-    if any(a >= b for a, b in zip(ids, ids[1:])):
-        raise ParseError(f"{path}: item ids are not strictly increasing")
+    # Rankings break ties by dense index, which must follow the item ids,
+    # and feedback names users by id: both lists are densified in sorted
+    # order, so a repeated or unsorted id means a damaged header.
+    for key in ("user_ids", "item_ids"):
+        ids = header[key]
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ParseError(f"{path}: {key.replace('_', ' ')} are not "
+                             "strictly increasing")
 
     # The directory must tile the payload: each array starts where the
     # previous one ends, and the last ends with the file.

@@ -330,7 +330,7 @@ def _cmd_eval(args) -> int:
         raise HierBprError("checkpoint carries no evaluation split")
     pairs = read_feedback(args.feedback)
     positives, dropped = bundle.positives_from_pairs(pairs)
-    model = bundle.frozen_model()
+    table = bundle.frozen_model()
 
     cold_set = None
     if args.setting == "cold":
@@ -339,7 +339,7 @@ def _cmd_eval(args) -> int:
         cold_set = ColdItemSet(
             threshold=args.cold_threshold,
             cold_mask=bundle.item_train_count < args.cold_threshold)
-    result = auc(model, positives, bundle.split, setting=args.setting,
+    result = auc(table, positives, bundle.split, setting=args.setting,
                  cold_set=cold_set)
     report = {
         "setting": args.setting,
@@ -361,11 +361,11 @@ def _cmd_eval(args) -> int:
 def _cmd_rank_dim(args) -> int:
     _check_at_least_one(args, "top")
     bundle = load_checkpoint(args.model)
-    model = bundle.frozen_model()
+    table = bundle.frozen_model()
     category = None
     if args.category is not None:
         category = bundle.hierarchy.node_of(args.category)
-    ranked = model.rank_by_dimension(args.dim, args.top, category=category)
+    ranked = table.rank_by_dimension(args.dim, args.top, category=category)
     lines = ["rank\titem_id\tscore"]
     for rank, (item, score) in enumerate(ranked, start=1):
         lines.append(f"{rank}\t{bundle.item_ids[item]}\t{score!r}")

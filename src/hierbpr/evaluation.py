@@ -101,8 +101,10 @@ def _mean_user_auc(
 ) -> tuple[float, int]:
     """Mean, over evaluable users in user order, of each user's AUC.
 
-    Users are scored in blocks of ``max(1, SCORE_BLOCK_ELEMENTS // n_items)``
-    rows, one ``model.score_all(users, table)`` call per block. The budget is
+    ``model`` is any scorer with an ``item_table()``: the live
+    ``PreferenceModel`` or a checkpoint's ``ItemTable``. Users are scored in
+    blocks of ``max(1, SCORE_BLOCK_ELEMENTS // n_items)`` rows, one
+    ``score_all(users)`` call on that table per block. The budget is
     a constant, not an option, because peak RSS sets it: on a 10,000-item
     catalog, 2**16 scores (6 rows, 512 KB) kept ``hierbpr run`` plus both
     ``eval`` settings at the per-user loop's peak RSS (59.1 against 59.0 MB),
@@ -122,7 +124,7 @@ def _mean_user_auc(
     count = 0
     for start in range(0, len(users), rows):
         block = users[start:start + rows]
-        scores = model.score_all(block, table)
+        scores = table.score_all(block)
         target = scores[np.arange(len(block)), targets[block]]
         wins, n_cand = _block_wins(scores, target,
                                    [positives[u] for u in block],

@@ -178,15 +178,6 @@ class AllocationScheme:
                 used = layer
         return used
 
-    @classmethod
-    def parse(cls, text: str) -> "AllocationScheme":
-        """Parse colon-separated counts, e.g. ``"5:3:2"``."""
-        try:
-            counts = tuple(int(part) for part in text.split(":"))
-        except ValueError:
-            raise ValueError(f"bad allocation scheme {text!r}") from None
-        return cls(counts)
-
     def __str__(self) -> str:
         return ":".join(str(c) for c in self.per_layer) if self.per_layer else "0"
 

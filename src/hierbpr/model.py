@@ -244,38 +244,26 @@ def rand_scores(seed: int, user: int, n_items: int) -> np.ndarray:
     return mixed.astype(np.float64) / float(2**64)
 
 
-def rank_items(theta: np.ndarray, item_leaf: np.ndarray, d: int, top_n: int,
-               category: int | None = None) -> list[tuple[int, float]]:
-    """The ``top_n`` items with the highest ``theta[:, d]``.
-
-    Ties go to the lower dense index, which is the lower item id: the
-    catalog is densified in sorted id order. ``category`` keeps only the
-    items of that leaf node.
-    """
-    if not 0 <= d < theta.shape[1]:
-        raise DimensionOutOfRange(
-            f"dimension {d} outside [0, {theta.shape[1]})")
-    items = (np.arange(theta.shape[0]) if category is None
-             else np.flatnonzero(item_leaf == category))
-    col = theta[items, d]
-    order = np.argsort(-col, kind="stable")[:top_n]
-    return [(int(items[k]), float(col[k])) for k in order]
-
-
 # ----------------------------------------------------------------- the model
 
 class ItemTable:
-    """Frozen per-item quantities for fast whole-catalog scoring.
+    """A frozen model: per-item quantities bound to the two user matrices.
 
     ``base`` folds every user-independent additive term (item bias, visual
-    bias score, category bias) into one vector.
+    bias score, category bias) into one vector, so a score is
+    ``base[i] + <user_visual[u], theta[i]> + <user_latent[u], latent[i]>``.
+    The live model and the checkpoint both score and rank through one.
     """
 
     def __init__(self, theta: np.ndarray, latent: np.ndarray, base: np.ndarray,
-                 rand_seed: int | None = None):
+                 item_leaf: np.ndarray, user_visual: np.ndarray,
+                 user_latent: np.ndarray, rand_seed: int | None = None):
         self.theta = theta
         self.latent = latent
         self.base = base
+        self.item_leaf = item_leaf
+        self.user_visual = user_visual
+        self.user_latent = user_latent
         self.rand_seed = rand_seed
         self._block = self._work = np.empty((0, len(base)))
 
@@ -283,11 +271,13 @@ class ItemTable:
     def n_items(self) -> int:
         return len(self.base)
 
-    def score_all(self, users, user_visual: np.ndarray,
-                  user_latent: np.ndarray) -> np.ndarray:
+    def item_table(self) -> "ItemTable":
+        """The table itself, so evaluation can ask any scorer for its table."""
+        return self
+
+    def score_all(self, users) -> np.ndarray:
         """Every item's score for an int user or an index array of users.
 
-        ``user_visual`` and ``user_latent`` are the whole per-user matrices.
         An int gives an ``(n_items,)`` row; an array is a block of users and
         gives ``(len(users), n_items)``. Each term is one matrix product for
         the block. The result lives in a buffer the table reuses: it holds
@@ -304,14 +294,32 @@ class ItemTable:
                 out[r] = rand_scores(self.rand_seed, int(u), self.n_items)
         else:
             if self.theta.shape[1]:
-                np.matmul(user_visual[block], self.theta.T, out=out)
+                np.matmul(self.user_visual[block], self.theta.T, out=out)
                 out += self.base
             else:
                 out[:] = self.base
             if self.latent.shape[1]:
-                out += np.matmul(user_latent[block], self.latent.T,
+                out += np.matmul(self.user_latent[block], self.latent.T,
                                  out=self._work[:b])
         return out if np.ndim(users) else out[0]
+
+    def rank_by_dimension(self, d: int, top_n: int,
+                          category: int | None = None
+                          ) -> list[tuple[int, float]]:
+        """The ``top_n`` items with the highest ``theta[:, d]``.
+
+        Ties go to the lower dense index, which is the lower item id: the
+        catalog is densified in sorted id order. ``category`` keeps only the
+        items of that leaf node.
+        """
+        if not 0 <= d < self.theta.shape[1]:
+            raise DimensionOutOfRange(
+                f"dimension {d} outside [0, {self.theta.shape[1]})")
+        items = (np.arange(self.n_items) if category is None
+                 else np.flatnonzero(self.item_leaf == category))
+        col = self.theta[items, d]
+        order = np.argsort(-col, kind="stable")[:top_n]
+        return [(int(items[k]), float(col[k])) for k in order]
 
 
 class PreferenceModel:
@@ -388,12 +396,9 @@ class PreferenceModel:
     # -- frozen-model helpers ------------------------------------------------
 
     def item_table(self) -> ItemTable:
-        """Precompute per-item projections and offsets for evaluation."""
+        """Freeze the parameters into an ``ItemTable`` for whole-catalog
+        scoring and ranking."""
         p = self.params
-        if self.config.kind == KIND_RAND:
-            zeros = np.zeros((self.n_items, 0))
-            return ItemTable(zeros, zeros, np.zeros(self.n_items),
-                             rand_seed=self.config.rng_seed)
         if p.segments is not None:
             theta = p.segments.project_all(self.features, self.item_leaf)
         else:
@@ -403,18 +408,18 @@ class PreferenceModel:
             base += self.features @ p.visual_bias
         if self.config.use_category_bias:
             base += p.category_bias[self.item_leaf]
-        return ItemTable(theta, p.item_latent, base)
+        rand_seed = self.config.rng_seed if self.config.kind == KIND_RAND else None
+        return ItemTable(theta, p.item_latent, base, self.item_leaf,
+                         p.user_visual, p.user_latent, rand_seed)
 
     def score_all(self, users, table: ItemTable | None = None) -> np.ndarray:
-        """Every item's score for an int user or an index array of users.
+        """``ItemTable.score_all`` with the users range-checked.
 
-        See ``ItemTable.score_all`` for the shapes; pass ``table`` to reuse
-        one ``item_table`` across calls.
+        Pass ``table`` to reuse one ``item_table`` across calls. Library code
+        scores through the table; this stays because ``bench/tracer.py``
+        patches it.
         """
         block = np.atleast_1d(users)
         if block.size and not (0 <= block.min() and block.max() < self.n_users):
             raise UnknownUser(f"user index out of range [0, {self.n_users})")
-        if table is None:
-            table = self.item_table()
-        return table.score_all(users, self.params.user_visual,
-                               self.params.user_latent)
+        return (table or self.item_table()).score_all(users)

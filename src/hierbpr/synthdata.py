@@ -135,13 +135,11 @@ def _materialize(cfg: SynthConfig) -> SynthData:
     scores = true_user @ true_item.T
 
     pairs: list[tuple[str, str]] = []
-    positives = np.empty((cfg.n_users, cfg.n_positives), dtype=np.int64)
     for u in range(cfg.n_users):
         utility = scores[u] / cfg.temperature + rng.gumbel(
             0.0, 1.0, size=cfg.n_items)
         top = np.argpartition(-utility, cfg.n_positives - 1)[: cfg.n_positives]
         top.sort()
-        positives[u] = top
         for item in top:
             pairs.append((user_ids[u], item_ids[item]))
 

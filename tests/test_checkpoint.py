@@ -9,12 +9,12 @@ from hierbpr.cli import main
 from hierbpr.errors import ParseError
 from hierbpr.evaluation import ColdItemSet, auc, split_leave_one_out
 from hierbpr.hierarchy import AllocationScheme
+from hierbpr.ingestion import write_feedback
 from hierbpr.model import (
     KIND_HVBPR,
     KIND_RAND,
     PreferenceModel,
     make_baseline,
-    rank_items,
 )
 from hierbpr.synthdata import SynthConfig, make_corpus
 from hierbpr.training import TrainConfig, train
@@ -95,8 +95,7 @@ class TestRoundTrip:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, split=split)
         frozen = load_checkpoint(path).frozen_model()
-        live = rank_items(model.item_table().theta, model.item_leaf, 1,
-                          top_n=10)
+        live = model.item_table().rank_by_dimension(1, top_n=10)
         ckpt = frozen.rank_by_dimension(1, top_n=10)
         assert [i for i, _ in live] == [i for i, _ in ckpt]
 
@@ -114,9 +113,16 @@ def _as_v1(header):
     del header["payload_crc32"]
 
 
-def _swap_first_ids(header):
-    ids = header["item_ids"]
-    ids[0], ids[1] = ids[1], ids[0]
+def _swap_first(key):
+    def edit(header):
+        ids = header[key]
+        ids[0], ids[1] = ids[1], ids[0]
+    return edit
+
+
+def _repeat_first_user_id(header):
+    ids = header["user_ids"]
+    ids[1] = ids[0]
 
 
 def _shift_item_leaf(header):
@@ -163,7 +169,12 @@ DAMAGE = {
     "cut_header": lambda blob: blob[:40],
     "header_cut_mid_json": _shorten_header_length,
     "version_1": lambda blob: _rewrite_header(blob, _as_v1),
-    "unsorted_item_ids": lambda blob: _rewrite_header(blob, _swap_first_ids),
+    "unsorted_item_ids": lambda blob: _rewrite_header(blob,
+                                                      _swap_first("item_ids")),
+    "unsorted_user_ids": lambda blob: _rewrite_header(blob,
+                                                      _swap_first("user_ids")),
+    "repeated_user_id": lambda blob: _rewrite_header(blob,
+                                                     _repeat_first_user_id),
     "shifted_array_offset": lambda blob: _rewrite_header(blob,
                                                          _shift_item_leaf),
     "negative_item_leaf": _edit_array("item_leaf",
@@ -191,6 +202,28 @@ class TestDamagedFiles:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ParseError"
+
+    def test_eval_rejects_repeated_user_id(self, trained_setup, tmp_path,
+                                           capsys):
+        # Feedback names users by id, so a repeated id would silently drop
+        # one user's pairs and evaluate another against them.
+        corpus, _tc, split, model = trained_setup
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, split=split)
+        path.write_bytes(DAMAGE["repeated_user_id"](path.read_bytes()))
+        feedback = tmp_path / "feedback.tsv"
+        pos = corpus.positives
+        write_feedback(feedback, [(corpus.user_ids[u], corpus.item_ids[i])
+                                  for u, i in zip(pos.rows(), pos.indices)])
+        argv = ["eval", "--model", str(path), "--feedback", str(feedback)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ParseError"
+        assert "user ids are not strictly increasing" in error["message"]
 
     def test_version_1_message(self, trained_setup, tmp_path):
         _corpus, _tc, split, model = trained_setup

@@ -4,7 +4,7 @@ import pytest
 from hierbpr.embedding import SegmentStore
 from hierbpr.errors import DimensionOutOfRange
 from hierbpr.hierarchy import AllocationScheme, assign_layers, build_hierarchy
-from hierbpr.model import rank_items
+from hierbpr.model import ItemTable
 
 from conftest import TREE3_EDGES
 
@@ -98,10 +98,12 @@ class TestDimensionScore:
         store = SegmentStore.create(a, 3, rng)
         leaves = np.array([h.root])
         theta = store.project_all(np.zeros((1, 3)), leaves)
+        table = ItemTable(theta, np.zeros((1, 0)), np.zeros(1), leaves,
+                          np.zeros((1, 2)), np.zeros((1, 0)))
         with pytest.raises(DimensionOutOfRange):
-            rank_items(theta, leaves, 2, top_n=1)
+            table.rank_by_dimension(2, top_n=1)
         with pytest.raises(DimensionOutOfRange):
-            rank_items(theta, leaves, -1, top_n=1)
+            table.rank_by_dimension(-1, top_n=1)
 
 
 class TestInvariants:

@@ -20,6 +20,7 @@ from hierbpr.hierarchy import AllocationScheme
 from hierbpr.model import (
     KIND_HVBPR,
     KIND_RAND,
+    ItemTable,
     PreferenceModel,
     make_baseline,
     rand_scores,
@@ -62,9 +63,9 @@ class ScoreTableModel:
         self.matrix = np.asarray(matrix, dtype=float)
 
     def item_table(self):
-        return None
+        return self
 
-    def score_all(self, u, table=None):
+    def score_all(self, u):
         return self.matrix[u].copy()
 
 
@@ -322,16 +323,16 @@ def block_setup():
     return corpus, tc, split, model, cold
 
 
-def spy_blocks(monkeypatch, model):
-    """Record the number of users in every ``score_all`` call."""
+def spy_blocks(monkeypatch):
+    """Record the number of users in every ``ItemTable.score_all`` call."""
     sizes = []
-    score_all = model.score_all
+    score_all = ItemTable.score_all
 
-    def spy(users, table=None):
+    def spy(table, users):
         sizes.append(len(users))
-        return score_all(users, table)
+        return score_all(table, users)
 
-    monkeypatch.setattr(model, "score_all", spy)
+    monkeypatch.setattr(ItemTable, "score_all", spy)
     return sizes
 
 
@@ -353,7 +354,7 @@ class TestBlockedPass:
         oracle = auc_pair_counting(lambda u, j: rows[u, j], corpus.n_items,
                                    split.test_item, corpus.positives,
                                    cold_mask)
-        sizes = spy_blocks(monkeypatch, model)
+        sizes = spy_blocks(monkeypatch)
         result = auc(model, corpus.positives, split, setting=setting,
                      cold_set=cold)
         self.check_blocks(sizes, corpus.n_items)
@@ -365,7 +366,7 @@ class TestBlockedPass:
         corpus, tc, split, model, _cold = block_setup
         expected, _ = per_user_auc(model, split.val_item, tc.full_pos,
                                    tc.n_items, None)
-        sizes = spy_blocks(monkeypatch, model)
+        sizes = spy_blocks(monkeypatch)
         assert validation_auc(model, tc, split) == expected
         self.check_blocks(sizes, tc.n_items)
 
@@ -402,15 +403,13 @@ class TestBlockedPass:
         save_checkpoint(path, model, split=split)
         frozen = load_checkpoint(path).frozen_model()
         users = np.array([0, 42, corpus.n_users - 1])
-        for scorer in (model, frozen):
-            table = scorer.item_table()
-            block = scorer.score_all(users, table).copy()
+        for table in (model.item_table(), frozen):
+            block = table.score_all(users).copy()
             for r, u in enumerate(users):
                 # Copied: each call reuses the table's buffer.
-                row = scorer.score_all(int(u), table).copy()
+                row = table.score_all(int(u)).copy()
                 assert row.shape == (corpus.n_items,)
-                assert np.array_equal(row,
-                                      scorer.score_all(np.array([u]), table)[0])
+                assert np.array_equal(row, table.score_all(np.array([u]))[0])
                 assert np.allclose(row, block[r], rtol=1e-12, atol=1e-15)
         with pytest.raises(UnknownUser):
             model.score_all(np.array([0, corpus.n_users]))

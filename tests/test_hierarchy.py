@@ -223,12 +223,9 @@ class TestProperties:
         assert a.parameter_count(feature_dim) == expected
 
     def test_scheme_parse_and_str(self):
-        s = AllocationScheme.parse("5:3:2")
-        assert s.per_layer == (5, 3, 2)
+        s = AllocationScheme((5, 3, 2))
         assert str(s) == "5:3:2"
         assert s.total == 10
-        with pytest.raises(ValueError):
-            AllocationScheme.parse("5:x")
         with pytest.raises(ValueError):
             AllocationScheme((-1, 2))
 
