@@ -8,14 +8,12 @@ AUC on the held-out test items.
 import numpy as np
 
 from hierbpr import (
-    AllocationScheme,
     ColdItemSet,
-    KIND_HVBPR,
+    ModelConfig,
     PreferenceModel,
     SynthConfig,
     TrainConfig,
     auc,
-    make_baseline,
     make_corpus,
     split_leave_one_out,
     train,
@@ -35,8 +33,9 @@ cold = ColdItemSet.from_training(training_corpus, threshold=5)
 print(f"split: {split.n_test_users()} test users, "
       f"{cold.n_cold}/{corpus.n_items} cold items")
 
-model_config = make_baseline(KIND_HVBPR, total_dims=20, visual_dims=10,
-                             scheme=AllocationScheme((5, 5)), rng_seed=2)
+# The same model section a manifest takes; the kind defaults to HVBPR.
+model_config = ModelConfig.from_dict({"n_latent": 10, "scheme": [5, 5],
+                                      "rng_seed": 2})
 model = PreferenceModel.create(model_config, corpus)
 
 print("\nepoch  val_auc  train_loss")

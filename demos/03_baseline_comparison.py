@@ -8,18 +8,13 @@ all-root allocation.
 """
 
 from hierbpr import (
-    AllocationScheme,
     ColdItemSet,
-    KIND_BPRMF,
-    KIND_HVBPR,
     KIND_RAND,
-    KIND_VBPR,
-    KIND_VBPRC,
+    ModelConfig,
     PreferenceModel,
     SynthConfig,
     TrainConfig,
     auc,
-    make_baseline,
     make_corpus,
     split_leave_one_out,
     train,
@@ -36,18 +31,19 @@ cold = ColdItemSet.from_training(training_corpus, threshold=5)
 print(f"corpus: {corpus.n_users} users x {corpus.n_items} items, "
       f"{cold.n_cold} cold items")
 
-candidates = [
-    ("RAND", make_baseline(KIND_RAND, rng_seed=5)),
-    ("BPR-MF", make_baseline(KIND_BPRMF, total_dims=20, rng_seed=5)),
-    ("VBPR", make_baseline(KIND_VBPR, total_dims=20, visual_dims=10,
-                           rng_seed=5)),
-    ("VBPR-C", make_baseline(KIND_VBPRC, total_dims=20, visual_dims=10,
-                             rng_seed=5)),
-    ("HVBPR 10:0", make_baseline(KIND_HVBPR, total_dims=20, visual_dims=10,
-                                 scheme=AllocationScheme((10,)), rng_seed=5)),
-    ("HVBPR 5:5", make_baseline(KIND_HVBPR, total_dims=20, visual_dims=10,
-                                scheme=AllocationScheme((5, 5)), rng_seed=5)),
+# Manifest model sections: 20 rating dimensions, 10 of them visual where
+# the kind has any. Left-out flags follow one rule: a visual bias with
+# visual rows, a category bias for VBPR-C.
+sections = [
+    ("RAND", {"kind": "RAND"}),
+    ("BPR-MF", {"kind": "BPR-MF", "n_latent": 20}),
+    ("VBPR", {"kind": "VBPR", "n_latent": 10, "scheme": [10]}),
+    ("VBPR-C", {"kind": "VBPR-C", "n_latent": 10, "scheme": [10]}),
+    ("HVBPR 10:0", {"n_latent": 10, "scheme": [10]}),
+    ("HVBPR 5:5", {"n_latent": 10, "scheme": [5, 5]}),
 ]
+candidates = [(name, ModelConfig.from_dict({**section, "rng_seed": 5}))
+              for name, section in sections]
 
 print(f"\n{'model':<12s} {'warm AUC':>9s} {'cold AUC':>9s}")
 for name, model_config in candidates:

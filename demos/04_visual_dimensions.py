@@ -10,11 +10,10 @@ import numpy as np
 
 from hierbpr import (
     AllocationScheme,
-    KIND_HVBPR,
+    ModelConfig,
     PreferenceModel,
     SynthConfig,
     TrainConfig,
-    make_baseline,
     make_corpus,
     split_leave_one_out,
     train,
@@ -29,8 +28,7 @@ corpus, ground_truth = make_corpus(config)
 training_corpus, split = split_leave_one_out(corpus, 2)
 
 model = PreferenceModel.create(
-    make_baseline(KIND_HVBPR, total_dims=10, visual_dims=5,
-                  scheme=AllocationScheme((3, 2)), rng_seed=4),
+    ModelConfig(5, AllocationScheme((3, 2)), rng_seed=4),
     corpus)
 train(model, training_corpus,
       TrainConfig(learning_rate=0.05, iterations=20, rng_seed=6))

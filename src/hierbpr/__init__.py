@@ -32,7 +32,6 @@ from .model import (
     ModelConfig,
     ModelParams,
     PreferenceModel,
-    make_baseline,
 )
 from .training import (
     RegWeights,
@@ -87,7 +86,6 @@ __all__ = [
     "generate",
     "load_checkpoint",
     "load_corpus",
-    "make_baseline",
     "make_corpus",
     "sample_triple",
     "save_checkpoint",

@@ -1,12 +1,14 @@
 """Single-file model checkpoints.
 
 Layout: 8-byte magic, little-endian u64 header length, a JSON header (config,
-id maps, seeds, array directory, CRC-32 of the payload), then raw
-little-endian array bytes. The writer is fully deterministic (same model,
-same bytes), which is what makes rerun-identity checks possible; zip-based
-containers embed timestamps. The reader checks every length, that the array
-directory tiles the payload, the digest, and every array's shape against
-the id lists and config, and raises ``ParseError`` for any damaged file.
+id maps, seeds, array directory, digest), then raw little-endian array
+bytes. The digest is the header's last member, ``"crc32"``: the CRC-32 of
+the header bytes before that member, followed by the payload. The writer
+is fully deterministic (same model, same bytes), which is what makes
+rerun-identity checks possible; zip-based containers embed timestamps. The
+reader checks every length, that the array directory tiles the payload,
+the digest, and every array's shape against the id lists and config, and
+raises ``ParseError`` for any damaged file.
 
 Checkpoints carry the raw parameter blocks plus the frozen per-item
 projections and visual-bias scores, so ranking and evaluation need only the
@@ -29,7 +31,10 @@ from .model import KIND_RAND, ItemTable, ModelConfig, ModelParams, PreferenceMod
 from .embedding import SegmentStore
 
 MAGIC = b"HBPRCKP1"
-VERSION = 2            # 2 added the payload digest
+VERSION = 3            # 2 added the payload digest, 3 the header to it
+# The header's last member: the CRC-32 of the header bytes before it, then
+# of the payload.
+DIGEST_MEMBER = b',"crc32":%d}'
 
 _DTYPES = {"float64": "<f8", "int64": "<i8"}
 
@@ -74,7 +79,6 @@ def save_checkpoint(
     directory = []
     offset = 0
     payload = []
-    crc = 0
     for name in sorted(arrays):
         arr = arrays[name]
         kind = "int64" if arr.dtype.kind == "i" else "float64"
@@ -88,7 +92,6 @@ def save_checkpoint(
             "nbytes": len(blob),
         })
         payload.append(blob)
-        crc = zlib.crc32(blob, crc)
         offset += len(blob)
 
     header = {
@@ -100,10 +103,13 @@ def save_checkpoint(
         "node_ids": list(corpus.hierarchy.node_ids),
         "seeds": seeds,
         "arrays": directory,
-        "payload_crc32": crc,
     }
-    header_bytes = json.dumps(header, sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
+    head = json.dumps(header, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")[:-1]
+    crc = zlib.crc32(head)
+    for blob in payload:
+        crc = zlib.crc32(blob, crc)
+    header_bytes = head + DIGEST_MEMBER % crc
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(len(header_bytes).to_bytes(8, "little"))
@@ -177,15 +183,16 @@ def _read_checked(path) -> tuple[dict, dict[str, np.ndarray]]:
     header_len = int.from_bytes(blob[8:16], "little")
     if 16 + header_len > len(blob):
         raise ParseError(f"{path}: truncated inside the header")
+    raw_header = blob[16:16 + header_len]
     try:
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+        header = json.loads(raw_header.decode("utf-8"))
     except ValueError as exc:
         raise ParseError(f"{path}: malformed header: {exc}") from None
     version = header.get("version") if isinstance(header, dict) else None
-    if version == 1:
+    if version in (1, 2):
         raise ParseError(
-            f"{path}: checkpoint version 1 has no payload digest; write it "
-            f"again with this release (version {VERSION})")
+            f"{path}: checkpoint version {version} has no header digest; "
+            f"write it again with this release (version {VERSION})")
     if version != VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version!r}")
     # Rankings break ties by dense index, which must follow the item ids,
@@ -220,8 +227,11 @@ def _read_checked(path) -> tuple[dict, dict[str, np.ndarray]]:
     if end != len(payload):
         raise ParseError(f"{path}: {len(payload) - end} payload bytes follow "
                          "the last array")
-    if zlib.crc32(payload) != header["payload_crc32"]:
-        raise ParseError(f"{path}: payload digest mismatch (corrupted file)")
+    digest = header.pop("crc32")
+    member = DIGEST_MEMBER % digest
+    if (not raw_header.endswith(member) or digest != zlib.crc32(
+            payload, zlib.crc32(raw_header[:-len(member)]))):
+        raise ParseError(f"{path}: digest mismatch (corrupted file)")
     return header, arrays
 
 
@@ -265,6 +275,8 @@ def _check_shapes(header: dict, config: ModelConfig,
 
 def _bundle(header: dict, arrays: dict[str, np.ndarray]) -> CheckpointBundle:
     config = ModelConfig.from_dict(header["config"])
+    if config.to_dict() != header["config"]:
+        raise ValueError(f"config {header['config']} is not in to_dict form")
     _check_shapes(header, config, arrays)
     item_ids = tuple(header["item_ids"])
     user_ids = tuple(header["user_ids"])

@@ -31,7 +31,6 @@ from .evaluation import (
     evaluate_report,
     split_leave_one_out,
 )
-from .hierarchy import AllocationScheme
 from .ingestion import (
     FEATURE_NORMS,
     POLICIES,
@@ -124,9 +123,9 @@ class ExperimentManifest:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 raise ParseError(
-                    f"manifest is not valid JSON: {exc}") from None
+                    f"{path}: manifest is not UTF-8 JSON: {exc}") from None
         _check_manifest(raw)
         seeds = Seeds(**raw.pop("seeds", {}))
         return cls(**raw.pop("inputs"), **raw, seeds=seeds)
@@ -151,25 +150,11 @@ class ExperimentManifest:
                 raise ParseError(f"manifest value out of range: {key!r} is "
                                  f"{value!r}")
         try:
-            return self.model_config(), self.train_config()
+            return (ModelConfig.from_dict({**self.model,
+                                           "rng_seed": self.seeds.init}),
+                    self.train_config())
         except ValueError as exc:
             raise ParseError(f"manifest value out of range: {exc}") from None
-
-    def model_config(self) -> ModelConfig:
-        m = self.model
-        kind = m.get("kind", "HVBPR")
-        scheme = AllocationScheme(tuple(m.get("scheme", [])))
-        n_visual = int(m.get("n_visual", scheme.total))
-        default_vb = n_visual > 0
-        return ModelConfig(
-            n_latent=int(m.get("n_latent", 0)),
-            n_visual=n_visual,
-            scheme=scheme,
-            use_visual_bias=bool(m.get("use_visual_bias", default_vb)),
-            use_category_bias=bool(m.get("use_category_bias", False)),
-            rng_seed=self.seeds.init,
-            kind=kind,
-        )
 
     def train_config(self) -> TrainConfig:
         """``TrainConfig``'s own defaults fill every key left out."""

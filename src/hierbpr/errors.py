@@ -43,10 +43,6 @@ class DimensionOutOfRange(HierBprError):
 
 # --- configuration ---
 
-class InvalidSchemeForBaseline(HierBprError):
-    """Allocation scheme incompatible with the requested baseline kind."""
-
-
 class InvalidShape(HierBprError):
     """Synthetic-data configuration with inconsistent dimensions."""
 

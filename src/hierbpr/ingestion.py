@@ -38,17 +38,27 @@ FEATURE_BLOCK_ROWS = 256
 
 # ---------------------------------------------------------------- text files
 
+def _lines(path) -> Iterator[tuple[int, str]]:
+    """Numbered nonblank lines of a UTF-8 text file, newline stripped.
+
+    Bytes that are not UTF-8 are a ParseError naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_pairs(path, expected: str) -> Iterator[tuple[str, str]]:
     """The first two tab-separated columns of every nonblank line, in order."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) < 2 or not cols[0] or not cols[1]:
-                raise ParseError(f"{path}:{lineno}: expected {expected}")
-            yield cols[0], cols[1]
+    for lineno, line in _lines(path):
+        cols = line.split("\t")
+        if len(cols) < 2 or not cols[0] or not cols[1]:
+            raise ParseError(f"{path}:{lineno}: expected {expected}")
+        yield cols[0], cols[1]
 
 
 def read_feedback(path) -> list[tuple[str, str]]:
@@ -130,8 +140,7 @@ def _read_features_binary(path) -> tuple[list[str], np.ndarray]:
     ids_path = str(path) + ".ids"
     if not Path(ids_path).exists():
         raise ParseError(f"{path}: missing id sidecar {ids_path}")
-    with open(ids_path, "r", encoding="utf-8") as fh:
-        ids = [line.rstrip("\n") for line in fh if line.strip()]
+    ids = [line for _, line in _lines(ids_path)]
     _check_unique(ids_path, ids)
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -171,27 +180,23 @@ def _read_features_csv(path) -> tuple[list[str], np.ndarray]:
     ids: list[str] = []
     rows: list[np.ndarray] = []
     feat = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split(",")
-            if len(cols) < 2:
-                raise ParseError(f"{path}:{lineno}: expected item_id,v1,...")
-            try:
-                vec = np.array([float(v) for v in cols[1:]], dtype=np.float32)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric feature") from None
-            if feat is None:
-                feat = len(vec)
-            elif len(vec) != feat:
-                raise DimensionMismatch(
-                    f"{path}:{lineno}: vector length {len(vec)} != {feat}")
-            if not np.isfinite(vec).all():
-                raise ParseError(f"{path}:{lineno}: non-finite feature value")
-            ids.append(cols[0])
-            rows.append(vec)
+    for lineno, line in _lines(path):
+        cols = line.split(",")
+        if len(cols) < 2:
+            raise ParseError(f"{path}:{lineno}: expected item_id,v1,...")
+        try:
+            vec = np.array([float(v) for v in cols[1:]], dtype=np.float32)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric feature") from None
+        if feat is None:
+            feat = len(vec)
+        elif len(vec) != feat:
+            raise DimensionMismatch(
+                f"{path}:{lineno}: vector length {len(vec)} != {feat}")
+        if not np.isfinite(vec).all():
+            raise ParseError(f"{path}:{lineno}: non-finite feature value")
+        ids.append(cols[0])
+        rows.append(vec)
     if feat is None:
         raise ParseError(f"{path}: no feature rows")
     _check_unique(path, ids)

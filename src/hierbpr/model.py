@@ -15,17 +15,12 @@ parameters entirely with a seeded hash ranking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .embedding import SegmentStore
-from .errors import (
-    DimensionOutOfRange,
-    InvalidSchemeForBaseline,
-    UnknownItem,
-    UnknownUser,
-)
+from .errors import DimensionOutOfRange, UnknownItem, UnknownUser
 from .hierarchy import AllocationScheme, LayerAssignment, assign_layers
 
 KIND_RAND = "RAND"
@@ -41,23 +36,29 @@ LATENT_INIT_SCALE = 0.05
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Dimensions, allocation scheme, and flags for one predictor."""
+    """Dimensions, allocation scheme, and flags for one predictor.
 
-    n_latent: int
-    n_visual: int
-    scheme: AllocationScheme
-    use_visual_bias: bool = True
-    use_category_bias: bool = False
+    A baseline is a configuration, and one rule fills whatever is left
+    out: kind HVBPR, no latent rows, an empty scheme, a visual bias exactly
+    when there are visual rows, and a category bias exactly for VBPR-C.
+    Explicit values win; the kind must still match the rest.
+    """
+
+    n_latent: int = 0
+    scheme: AllocationScheme = AllocationScheme(())
+    use_visual_bias: bool | None = None
+    use_category_bias: bool | None = None
     rng_seed: int = 0
     kind: str = KIND_HVBPR
 
     def __post_init__(self):
+        if self.use_visual_bias is None:
+            object.__setattr__(self, "use_visual_bias", self.n_visual > 0)
+        if self.use_category_bias is None:
+            object.__setattr__(self, "use_category_bias",
+                               self.kind == KIND_VBPRC)
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.scheme.total != self.n_visual:
-            raise ValueError(
-                f"scheme {self.scheme} allocates {self.scheme.total} rows "
-                f"but n_visual is {self.n_visual}")
         if self.kind != KIND_RAND and self.n_latent + self.n_visual < 1:
             raise ValueError("model needs at least one rating dimension")
         # A kind names a configuration, so the configuration must match it.
@@ -71,72 +72,38 @@ class ModelConfig:
         if self.kind == KIND_VBPRC and not self.use_category_bias:
             raise ValueError("VBPR-C needs use_category_bias")
 
+    @property
+    def n_visual(self) -> int:
+        return self.scheme.total
+
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_latent": self.n_latent,
-            "n_visual": self.n_visual,
-            "scheme": list(self.scheme.per_layer),
-            "use_visual_bias": self.use_visual_bias,
-            "use_category_bias": self.use_category_bias,
-            "rng_seed": self.rng_seed,
-        }
+        return {**asdict(self), "n_visual": self.n_visual,
+                "scheme": list(self.scheme.per_layer)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            n_latent=int(d["n_latent"]),
-            n_visual=int(d["n_visual"]),
-            scheme=AllocationScheme(tuple(d["scheme"])),
-            use_visual_bias=bool(d["use_visual_bias"]),
-            use_category_bias=bool(d["use_category_bias"]),
-            rng_seed=int(d["rng_seed"]),
-            kind=str(d["kind"]),
-        )
+        """The config a model section or ``to_dict`` output describes.
+
+        A key left out takes the field's default; an unknown key is an
+        error. ``n_visual`` is not a field; when given, it must equal the
+        scheme's total.
+        """
+        unknown = set(d) - set(_FIELD_PARSERS) - {"n_visual"}
+        if unknown:
+            raise ValueError(f"unknown model config keys {sorted(unknown)}")
+        config = cls(**{key: parse(d[key]) for key, parse in
+                        _FIELD_PARSERS.items() if key in d})
+        if "n_visual" in d and int(d["n_visual"]) != config.n_visual:
+            raise ValueError(f"scheme {config.scheme} allocates "
+                             f"{config.n_visual} rows but n_visual is "
+                             f"{d['n_visual']}")
+        return config
 
 
-def make_baseline(
-    kind: str,
-    *,
-    total_dims: int = 20,
-    visual_dims: int = 10,
-    scheme: AllocationScheme | None = None,
-    rng_seed: int = 0,
-) -> ModelConfig:
-    """Express a named baseline as a configuration.
-
-    ``total_dims`` is the overall rating-dimension budget; visually-aware
-    kinds split it into ``total_dims - visual_dims`` latent plus
-    ``visual_dims`` visual rows. VBPR and VBPR-C force an all-root scheme;
-    HVBPR requires an explicit (usually multi-layer) scheme whose total
-    matches ``visual_dims``.
-    """
-    empty = AllocationScheme(())
-    if kind == KIND_RAND:
-        return ModelConfig(0, 0, empty, use_visual_bias=False,
-                           rng_seed=rng_seed, kind=kind)
-    if kind == KIND_BPRMF:
-        return ModelConfig(total_dims, 0, empty, use_visual_bias=False,
-                           rng_seed=rng_seed, kind=kind)
-    if kind in (KIND_VBPR, KIND_VBPRC):
-        if scheme is not None and scheme.depth_used > 1:
-            raise InvalidSchemeForBaseline(
-                f"{kind} uses a single root segment, got scheme {scheme}")
-        root_scheme = AllocationScheme((visual_dims,))
-        return ModelConfig(
-            total_dims - visual_dims, visual_dims, root_scheme,
-            use_visual_bias=True, use_category_bias=(kind == KIND_VBPRC),
-            rng_seed=rng_seed, kind=kind)
-    if kind == KIND_HVBPR:
-        if scheme is None:
-            raise InvalidSchemeForBaseline("HVBPR needs an allocation scheme")
-        if scheme.total != visual_dims:
-            raise InvalidSchemeForBaseline(
-                f"scheme {scheme} allocates {scheme.total} rows, "
-                f"expected {visual_dims}")
-        return ModelConfig(total_dims - visual_dims, visual_dims, scheme,
-                           use_visual_bias=True, rng_seed=rng_seed, kind=kind)
-    raise ValueError(f"unknown baseline kind {kind!r}")
+# How ``ModelConfig.from_dict`` reads each field's JSON value.
+_FIELD_PARSERS = {"n_latent": int, "scheme": AllocationScheme,
+                  "use_visual_bias": bool, "use_category_bias": bool,
+                  "rng_seed": int, "kind": str}
 
 
 @dataclass
@@ -310,13 +277,16 @@ class ItemTable:
 
         Ties go to the lower dense index, which is the lower item id: the
         catalog is densified in sorted id order. ``category`` keeps only the
-        items of that leaf node.
+        items of that leaf node; a node that holds none is ``UnknownItem``.
         """
         if not 0 <= d < self.theta.shape[1]:
             raise DimensionOutOfRange(
                 f"dimension {d} outside [0, {self.theta.shape[1]})")
         items = (np.arange(self.n_items) if category is None
                  else np.flatnonzero(self.item_leaf == category))
+        if category is not None and not items.size:
+            raise UnknownItem(
+                f"category node index {category} holds no items")
         col = self.theta[items, d]
         order = np.argsort(-col, kind="stable")[:top_n]
         return [(int(items[k]), float(col[k])) for k in order]

@@ -375,26 +375,20 @@ def per_triple_cost_probe(
     """
     from .synthdata import SynthConfig, make_corpus
     from .model import ModelConfig, PreferenceModel
-    from .hierarchy import AllocationScheme
 
     results = []
     for cfg in configs:
-        k = int(cfg.get("n_latent", 0))
         kp = int(cfg.get("n_visual", 0))
         feat = int(cfg["feature_dim"])
-        if kp > 1:
-            scheme = AllocationScheme((kp - kp // 2, kp // 2))
-        elif kp == 1:
-            scheme = AllocationScheme((1,))
-        else:
-            scheme = AllocationScheme(())
+        scheme = [kp - kp // 2, kp // 2] if kp > 1 else [kp]
         synth = SynthConfig(
             n_users=n_users, n_items=n_items, feature_dim=feat,
             branching=(4,), n_positives=4, planted_scheme=(1,),
             rng_seed=seed)
         corpus, _ = make_corpus(synth)
-        mconfig = ModelConfig(k, kp, scheme, use_visual_bias=True,
-                              rng_seed=seed)
+        mconfig = ModelConfig.from_dict({
+            "n_latent": cfg.get("n_latent", 0), "scheme": scheme,
+            "use_visual_bias": True, "rng_seed": seed})
         model = PreferenceModel.create(mconfig, corpus)
         tconfig = TrainConfig(learning_rate=0.01, rng_seed=seed, iterations=1)
         trainer = Trainer(model, tconfig)

@@ -22,7 +22,6 @@ from hierbpr.model import (
     KIND_VBPR,
     ModelConfig,
     PreferenceModel,
-    make_baseline,
 )
 from hierbpr.synthdata import SynthConfig, generate, make_corpus
 from hierbpr.training import (
@@ -51,13 +50,12 @@ def criterion(number, description):
 def train_model(kind, corpus, tc, split=None, scheme=None, epochs=25,
                 lr=0.05, init_seed=3, sample_seed=103, reg=None):
     if kind == KIND_BPRMF:
-        config = make_baseline(KIND_BPRMF, total_dims=20, rng_seed=init_seed)
+        config = ModelConfig(20, rng_seed=init_seed, kind=KIND_BPRMF)
     elif kind == KIND_VBPR:
-        config = make_baseline(KIND_VBPR, total_dims=20, visual_dims=10,
-                               rng_seed=init_seed)
+        config = ModelConfig(10, AllocationScheme((10,)), rng_seed=init_seed,
+                             kind=KIND_VBPR)
     else:
-        config = make_baseline(KIND_HVBPR, total_dims=20, visual_dims=10,
-                               scheme=scheme, rng_seed=init_seed)
+        config = ModelConfig(10, scheme, rng_seed=init_seed)
     model = PreferenceModel.create(config, corpus)
     tconfig = TrainConfig(learning_rate=lr, iterations=epochs,
                           rng_seed=sample_seed, reg=reg or RegWeights())
@@ -133,11 +131,10 @@ def test_criterion_02_single_embedding_degeneracy():
         corpus, _ = make_corpus(cfg)
         tc, _split = split_leave_one_out(corpus, 5)
         vbpr = PreferenceModel.create(
-            make_baseline(KIND_VBPR, total_dims=20, visual_dims=10,
-                          rng_seed=31), corpus)
+            ModelConfig(10, AllocationScheme((10,)), rng_seed=31,
+                        kind=KIND_VBPR), corpus)
         hier = PreferenceModel.create(
-            make_baseline(KIND_HVBPR, total_dims=20, visual_dims=10,
-                          scheme=AllocationScheme((10,)), rng_seed=31),
+            ModelConfig(10, AllocationScheme((10,)), rng_seed=31),
             corpus)
         tconfig = TrainConfig(learning_rate=0.05, iterations=1, rng_seed=0)
         trainers = [Trainer(vbpr, tconfig), Trainer(hier, tconfig)]
@@ -200,7 +197,7 @@ def test_criterion_03_auc_oracle_equivalence(rng):
                                        replace=False):
                     feedback.append((f"u{u:02d}", item))
             corpus = build_corpus([], items, features, feedback)
-            config = ModelConfig(2, 2, AllocationScheme((2,)),
+            config = ModelConfig(2, AllocationScheme((2,)),
                                  use_visual_bias=True, rng_seed=trial)
             model = PreferenceModel.create(config, corpus)
             p = model.params
@@ -230,7 +227,7 @@ def test_criterion_04_rand_calibration():
                           planted_scheme=(2, 2), rng_seed=21)
         corpus, _ = make_corpus(cfg)
         _tc, split = split_leave_one_out(corpus, 5)
-        model = PreferenceModel.create(make_baseline(KIND_RAND, rng_seed=0),
+        model = PreferenceModel.create(ModelConfig(kind=KIND_RAND, rng_seed=0),
                                        corpus)
         result = auc(model, corpus.positives, split)
         assert result.users_evaluated == 500
@@ -451,7 +448,7 @@ def test_criterion_10_imbalanced_tree_reduction():
         deep_names = {corpus.hierarchy.node_ids[o] for o in owners}
         assert deep_names == {"root", "deep1"}
 
-        config = ModelConfig(2, 10, scheme, rng_seed=5)
+        config = ModelConfig(2, scheme, rng_seed=5)
         model = PreferenceModel.create(config, corpus)
         tc, split = split_leave_one_out(corpus, 2)
         train(model, tc, TrainConfig(learning_rate=0.05, iterations=3,

@@ -11,10 +11,9 @@ from hierbpr.evaluation import ColdItemSet, auc, split_leave_one_out
 from hierbpr.hierarchy import AllocationScheme
 from hierbpr.ingestion import write_feedback
 from hierbpr.model import (
-    KIND_HVBPR,
     KIND_RAND,
+    ModelConfig,
     PreferenceModel,
-    make_baseline,
 )
 from hierbpr.synthdata import SynthConfig, make_corpus
 from hierbpr.training import TrainConfig, train
@@ -27,8 +26,7 @@ def trained_setup():
     corpus, _ = make_corpus(cfg)
     tc, split = split_leave_one_out(corpus, 3)
     model = PreferenceModel.create(
-        make_baseline(KIND_HVBPR, total_dims=6, visual_dims=3,
-                      scheme=AllocationScheme((2, 1)), rng_seed=11),
+        ModelConfig(3, AllocationScheme((2, 1)), rng_seed=11),
         corpus)
     train(model, tc, TrainConfig(iterations=3, rng_seed=7))
     return corpus, tc, split, model
@@ -100,17 +98,54 @@ class TestRoundTrip:
         assert [i for i, _ in live] == [i for i, _ in ckpt]
 
 
+def _signed(header: dict, payload: bytes) -> bytes:
+    """A checkpoint file whose digest matches ``header`` and ``payload``.
+
+    The digest closes the header as its last member, ``"crc32"``: the
+    CRC-32 of the header bytes before that member, then of the payload.
+    """
+    header.pop("crc32", None)
+    head = json.dumps(header).encode()[:-1]
+    crc = zlib.crc32(payload, zlib.crc32(head))
+    raw = head + b',"crc32":' + str(crc).encode() + b"}"
+    return b"HBPRCKP1" + len(raw).to_bytes(8, "little") + raw + payload
+
+
 def _rewrite_header(blob: bytes, edit) -> bytes:
+    """Damage that edits the header and signs it again: only the edit is
+    wrong."""
     size = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16:16 + size])
     edit(header)
-    raw = json.dumps(header).encode()
-    return blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + size:]
+    return _signed(header, blob[16 + size:])
 
 
-def _as_v1(header):
-    header["version"] = 1
-    del header["payload_crc32"]
+def _as_old_version(version):
+    def damage(blob: bytes) -> bytes:
+        size = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + size])
+        payload = blob[16 + size:]
+        del header["crc32"]
+        header["version"] = version
+        if version == 2:
+            header["payload_crc32"] = zlib.crc32(payload)
+        raw = json.dumps(header, sort_keys=True,
+                         separators=(",", ":")).encode()
+        return blob[:8] + len(raw).to_bytes(8, "little") + raw + payload
+    return damage
+
+
+def _flip_header_bit(blob: bytes, offset: int, bit: int) -> bytes:
+    """One bit of the JSON header flipped; ``offset`` counts from its start."""
+    damaged = bytearray(blob)
+    damaged[16 + offset] ^= 1 << bit
+    return bytes(damaged)
+
+
+def _sorted_id_flip(blob: bytes) -> bytes:
+    """``"i00010"`` becomes ``"i0001 "`` (0x30 to 0x20), which still sorts
+    between its neighbours, so only the digest can tell."""
+    return _flip_header_bit(blob, blob.index(b'"i00010"') + 6 - 16, 4)
 
 
 def _swap_first(key):
@@ -151,10 +186,7 @@ def _edit_array(name, edit):
             entry["offset"], entry["nbytes"] = offset, len(part)
             payload.append(part)
             offset += len(part)
-        payload = b"".join(payload)
-        header["payload_crc32"] = zlib.crc32(payload)
-        raw = json.dumps(header).encode()
-        return blob[:8] + len(raw).to_bytes(8, "little") + raw + payload
+        return _signed(header, b"".join(payload))
     return damage
 
 
@@ -168,7 +200,9 @@ DAMAGE = {
     "flipped_payload_byte": lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]),
     "cut_header": lambda blob: blob[:40],
     "header_cut_mid_json": _shorten_header_length,
-    "version_1": lambda blob: _rewrite_header(blob, _as_v1),
+    "version_1": _as_old_version(1),
+    "version_2": _as_old_version(2),
+    "sorted_item_id_flip": _sorted_id_flip,
     "unsorted_item_ids": lambda blob: _rewrite_header(blob,
                                                       _swap_first("item_ids")),
     "unsorted_user_ids": lambda blob: _rewrite_header(blob,
@@ -177,6 +211,11 @@ DAMAGE = {
                                                      _repeat_first_user_id),
     "shifted_array_offset": lambda blob: _rewrite_header(blob,
                                                          _shift_item_leaf),
+    # The config must hold every key ModelConfig.to_dict writes.
+    **{f"config_without_{key}": lambda blob, key=key: _rewrite_header(
+        blob, lambda header: header["config"].pop(key))
+       for key in ("kind", "n_latent", "n_visual", "scheme",
+                   "use_visual_bias", "use_category_bias", "rng_seed")},
     "negative_item_leaf": _edit_array("item_leaf",
                                       lambda leaf: np.r_[-1, leaf[1:]]),
     # One row or column short, with a digest that matches.
@@ -233,6 +272,30 @@ class TestDamagedFiles:
         with pytest.raises(ParseError, match="version 1"):
             load_checkpoint(path)
 
+    def test_version_2_needs_rewriting(self, trained_setup, tmp_path):
+        # Version 2's digest covered only the payload.
+        _corpus, _tc, split, model = trained_setup
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, split=split)
+        path.write_bytes(DAMAGE["version_2"](path.read_bytes()))
+        with pytest.raises(ParseError, match="version 2 .* write it again"):
+            load_checkpoint(path)
+
+    def test_header_bit_flips(self, trained_setup, tmp_path):
+        _corpus, tc, split, model = trained_setup
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, split=split,
+                        item_train_count=tc.item_counts())
+        blob = path.read_bytes()
+        size = int.from_bytes(blob[8:16], "little")
+        rng = np.random.default_rng(2024)
+        flips = [(int(rng.integers(size)), int(rng.integers(8)))
+                 for _ in range(400)]
+        for offset, bit in flips:
+            path.write_bytes(_flip_header_bit(blob, offset, bit))
+            with pytest.raises(ParseError):
+                load_checkpoint(path)
+
 
 class TestFormat:
     def test_byte_identical_writes(self, trained_setup, tmp_path):
@@ -271,7 +334,7 @@ class TestFormat:
                           planted_scheme=(1,), rng_seed=1)
         corpus, _ = make_corpus(cfg)
         _tc, split = split_leave_one_out(corpus, 1)
-        model = PreferenceModel.create(make_baseline(KIND_RAND, rng_seed=9),
+        model = PreferenceModel.create(ModelConfig(kind=KIND_RAND, rng_seed=9),
                                        corpus)
         path = tmp_path / "rand.ckpt"
         save_checkpoint(path, model, split=split)

@@ -11,7 +11,13 @@ from hierbpr.cli import (
     main,
     run_experiment,
 )
-from hierbpr.ingestion import write_features_binary
+from hierbpr.hierarchy import AllocationScheme
+from hierbpr.ingestion import (
+    read_features,
+    write_features_binary,
+    write_features_csv,
+)
+from hierbpr.model import ModelConfig
 from hierbpr.training import TrainConfig
 
 
@@ -149,6 +155,20 @@ class TestTrainEvalRank:
         lines = capsys.readouterr().out.strip().splitlines()[1:]
         listed = {line.split("\t")[1] for line in lines}
         assert listed <= members
+
+    def test_rank_dim_category_without_items(self, checkpoint, capsys):
+        # Only leaves hold items: an inner node is an error, not an empty
+        # list.
+        ckpt, _ = checkpoint
+        assert main(["rank-dim", "--model", str(ckpt), "--dim", "0",
+                     "--category", "root"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "UnknownItem"
+        assert "holds no items" in payload["message"]
 
     def test_rank_dim_bad_dimension(self, checkpoint, capsys):
         ckpt, _ = checkpoint
@@ -309,6 +329,45 @@ class TestZeroWidthFeatures:
                                inputs["features"])
 
 
+class TestNonUtf8Input:
+    """Bytes that are not UTF-8 in any text input are a ParseError that
+    names the file, not a UnicodeDecodeError."""
+
+    @pytest.mark.parametrize("target", [
+        "feedback", "hierarchy", "item_leaves", "csv_features", "ids",
+        "manifest"])
+    def test_one_line_parse_error(self, dataset, tmp_path, capsys, target):
+        inputs = {}
+        for key, path in dataset.items():
+            inputs[key] = str(tmp_path / Path(path).name)
+            Path(inputs[key]).write_bytes(Path(path).read_bytes())
+        Path(inputs["features"] + ".ids").write_bytes(
+            Path(dataset["features"] + ".ids").read_bytes())
+        if target == "csv_features":
+            inputs["features"] = str(tmp_path / "features.csv")
+            write_features_csv(inputs["features"],
+                               *read_features(dataset["features"]))
+        manifest = Path(write_manifest(tmp_path / "exp.json", inputs,
+                                       tmp_path / "out"))
+        bad = {"csv_features": inputs["features"],
+               "ids": inputs["features"] + ".ids",
+               "manifest": str(manifest)}.get(target, inputs.get(target))
+        blob = Path(bad).read_bytes()
+        if target == "manifest":  # inside a string, so only the byte is bad
+            blob = blob.replace(b'"out_dir": "', b'"out_dir": "\xff', 1)
+        else:
+            blob += b"u1\t\xff\xfe\n"
+        Path(bad).write_bytes(blob)
+        if target == "manifest":
+            argv = ["run", "--manifest", bad]
+        else:
+            argv = ["validate"]
+            for key, path in inputs.items():
+                argv += [f"--{key.replace('_', '-')}", path]
+        assert_one_parse_error(capsys, argv, bad)
+        assert not (tmp_path / "out").exists()
+
+
 def _manifest_with(tmp_path, change):
     """A valid manifest over missing input files, edited by ``change``."""
     missing = tmp_path / "absent"
@@ -390,7 +449,10 @@ class TestManifestErrors:
         (_put("model", "kind", "BPR-MF"), "BPR-MF has no visual"),
         (_put("model", "kind", "VBPR"), "VBPR allocates"),
         (lambda raw: _put("model", "kind", "VBPR-C")(
-            _put("model", "scheme", [2])(raw)), "use_category_bias"),
+            _put("model", "scheme", [2])(
+                _put("model", "use_category_bias", False)(raw))),
+         "use_category_bias"),
+        (_put("model", "n_visual", 3), "n_visual is 3"),
     ], ids=["bogus_reg_key", "json_list", "missing_out_dir",
             "misspelled_train", "missing_input", "missing_model",
             "unknown_input", "unknown_model_key", "unknown_seed",
@@ -402,7 +464,7 @@ class TestManifestErrors:
             "negative_init_seed", "negative_sample_seed",
             "rand_with_dimensions",
             "bprmf_with_visual", "vbpr_layered_scheme",
-            "vbprc_without_category_bias"])
+            "vbprc_without_category_bias", "n_visual_not_scheme_total"])
     def test_one_line_parse_error(self, tmp_path, capsys, change, named):
         # The inputs do not exist, so reading any of them would end in an
         # OSError: a ParseError shows the manifest was checked first, and
@@ -456,6 +518,24 @@ class TestManifestErrors:
         manifest = ExperimentManifest.from_json(path)
         assert manifest.train_config() == TrainConfig()
 
+    def test_model_section_defaults(self, tmp_path):
+        # Keys left out of the model section follow ModelConfig's rule;
+        # the init seed becomes the config's rng_seed.
+        path = tmp_path / "exp.json"
+        for model, expected in (
+                ({"scheme": [1, 1]},
+                 ModelConfig(0, AllocationScheme((1, 1)), rng_seed=2)),
+                ({"kind": "VBPR-C", "scheme": [2]},
+                 ModelConfig(0, AllocationScheme((2,)), use_visual_bias=True,
+                             use_category_bias=True, rng_seed=2,
+                             kind="VBPR-C")),
+                ({"kind": "BPR-MF", "n_latent": 4},
+                 ModelConfig(4, use_visual_bias=False, rng_seed=2,
+                             kind="BPR-MF"))):
+            path.write_text(json.dumps(_manifest_with(
+                tmp_path, _put("", "model", model))))
+            config, _ = ExperimentManifest.from_json(path).configs()
+            assert config == expected
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--sample-candidates", "5"],

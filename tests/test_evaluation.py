@@ -18,11 +18,10 @@ from hierbpr.evaluation import (
 )
 from hierbpr.hierarchy import AllocationScheme
 from hierbpr.model import (
-    KIND_HVBPR,
     KIND_RAND,
     ItemTable,
+    ModelConfig,
     PreferenceModel,
-    make_baseline,
     rand_scores,
 )
 from hierbpr.synthdata import SynthConfig, make_corpus
@@ -295,7 +294,7 @@ class TestEvaluateReport:
         corpus, _ = make_corpus(cfg)
         tc, split = split_leave_one_out(corpus, 2)
         cold = ColdItemSet.from_training(tc, 5)
-        model = PreferenceModel.create(make_baseline(KIND_RAND, rng_seed=1),
+        model = PreferenceModel.create(ModelConfig(kind=KIND_RAND, rng_seed=1),
                                        corpus)
         report = evaluate_report(model, corpus, split, cold)
         assert set(report) >= {"config", "items_total", "warm", "cold",
@@ -315,8 +314,7 @@ def block_setup():
     corpus, _ = make_corpus(cfg)
     tc, split = split_leave_one_out(corpus, 4)
     model = PreferenceModel.create(
-        make_baseline(KIND_HVBPR, total_dims=8, visual_dims=4,
-                      scheme=AllocationScheme((2, 2)), rng_seed=5), corpus)
+        ModelConfig(4, AllocationScheme((2, 2)), rng_seed=5), corpus)
     model.params.item_bias[:] = np.random.default_rng(6).normal(
         scale=0.01, size=corpus.n_items)
     cold = ColdItemSet.from_training(tc, 5)
@@ -390,7 +388,7 @@ class TestBlockedPass:
 
     def test_rand_block_stacks_rows(self, block_setup):
         corpus = block_setup[0]
-        model = PreferenceModel.create(make_baseline(KIND_RAND, rng_seed=3),
+        model = PreferenceModel.create(ModelConfig(kind=KIND_RAND, rng_seed=3),
                                        corpus)
         users = np.array([0, 7, 3, 99])
         expected = np.stack([rand_scores(3, int(u), corpus.n_items)

@@ -24,7 +24,8 @@ from hierbpr.ingestion import (
     write_hierarchy_edges,
     write_item_leaves,
 )
-from hierbpr.model import KIND_VBPR, PreferenceModel, make_baseline
+from hierbpr.hierarchy import AllocationScheme
+from hierbpr.model import KIND_VBPR, ModelConfig, PreferenceModel
 
 
 EDGES = [("a", "root"), ("b", "root")]
@@ -215,8 +216,8 @@ class TestLoadCorpus:
         for corpus in (corpus_a, corpus_b):
             tc, split = split_leave_one_out(corpus, 3)
             model = PreferenceModel.create(
-                make_baseline(KIND_VBPR, total_dims=4, visual_dims=2,
-                              rng_seed=1), corpus)
+                ModelConfig(2, AllocationScheme((2,)), rng_seed=1,
+                            kind=KIND_VBPR), corpus)
             result = auc(model, corpus.positives, split)
         tc_a, split_a = split_leave_one_out(corpus_a, 3)
         tc_b, split_b = split_leave_one_out(corpus_b, 3)

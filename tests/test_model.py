@@ -1,12 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from hierbpr.errors import (
-    DimensionOutOfRange,
-    InvalidSchemeForBaseline,
-    UnknownItem,
-    UnknownUser,
-)
+from hierbpr.errors import DimensionOutOfRange, UnknownItem, UnknownUser
 from hierbpr.evaluation import auc, split_leave_one_out
 from hierbpr.hierarchy import AllocationScheme
 from hierbpr.model import (
@@ -18,7 +15,6 @@ from hierbpr.model import (
     KINDS,
     ModelConfig,
     PreferenceModel,
-    make_baseline,
     rand_scores,
 )
 from hierbpr.synthdata import SynthConfig, make_corpus
@@ -39,7 +35,7 @@ def flat_corpus(n_items=4, feature_dim=2, rng_seed=0):
 class TestScore:
     def test_all_zero_parameters_score_zero(self):
         corpus = flat_corpus()
-        config = ModelConfig(2, 2, AllocationScheme((2,)), rng_seed=0)
+        config = ModelConfig(2, AllocationScheme((2,)), rng_seed=0)
         model = PreferenceModel.create(config, corpus)
         for arr in model.params.arrays().values():
             arr[:] = 0.0
@@ -49,7 +45,7 @@ class TestScore:
         # The config contract requires at least one rating dimension, so the
         # bias-only behaviour is exercised with a zeroed latent factor.
         corpus = flat_corpus()
-        config = ModelConfig(1, 0, AllocationScheme(()), use_visual_bias=False)
+        config = ModelConfig(1, use_visual_bias=False)
         model = PreferenceModel.create(config, corpus)
         model.params.user_latent[:] = 0.0
         model.params.item_latent[:] = 0.0
@@ -63,7 +59,7 @@ class TestScore:
         # 2*3 (latent) + 1*1 (visual) + 0.5 (visual bias) + 0.1 (item bias).
         corpus = build_corpus([], {"i0": "root"}, {"i0": [1.0]},
                               [("u0", "i0")])
-        config = ModelConfig(1, 1, AllocationScheme((1,)),
+        config = ModelConfig(1, AllocationScheme((1,)),
                              use_visual_bias=True, rng_seed=0)
         model = PreferenceModel.create(config, corpus)
         p = model.params
@@ -77,8 +73,7 @@ class TestScore:
 
     def test_category_bias_added(self):
         corpus = flat_corpus()
-        config = ModelConfig(1, 0, AllocationScheme(()),
-                             use_visual_bias=False, use_category_bias=True)
+        config = ModelConfig(1, use_visual_bias=False, use_category_bias=True)
         model = PreferenceModel.create(config, corpus)
         model.params.user_latent[:] = 0.0
         model.params.category_bias[corpus.item_leaf[2]] = 0.75
@@ -86,7 +81,7 @@ class TestScore:
 
     def test_bounds_checks(self):
         corpus = flat_corpus()
-        config = ModelConfig(1, 0, AllocationScheme(()))
+        config = ModelConfig(1)
         model = PreferenceModel.create(config, corpus)
         with pytest.raises(UnknownUser):
             model.score(5, 0)
@@ -100,7 +95,7 @@ class TestScoreMargin:
         f = rng.normal(size=3)
         corpus = build_corpus([], items, {"a": f, "b": f},
                               [("u0", "a"), ("u0", "b")])
-        config = ModelConfig(2, 2, AllocationScheme((2,)), rng_seed=1)
+        config = ModelConfig(2, AllocationScheme((2,)), rng_seed=1)
         model = PreferenceModel.create(config, corpus)
         p = model.params
         p.item_latent[1] = p.item_latent[0]
@@ -109,7 +104,7 @@ class TestScoreMargin:
 
     def test_antisymmetry(self, rng):
         corpus = flat_corpus(rng_seed=3)
-        config = ModelConfig(2, 2, AllocationScheme((2,)), rng_seed=4)
+        config = ModelConfig(2, AllocationScheme((2,)), rng_seed=4)
         model = PreferenceModel.create(config, corpus)
         trainer = Trainer(model, TrainConfig())
         m = trainer.margin(1, 0, 3)
@@ -117,7 +112,7 @@ class TestScoreMargin:
 
     def test_two_call_oracle(self, rng):
         corpus = flat_corpus(n_items=6, feature_dim=4, rng_seed=5)
-        config = ModelConfig(3, 3, AllocationScheme((3,)),
+        config = ModelConfig(3, AllocationScheme((3,)),
                              use_visual_bias=True, rng_seed=6)
         model = PreferenceModel.create(config, corpus)
         model.params.item_bias[:] = rng.normal(size=6)
@@ -134,7 +129,7 @@ class TestScoreMargin:
 class TestModelParams:
     def test_check_finite_sees_segment_nan(self):
         corpus = flat_corpus()
-        config = ModelConfig(1, 2, AllocationScheme((2,)), rng_seed=3)
+        config = ModelConfig(1, AllocationScheme((2,)), rng_seed=3)
         params = PreferenceModel.create(config, corpus).params
         params.check_finite()
         params.segments.blocks[0][1, 0] = np.nan
@@ -142,51 +137,109 @@ class TestModelParams:
             params.check_finite()
 
 
+# A manifest-style model section per kind, and the config the
+# per-kind baseline helper of earlier releases built for it
+# (20 rating dimensions, 10 of them visual, seed 5).
+BASELINE_SECTIONS = {
+    KIND_RAND: ({"kind": "RAND"},
+                {"kind": "RAND", "n_latent": 0, "n_visual": 0, "scheme": [],
+                 "use_visual_bias": False, "use_category_bias": False,
+                 "rng_seed": 5}),
+    KIND_BPRMF: ({"kind": "BPR-MF", "n_latent": 20},
+                 {"kind": "BPR-MF", "n_latent": 20, "n_visual": 0,
+                  "scheme": [], "use_visual_bias": False,
+                  "use_category_bias": False, "rng_seed": 5}),
+    KIND_VBPR: ({"kind": "VBPR", "n_latent": 10, "scheme": [10]},
+                {"kind": "VBPR", "n_latent": 10, "n_visual": 10,
+                 "scheme": [10], "use_visual_bias": True,
+                 "use_category_bias": False, "rng_seed": 5}),
+    KIND_VBPRC: ({"kind": "VBPR-C", "n_latent": 10, "n_visual": 10,
+                  "scheme": [10]},
+                 {"kind": "VBPR-C", "n_latent": 10, "n_visual": 10,
+                  "scheme": [10], "use_visual_bias": True,
+                  "use_category_bias": True, "rng_seed": 5}),
+    KIND_HVBPR: ({"n_latent": 10, "scheme": [5, 5]},
+                 {"kind": "HVBPR", "n_latent": 10, "n_visual": 10,
+                  "scheme": [5, 5], "use_visual_bias": True,
+                  "use_category_bias": False, "rng_seed": 5}),
+}
+
+
 class TestMakeBaseline:
+    """Every baseline is made by ``ModelConfig.from_dict`` from a section."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_section_gives_the_baseline(self, kind):
+        section, expected = BASELINE_SECTIONS[kind]
+        config = ModelConfig.from_dict({**section, "rng_seed": 5})
+        assert config.to_dict() == expected
+        assert ModelConfig.from_dict(config.to_dict()) == config
+
     def test_vbpr_gets_all_root_scheme(self):
-        config = make_baseline(KIND_VBPR, total_dims=20, visual_dims=10)
+        config = ModelConfig.from_dict({"kind": KIND_VBPR, "n_latent": 10,
+                                        "scheme": [10]})
         assert config.scheme.per_layer == (10,)
-        assert config.n_latent == 10
+        assert config.n_latent == 10 and config.n_visual == 10
         assert config.use_visual_bias
         assert not config.use_category_bias
 
     def test_vbprc_adds_category_bias(self):
-        config = make_baseline(KIND_VBPRC, total_dims=20, visual_dims=10)
-        assert config.use_category_bias
+        section = {"kind": KIND_VBPRC, "n_latent": 10, "scheme": [10]}
+        assert ModelConfig.from_dict(section).use_category_bias
+        assert ModelConfig(10, AllocationScheme((10,)),
+                           kind=KIND_VBPRC).use_category_bias
+        with pytest.raises(ValueError, match="use_category_bias"):
+            ModelConfig.from_dict({**section, "use_category_bias": False})
 
     def test_bprmf_disables_visual_terms(self):
-        config = make_baseline(KIND_BPRMF, total_dims=20)
-        assert config.n_visual == 0
-        assert config.n_latent == 20
-        assert not config.use_visual_bias
+        # The dataclass and from_dict share one default rule.
+        for config in (ModelConfig.from_dict({"kind": KIND_BPRMF,
+                                              "n_latent": 20}),
+                       ModelConfig(20, kind=KIND_BPRMF)):
+            assert config.n_visual == 0
+            assert config.n_latent == 20
+            assert not config.use_visual_bias
+            assert not config.use_category_bias
+        assert (ModelConfig.from_dict({"kind": KIND_BPRMF, "n_latent": 20})
+                == ModelConfig(20, kind=KIND_BPRMF))
 
     def test_rand_is_empty(self):
-        config = make_baseline(KIND_RAND)
+        config = ModelConfig.from_dict({"kind": KIND_RAND})
         assert config.n_latent == 0 and config.n_visual == 0
+        assert config == ModelConfig(kind=KIND_RAND)
 
     def test_hierarchical_schemes_pass_through(self):
         for per_layer in ((5, 3, 2), (6, 2, 1, 1), (3, 4, 3)):
-            config = make_baseline(KIND_HVBPR, total_dims=20, visual_dims=10,
-                                   scheme=AllocationScheme(per_layer))
+            config = ModelConfig.from_dict({"n_latent": 10,
+                                            "scheme": list(per_layer)})
+            assert config.kind == KIND_HVBPR
             assert config.scheme.per_layer == per_layer
             assert config.n_visual == 10
+            assert config.use_visual_bias
 
     def test_multi_layer_scheme_rejected_for_vbpr(self):
-        with pytest.raises(InvalidSchemeForBaseline):
-            make_baseline(KIND_VBPR, scheme=AllocationScheme((5, 5)))
+        for kind in (KIND_VBPR, KIND_VBPRC):
+            with pytest.raises(ValueError, match="root"):
+                ModelConfig.from_dict({"kind": kind, "scheme": [5, 5]})
 
     def test_missing_scheme_rejected_for_hierarchical(self):
-        with pytest.raises(InvalidSchemeForBaseline):
-            make_baseline(KIND_HVBPR)
-        with pytest.raises(InvalidSchemeForBaseline):
-            make_baseline(KIND_HVBPR, visual_dims=10,
-                          scheme=AllocationScheme((4, 4)))
+        with pytest.raises(ValueError, match="rating dimension"):
+            ModelConfig.from_dict({"kind": KIND_HVBPR})
+        with pytest.raises(ValueError, match="n_visual is 10"):
+            ModelConfig.from_dict({"n_visual": 10, "scheme": [4, 4]})
+        config = ModelConfig.from_dict({"n_visual": 8, "scheme": [4, 4]})
+        assert config.n_visual == 8
+
+    def test_unknown_key_rejected(self):
+        # A misspelt key must not leave its field at the default.
+        with pytest.raises(ValueError, match="n_latnet"):
+            ModelConfig.from_dict({"n_latnet": 10, "scheme": [5]})
 
     def test_config_invariants(self):
         with pytest.raises(ValueError):
-            ModelConfig(0, 0, AllocationScheme(()))  # needs a dimension
+            ModelConfig(0)  # needs a dimension
         with pytest.raises(ValueError):
-            ModelConfig(2, 3, AllocationScheme((2,)))  # scheme total mismatch
+            ModelConfig(kind="VBPR-D")  # unknown kind
         # The kind must match the configuration it names.
         for n_latent, scheme, kind, category_bias in (
                 (2, (), KIND_RAND, False),
@@ -196,13 +249,17 @@ class TestMakeBaseline:
                 (2, (2, 1), KIND_VBPRC, True),
                 (2, (3,), KIND_VBPRC, False)):
             with pytest.raises(ValueError, match=kind):
-                ModelConfig(n_latent, sum(scheme), AllocationScheme(scheme),
+                ModelConfig(n_latent, AllocationScheme(scheme),
                             use_category_bias=category_bias, kind=kind)
         # A trailing empty layer is still an all-root scheme.
-        ModelConfig(2, 3, AllocationScheme((3, 0)), kind=KIND_VBPR)
-        for kind in KINDS:  # every named baseline passes
-            layered = AllocationScheme((5, 5)) if kind == KIND_HVBPR else None
-            make_baseline(kind, scheme=layered)
+        ModelConfig(2, AllocationScheme((3, 0)), kind=KIND_VBPR)
+        # Explicit flags win over the default rule.
+        config = ModelConfig(2, AllocationScheme((2,)), use_visual_bias=False,
+                             use_category_bias=True)
+        assert not config.use_visual_bias and config.use_category_bias
+        assert [f.name for f in fields(ModelConfig)] == [
+            "n_latent", "scheme", "use_visual_bias", "use_category_bias",
+            "rng_seed", "kind"]
 
 
 class TestRankByDimension:
@@ -210,7 +267,7 @@ class TestRankByDimension:
         features = {f"i{k}": [1.0, 1.0] for k in range(5)}
         items = {f"i{k}": "root" for k in range(5)}
         corpus = build_corpus([], items, features, [("u0", "i0")])
-        config = ModelConfig(0, 2, AllocationScheme((2,)), rng_seed=0)
+        config = ModelConfig(0, AllocationScheme((2,)), rng_seed=0)
         model = PreferenceModel.create(config, corpus)
         ranked = model.item_table().rank_by_dimension(0, top_n=5)
         assert [corpus.item_ids[i] for i, _ in ranked] == [
@@ -221,7 +278,7 @@ class TestRankByDimension:
         features = {f"i{k}": [v] for k, v in enumerate([3.0, 1.0, 4.0, 1.0, 5.0])}
         items = {f"i{k}": "root" for k in range(5)}
         corpus = build_corpus([], items, features, [("u0", "i0")])
-        config = ModelConfig(0, 1, AllocationScheme((1,)), rng_seed=0)
+        config = ModelConfig(0, AllocationScheme((1,)), rng_seed=0)
         model = PreferenceModel.create(config, corpus)
         model.params.segments.blocks[0][0, 0] = 1.0
         ranked = model.item_table().rank_by_dimension(0, top_n=2)
@@ -233,7 +290,7 @@ class TestRankByDimension:
         features = {f"i{k:04d}": rng.normal(size=3) for k in range(n)}
         items = {item: "root" for item in features}
         corpus = build_corpus([], items, features, [("u0", "i0000")])
-        config = ModelConfig(0, 2, AllocationScheme((2,)), rng_seed=7)
+        config = ModelConfig(0, AllocationScheme((2,)), rng_seed=7)
         model = PreferenceModel.create(config, corpus)
         ranked = model.item_table().rank_by_dimension(1, top_n=50)
         scores = [model.project(i)[1] for i in range(n)]
@@ -245,7 +302,7 @@ class TestRankByDimension:
         items = {f"i{k}": ("a" if k % 2 == 0 else "b") for k in range(10)}
         features = {item: rng.normal(size=2) for item in items}
         corpus = build_corpus(edges, items, features, [("u0", "i0")])
-        config = ModelConfig(0, 2, AllocationScheme((1, 1)), rng_seed=3)
+        config = ModelConfig(0, AllocationScheme((1, 1)), rng_seed=3)
         model = PreferenceModel.create(config, corpus)
         cat = corpus.hierarchy.node_of("a")
         ranked = model.item_table().rank_by_dimension(0, top_n=10,
@@ -253,9 +310,23 @@ class TestRankByDimension:
         assert all(corpus.item_leaf[i] == cat for i, _ in ranked)
         assert len(ranked) == 5
 
+    def test_category_without_items(self, rng):
+        edges = [("a", "root"), ("b", "root")]
+        items = {"i0": "a", "i1": "a"}
+        features = {item: rng.normal(size=2) for item in items}
+        corpus = build_corpus(edges, items, features, [("u0", "i0")])
+        table = PreferenceModel.create(
+            ModelConfig(0, AllocationScheme((1, 1))), corpus).item_table()
+        # The root holds no item directly, and leaf b holds none at all.
+        for name in ("root", "b"):
+            node = corpus.hierarchy.node_of(name)
+            with pytest.raises(UnknownItem,
+                               match=f"index {node} holds no items"):
+                table.rank_by_dimension(0, top_n=10, category=node)
+
     def test_dimension_out_of_range(self):
         corpus = flat_corpus()
-        config = ModelConfig(0, 2, AllocationScheme((2,)))
+        config = ModelConfig(0, AllocationScheme((2,)))
         model = PreferenceModel.create(config, corpus)
         table = model.item_table()
         for d in (2, -1):
@@ -272,8 +343,7 @@ class TestRankByDimension:
         corpus, gt = make_corpus(cfg)
         tc, _split = split_leave_one_out(corpus, 2)
         model = PreferenceModel.create(
-            make_baseline(KIND_HVBPR, total_dims=8, visual_dims=4,
-                          scheme=AllocationScheme((2, 2)), rng_seed=4),
+            ModelConfig(4, AllocationScheme((2, 2)), rng_seed=4),
             corpus)
         from hierbpr.training import TrainConfig, train
         train(model, tc, TrainConfig(learning_rate=0.05, iterations=20,
@@ -304,7 +374,7 @@ class TestRandBaseline:
                           planted_scheme=(2, 2), rng_seed=5)
         corpus, _ = make_corpus(cfg)
         _tc, split = split_leave_one_out(corpus, 3)
-        model = PreferenceModel.create(make_baseline(KIND_RAND, rng_seed=0),
+        model = PreferenceModel.create(ModelConfig(kind=KIND_RAND, rng_seed=0),
                                        corpus)
         result = auc(model, corpus.positives, split)
         assert abs(result.auc - 0.5) < 0.02
@@ -318,11 +388,10 @@ class TestConfigurationEquivalence:
         corpus, _ = make_corpus(cfg)
         tc, _split = split_leave_one_out(corpus, 1)
         vbpr = PreferenceModel.create(
-            make_baseline(KIND_VBPR, total_dims=8, visual_dims=4, rng_seed=9),
+            ModelConfig(4, AllocationScheme((4,)), rng_seed=9, kind=KIND_VBPR),
             corpus)
         hier = PreferenceModel.create(
-            make_baseline(KIND_HVBPR, total_dims=8, visual_dims=4,
-                          scheme=AllocationScheme((4,)), rng_seed=9),
+            ModelConfig(4, AllocationScheme((4,)), rng_seed=9),
             corpus)
         tconfig = TrainConfig(learning_rate=0.05, iterations=1, rng_seed=13)
         for model in (vbpr, hier):

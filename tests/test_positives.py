@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hierbpr.checkpoint import load_checkpoint, save_checkpoint
 from hierbpr.evaluation import split_leave_one_out
 from hierbpr.ingestion import Positives
-from hierbpr.model import KIND_BPRMF, PreferenceModel, make_baseline
+from hierbpr.model import KIND_BPRMF, ModelConfig, PreferenceModel
 from hierbpr.synthdata import SynthConfig, make_corpus
 
 
@@ -86,7 +86,7 @@ def bundle(tmp_path_factory):
                       n_positives=2, planted_scheme=(1,), rng_seed=2)
     corpus, _ = make_corpus(cfg)
     model = PreferenceModel.create(
-        make_baseline(KIND_BPRMF, total_dims=2, rng_seed=1), corpus)
+        ModelConfig(2, rng_seed=1, kind=KIND_BPRMF), corpus)
     path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
     save_checkpoint(path, model)
     return load_checkpoint(path)

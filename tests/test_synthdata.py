@@ -7,7 +7,8 @@ import pytest
 from hierbpr.errors import InvalidShape
 from hierbpr.evaluation import split_leave_one_out, auc
 from hierbpr.ingestion import load_corpus
-from hierbpr.model import KIND_VBPR, PreferenceModel, make_baseline
+from hierbpr.hierarchy import AllocationScheme
+from hierbpr.model import KIND_VBPR, ModelConfig, PreferenceModel
 from hierbpr.synthdata import SynthConfig, generate, make_corpus
 from hierbpr.training import TrainConfig, train
 
@@ -116,7 +117,7 @@ class TestSignalStrength:
         corpus, _ = make_corpus(cfg)
         tc, split = split_leave_one_out(corpus, 1)
         model = PreferenceModel.create(
-            make_baseline(KIND_VBPR, total_dims=6, visual_dims=3, rng_seed=2),
+            ModelConfig(3, AllocationScheme((3,)), rng_seed=2, kind=KIND_VBPR),
             corpus)
         train(model, tc, TrainConfig(learning_rate=0.05, iterations=10,
                                      rng_seed=4))
@@ -131,7 +132,7 @@ class TestSignalStrength:
         corpus, _ = make_corpus(cfg)
         tc, split = split_leave_one_out(corpus, 2)
         model = PreferenceModel.create(
-            make_baseline(KIND_VBPR, total_dims=8, visual_dims=4, rng_seed=5),
+            ModelConfig(4, AllocationScheme((4,)), rng_seed=5, kind=KIND_VBPR),
             corpus)
         train(model, tc, TrainConfig(learning_rate=0.05, iterations=30,
                                      rng_seed=6))

@@ -10,11 +10,9 @@ from hierbpr.evaluation import EvalSplit, auc, split_leave_one_out
 from hierbpr.hierarchy import AllocationScheme
 from hierbpr.ingestion import TrainingCorpus
 from hierbpr.model import (
-    KIND_HVBPR,
     KIND_VBPR,
     ModelConfig,
     PreferenceModel,
-    make_baseline,
 )
 from hierbpr.synthdata import SynthConfig, make_corpus
 from hierbpr.training import (
@@ -58,7 +56,7 @@ def tiny_model(rng_seed=0, n_items=6, n_users=3, feature_dim=4,
                 feedback.append((f"u{u}", item))
     corpus = build_corpus(edges, items, features, feedback)
     scheme = AllocationScheme(scheme)
-    config = ModelConfig(n_latent, scheme.total, scheme,
+    config = ModelConfig(n_latent, scheme,
                          use_visual_bias=use_visual_bias,
                          use_category_bias=use_category_bias,
                          rng_seed=rng_seed + 1)
@@ -318,7 +316,7 @@ def tree3_model(use_category_bias=True):
     feedback = [(f"u{k % 3}", item) for k, item in enumerate(sorted(items))]
     corpus = build_corpus(TREE3_EDGES, items, features, feedback)
     scheme = AllocationScheme((2, 2, 1))
-    config = ModelConfig(2, scheme.total, scheme, use_visual_bias=True,
+    config = ModelConfig(2, scheme, use_visual_bias=True,
                          use_category_bias=use_category_bias, rng_seed=5)
     model = PreferenceModel.create(config, corpus)
     model.params.item_bias[:] = rng.normal(scale=0.1, size=corpus.n_items)
@@ -398,8 +396,7 @@ class TestTrain:
             corpus, _ = make_corpus(cfg)
             tc, split = split_leave_one_out(corpus, 2)
             model = PreferenceModel.create(
-                make_baseline(KIND_HVBPR, total_dims=6, visual_dims=3,
-                              scheme=AllocationScheme((2, 1)), rng_seed=8),
+                ModelConfig(3, AllocationScheme((2, 1)), rng_seed=8),
                 corpus)
             train(model, tc, TrainConfig(iterations=3, rng_seed=21))
             snapshots.append({k: v.copy()
@@ -414,7 +411,7 @@ class TestTrain:
         corpus, _ = make_corpus(cfg)
         tc, split = split_leave_one_out(corpus, 1)
         model = PreferenceModel.create(
-            make_baseline(KIND_VBPR, total_dims=4, visual_dims=2, rng_seed=0),
+            ModelConfig(2, AllocationScheme((2,)), rng_seed=0, kind=KIND_VBPR),
             corpus)
         seen = []
         result = train(model, tc, TrainConfig(iterations=3, rng_seed=5),
@@ -432,7 +429,7 @@ class TestTrain:
         corpus, _ = make_corpus(cfg)
         tc, split = split_leave_one_out(corpus, 1)
         model = PreferenceModel.create(
-            make_baseline(KIND_VBPR, total_dims=4, visual_dims=2, rng_seed=0),
+            ModelConfig(2, AllocationScheme((2,)), rng_seed=0, kind=KIND_VBPR),
             corpus)
         result = train(model, tc,
                        TrainConfig(iterations=50, rng_seed=5, patience=2),
@@ -449,7 +446,7 @@ class TestTrain:
         corpus, _ = make_corpus(cfg)
         tc, split = split_leave_one_out(corpus, 3)
         model = PreferenceModel.create(
-            make_baseline(KIND_VBPR, total_dims=8, visual_dims=4, rng_seed=1),
+            ModelConfig(4, AllocationScheme((4,)), rng_seed=1, kind=KIND_VBPR),
             corpus)
         train(model, tc, TrainConfig(learning_rate=0.05, iterations=30,
                                      rng_seed=17))
