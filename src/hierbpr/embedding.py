@@ -56,19 +56,8 @@ class SegmentStore:
     def n_visual(self) -> int:
         return self.assignment.n_visual
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
     def copy(self) -> "SegmentStore":
         return SegmentStore(self.assignment, self.feature_dim, self.backing.copy())
-
-    def project(self, f: np.ndarray, leaf: int) -> np.ndarray:
-        """Visual projection of feature vector ``f`` under leaf node ``leaf``."""
-        out = np.empty(self.n_visual)
-        for block, start, stop in self.assignment.blocks_for_leaf(leaf):
-            np.matmul(self.blocks[block], f, out=out[start:stop])
-        return out
 
     def stacked_matrix(self, leaf: int) -> np.ndarray:
         """Materialized K' x F projection matrix for one leaf node."""

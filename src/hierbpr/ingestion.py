@@ -146,7 +146,11 @@ def _read_features_binary(path) -> tuple[list[str], np.ndarray]:
         magic = fh.read(8)
         if magic != FEATURE_MAGIC:
             raise ParseError(f"{path}: bad magic {magic!r}")
-        n, feat = struct.unpack("<QQ", fh.read(16))
+        sizes = fh.read(16)
+        if len(sizes) < 16:
+            raise ParseError(f"{path}: header cut at {8 + len(sizes)} of 24 "
+                             "bytes")
+        n, feat = struct.unpack("<QQ", sizes)
         if n != len(ids):
             raise ParseError(
                 f"{path}: header says {n} items, sidecar lists {len(ids)}")
@@ -335,7 +339,9 @@ def _catalog_features(feat_ids: list[str], feat_matrix: np.ndarray,
     features = np.empty((len(catalog), feat_matrix.shape[1]))
     for start in range(0, len(features), FEATURE_BLOCK_ROWS):
         block = features[start:start + FEATURE_BLOCK_ROWS]
-        block[:] = feat_matrix[rows[start:start + FEATURE_BLOCK_ROWS]]
+        # A signalling NaN warns as it is cast; the check below names it.
+        with np.errstate(invalid="ignore"):
+            block[:] = feat_matrix[rows[start:start + FEATURE_BLOCK_ROWS]]
         bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
         if bad.size:
             raise ParseError(f"item {catalog[start + bad[0]]!r} has a "

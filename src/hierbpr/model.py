@@ -293,7 +293,8 @@ class ItemTable:
 
 
 class PreferenceModel:
-    """Parameters plus the corpus-side stores needed to score pairs."""
+    """Parameters plus the corpus's features and item leaves; it scores
+    through the ``ItemTable`` that ``item_table`` freezes."""
 
     def __init__(self, config: ModelConfig, corpus, params: ModelParams):
         self.config = config
@@ -313,8 +314,6 @@ class PreferenceModel:
                              assignment)
         return cls(config, corpus, params)
 
-    # -- bounds ------------------------------------------------------------
-
     @property
     def n_users(self) -> int:
         return self.params.user_latent.shape[0]
@@ -322,48 +321,6 @@ class PreferenceModel:
     @property
     def n_items(self) -> int:
         return self.params.item_bias.shape[0]
-
-    def _check_user(self, u: int) -> None:
-        if not 0 <= u < self.n_users:
-            raise UnknownUser(f"user index {u} out of range")
-
-    def _check_item(self, i: int) -> None:
-        if not 0 <= i < self.n_items:
-            raise UnknownItem(f"item index {i} out of range")
-
-    # -- scoring -----------------------------------------------------------
-
-    def project(self, i: int) -> np.ndarray:
-        """Visual projection theta_i of a registered item."""
-        self._check_item(i)
-        if self.params.segments is None:
-            return np.zeros(0)
-        return self.params.segments.project(self.features[i],
-                                            int(self.item_leaf[i]))
-
-    def score(self, u: int, i: int) -> float:
-        """One pair scored term by term: the per-pair test oracle.
-
-        Whole-catalog scoring goes through ``item_table``/``score_all`` and
-        training margins through ``Trainer.margin``.
-        """
-        self._check_user(u)
-        self._check_item(i)
-        if self.config.kind == KIND_RAND:
-            return float(rand_scores(self.config.rng_seed, u, self.n_items)[i])
-        p = self.params
-        total = float(p.item_bias[i])
-        if self.config.n_latent:
-            total += float(np.dot(p.user_latent[u], p.item_latent[i]))
-        if self.config.n_visual:
-            total += float(np.dot(p.user_visual[u], self.project(i)))
-        if self.config.use_visual_bias:
-            total += float(np.dot(p.visual_bias, self.features[i]))
-        if self.config.use_category_bias:
-            total += float(p.category_bias[self.item_leaf[i]])
-        return total
-
-    # -- frozen-model helpers ------------------------------------------------
 
     def item_table(self) -> ItemTable:
         """Freeze the parameters into an ``ItemTable`` for whole-catalog

@@ -60,6 +60,10 @@ class SynthConfig:
             raise InvalidShape("planted scheme deeper than the tree")
         if any(r < 0 for r in self.planted_scheme) or sum(self.planted_scheme) < 1:
             raise InvalidShape("planted scheme needs at least one row")
+        if not np.isfinite([self.temperature, self.feature_noise,
+                            self.center_scale]).all():
+            raise InvalidShape("temperature, feature_noise and center_scale "
+                               "must be finite")
         if self.temperature <= 0:
             raise InvalidShape("temperature must be positive")
 

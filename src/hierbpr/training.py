@@ -62,8 +62,9 @@ class RegWeights:
     def __post_init__(self):
         for name in ("bias", "latent", "user_visual", "visual_bias",
                      "segments", "category_bias"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"negative regularization for {name}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"regularization for {name} must be finite "
+                                 "and non-negative")
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,10 @@ class TrainConfig:
     patience: int | None = None
 
     def __post_init__(self):
-        # A zero rate is a legal no-op step (handy for tests); negative is not.
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must not be negative")
+        # A zero rate is a legal no-op step (handy for tests); a negative or
+        # non-finite one is not.
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning rate must be finite and non-negative")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if self.patience is not None and self.patience < 1:
@@ -224,8 +226,8 @@ class Trainer:
         """One ascent step on ln sigmoid(margin); returns the step's loss.
 
         A bare call is correct but runs under numpy's default ufunc
-        buffering; ``train`` and ``per_triple_cost_probe`` call it inside
-        ``_step_buffer``, where its cost is linear in K'xF.
+        buffering; ``train`` calls it inside ``_step_buffer``, where its
+        cost is linear in K'xF.
         """
         m = self.margin(u, i, j)
         if not math.isfinite(m):
@@ -357,52 +359,3 @@ def train(
         history=history,
     )
 
-
-def per_triple_cost_probe(
-    configs: list[dict],
-    n_steps: int = 300,
-    n_items: int = 256,
-    n_users: int = 64,
-    seed: int = 0,
-) -> list[dict]:
-    """Measure mean wall time per SGD step across parameter scales.
-
-    Each config dict supplies ``n_latent``, ``n_visual``, ``feature_dim``.
-    Visual rows are split over a two-layer tree when there is more than one.
-    The warm-up and timed steps run inside the same ``_step_buffer`` scope
-    as ``train``'s step loop, so the probe times the step as training runs
-    it. Returns one record per config with ``seconds_per_step`` added.
-    """
-    from .synthdata import SynthConfig, make_corpus
-    from .model import ModelConfig, PreferenceModel
-
-    results = []
-    for cfg in configs:
-        kp = int(cfg.get("n_visual", 0))
-        feat = int(cfg["feature_dim"])
-        scheme = [kp - kp // 2, kp // 2] if kp > 1 else [kp]
-        synth = SynthConfig(
-            n_users=n_users, n_items=n_items, feature_dim=feat,
-            branching=(4,), n_positives=4, planted_scheme=(1,),
-            rng_seed=seed)
-        corpus, _ = make_corpus(synth)
-        mconfig = ModelConfig.from_dict({
-            "n_latent": cfg.get("n_latent", 0), "scheme": scheme,
-            "use_visual_bias": True, "rng_seed": seed})
-        model = PreferenceModel.create(mconfig, corpus)
-        tconfig = TrainConfig(learning_rate=0.01, rng_seed=seed, iterations=1)
-        trainer = Trainer(model, tconfig)
-        rng = np.random.default_rng(seed)
-        tc, _split = evaluation.split_leave_one_out(corpus, rng)
-        triples = [sample_triple(tc, rng) for _ in range(n_steps)]
-        with _step_buffer():
-            for u, i, j in triples[: min(50, n_steps)]:
-                trainer.step(u, i, j)      # warm-up: caches, code paths
-            started = time.perf_counter()
-            for u, i, j in triples:
-                trainer.step(u, i, j)
-            elapsed = time.perf_counter() - started
-        record = dict(cfg)
-        record["seconds_per_step"] = elapsed / n_steps
-        results.append(record)
-    return results

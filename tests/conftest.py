@@ -1,11 +1,17 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from hierbpr.evaluation import split_leave_one_out
 from hierbpr.ingestion import Positives, TrainingCorpus, assemble_corpus
+from hierbpr.model import ModelConfig, PreferenceModel
+from hierbpr.synthdata import SynthConfig, make_corpus
+from hierbpr.training import TrainConfig, Trainer, _step_buffer, sample_triple
 
 # Shape of the running example tree: three branches under the root, each
 # with fine-grained leaves (layer 1 = root, layer 2 = branches, layer 3 = leaves).
@@ -110,6 +116,55 @@ def auc_pair_counting(score, n_items, targets, positives, cold_mask=None):
     if not fractions:
         return None, 0
     return sum(fractions) / len(fractions), len(fractions)
+
+
+def per_triple_cost_probe(configs, n_steps=300, n_items=256, n_users=64,
+                          seed=0):
+    """Mean wall time per SGD step across parameter scales.
+
+    Each config dict supplies ``n_latent``, ``n_visual``, ``feature_dim``.
+    Visual rows are split over a two-layer tree when there is more than one.
+    The warm-up and timed steps call the library's ``Trainer.step`` inside
+    the same ``_step_buffer`` scope as ``train``'s step loop, so the probe
+    times the step as training runs it. Returns one record per config with
+    ``seconds_per_step`` added.
+    """
+    results = []
+    for cfg in configs:
+        kp = int(cfg.get("n_visual", 0))
+        scheme = [kp - kp // 2, kp // 2] if kp > 1 else [kp]
+        synth = SynthConfig(
+            n_users=n_users, n_items=n_items,
+            feature_dim=int(cfg["feature_dim"]), branching=(4,),
+            n_positives=4, planted_scheme=(1,), rng_seed=seed)
+        corpus, _ = make_corpus(synth)
+        mconfig = ModelConfig.from_dict({
+            "n_latent": cfg.get("n_latent", 0), "scheme": scheme,
+            "use_visual_bias": True, "rng_seed": seed})
+        model = PreferenceModel.create(mconfig, corpus)
+        tconfig = TrainConfig(learning_rate=0.01, rng_seed=seed, iterations=1)
+        trainer = Trainer(model, tconfig)
+        rng = np.random.default_rng(seed)
+        tc, _split = split_leave_one_out(corpus, rng)
+        triples = [sample_triple(tc, rng) for _ in range(n_steps)]
+        with _step_buffer():
+            for u, i, j in triples[: min(50, n_steps)]:
+                trainer.step(u, i, j)      # warm-up: caches, code paths
+            started = time.perf_counter()
+            for u, i, j in triples:
+                trainer.step(u, i, j)
+            elapsed = time.perf_counter() - started
+        results.append({**cfg, "seconds_per_step": elapsed / n_steps})
+    return results
+
+
+def one_error(capsys):
+    """The one JSON error line a failed command printed, stdout empty."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
 
 
 @pytest.fixture

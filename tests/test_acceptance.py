@@ -28,13 +28,13 @@ from hierbpr.training import (
     RegWeights,
     TrainConfig,
     Trainer,
-    per_triple_cost_probe,
     sample_triple,
     train,
 )
 
-from conftest import build_corpus, log_sigmoid, numeric_gradient, relative_error
-from test_training import analytic_gradients, tiny_model
+import reference
+from conftest import build_corpus, per_triple_cost_probe
+from test_training import changed_rows, check_gradient, tiny_model
 
 
 @contextmanager
@@ -78,43 +78,17 @@ def test_criterion_01_gradient_correctness():
             u = int(rng.integers(corpus.n_users))
             i, j = (int(x) for x in
                     rng.choice(corpus.n_items, 2, replace=False))
-
-            def objective():
-                return log_sigmoid(model.score(u, i) - model.score(u, j))
-
-            deltas = analytic_gradients(
-                model, (u, i, j),
-                ["item_bias", "item_latent", "user_latent", "user_visual",
-                 "visual_bias", "segments"])
-            arrays = model.params.arrays()
-            seg = model.params.segments
             spots = [("item_bias", (i,)), ("item_bias", (j,))]
             spots += [("user_latent", (u, k)) for k in range(2)]
             spots += [("item_latent", (i, k)) for k in range(2)]
             spots += [("item_latent", (j, k)) for k in range(2)]
             spots += [("user_visual", (u, k)) for k in range(3)]
             spots += [("visual_bias", (k,)) for k in range(4)]
-            offset = 0
-            touched_rows = set()
-            for blk, view in enumerate(seg.blocks):
-                rows = view.shape[0]
-                for leaf in (int(model.item_leaf[i]), int(model.item_leaf[j])):
-                    on_path = {b for b, _, _ in
-                               seg.assignment.blocks_for_leaf(leaf)}
-                    if blk in on_path:
-                        touched_rows.update(range(offset, offset + rows))
-                offset += rows
-            for r in sorted(touched_rows):
-                for k in range(4):
-                    spots.append(("segments", (r, k)))
-            for name, idx in spots:
-                numeric = numeric_gradient(objective, arrays[name], idx)
-                analytic = deltas[name][idx]
-                if abs(numeric) < 1e-9 and abs(analytic) < 1e-9:
-                    continue
-                err = relative_error(analytic, numeric)
-                assert err < 1e-4, (name, idx, analytic, numeric, err)
-                entries += 1
+            # Every entry of the segment rows on i's and j's paths.
+            spots += [("segments", (r, k))
+                      for r in reference.path_rows(model, i, j)
+                      for k in range(4)]
+            entries += check_gradient(model, (u, i, j), spots)
             triples += 1
         elapsed = time.perf_counter() - started
         assert triples >= 100
@@ -211,7 +185,8 @@ def test_criterion_03_auc_oracle_equivalence(rng):
             targets = np.array([int(corpus.positives[u][0])
                                 for u in range(corpus.n_users)])
             oracle, n = auc_pair_counting(
-                model.score, corpus.n_items, targets, corpus.positives)
+                lambda u, j: reference.score(model, u, j), corpus.n_items,
+                targets, corpus.positives)
             result = auc(model, corpus.positives, split_of(list(targets)))
             assert result.auc == oracle
             assert result.users_evaluated == n
@@ -375,47 +350,21 @@ def test_criterion_09_sparse_touch():
                       "(and its path blocks) bit-identical"):
         model = tiny_model(rng_seed=23, n_items=9, n_users=5, feature_dim=4,
                            n_latent=2, scheme=(2, 1), use_category_bias=True)
-        p = model.params
-        before = {name: arr.copy() for name, arr in p.arrays().items()}
+        before = {name: arr.copy()
+                  for name, arr in model.params.arrays().items()}
         u, i, j = 2, 1, 8
         Trainer(model, TrainConfig(learning_rate=0.1)).step(u, i, j)
-        leaf_i = int(model.item_leaf[i])
-        leaf_j = int(model.item_leaf[j])
-        path_blocks = {blk for blk, _, _ in
-                       p.segments.assignment.blocks_for_leaf(leaf_i)}
-        path_blocks |= {blk for blk, _, _ in
-                        p.segments.assignment.blocks_for_leaf(leaf_j)}
-
-        arrays = p.arrays()
-        user_mask = np.ones(p.user_latent.shape[0], dtype=bool)
-        user_mask[u] = False
-        item_mask = np.ones(p.item_bias.shape[0], dtype=bool)
-        item_mask[[i, j]] = False
-        assert np.array_equal(arrays["user_latent"][user_mask],
-                              before["user_latent"][user_mask])
-        assert np.array_equal(arrays["user_visual"][user_mask],
-                              before["user_visual"][user_mask])
-        assert np.array_equal(arrays["item_bias"][item_mask],
-                              before["item_bias"][item_mask])
-        assert np.array_equal(arrays["item_latent"][item_mask],
-                              before["item_latent"][item_mask])
-        offset = 0
-        for blk, view in enumerate(p.segments.blocks):
-            rows = view.shape[0]
-            ref = before["segments"][offset:offset + rows]
-            if blk in path_blocks:
-                assert not np.array_equal(view, ref), blk
-            else:
-                assert np.array_equal(view, ref), blk
-            offset += rows
-        cb_mask = np.ones(len(arrays["category_bias"]), dtype=bool)
-        cb_mask[[leaf_i, leaf_j]] = False
-        assert np.array_equal(arrays["category_bias"][cb_mask],
-                              before["category_bias"][cb_mask])
-        # The touched coordinates really moved.
-        assert arrays["item_bias"][i] != before["item_bias"][i]
-        assert not np.array_equal(arrays["user_visual"][u],
-                                  before["user_visual"][u])
+        changed = changed_rows(before, model)
+        assert changed["user_latent"] <= {u}
+        assert changed["item_latent"] <= {i, j}
+        assert changed["category_bias"] <= {int(model.item_leaf[i]),
+                                            int(model.item_leaf[j])}
+        # The touched coordinates really moved: every row of every block on
+        # i's or j's path, and nothing else.
+        assert changed["user_visual"] == {u}
+        assert i in changed["item_bias"]
+        assert changed["item_bias"] <= {i, j}
+        assert changed["segments"] == set(reference.path_rows(model, i, j))
 
 
 def test_criterion_10_imbalanced_tree_reduction():

@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hierbpr.checkpoint import VERSION, load_checkpoint, save_checkpoint
 from hierbpr.cli import main
@@ -12,11 +14,15 @@ from hierbpr.hierarchy import AllocationScheme
 from hierbpr.ingestion import write_feedback
 from hierbpr.model import (
     KIND_RAND,
+    KIND_VBPRC,
     ModelConfig,
     PreferenceModel,
 )
 from hierbpr.synthdata import SynthConfig, make_corpus
 from hierbpr.training import TrainConfig, train
+
+from conftest import one_error
+from test_ingestion import flip_or_cut
 
 
 @pytest.fixture(scope="module")
@@ -238,9 +244,7 @@ class TestDamagedFiles:
         with pytest.raises(ParseError):
             load_checkpoint(path)
         assert main(["rank-dim", "--model", str(path), "--dim", "0"]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "ParseError"
+        assert one_error(capsys)["error"] == "ParseError"
 
     def test_eval_rejects_repeated_user_id(self, trained_setup, tmp_path,
                                            capsys):
@@ -256,11 +260,7 @@ class TestDamagedFiles:
                                   for u, i in zip(pos.rows(), pos.indices)])
         argv = ["eval", "--model", str(path), "--feedback", str(feedback)]
         assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1
-        error = json.loads(lines[0])
+        error = one_error(capsys)
         assert error["error"] == "ParseError"
         assert "user ids are not strictly increasing" in error["message"]
 
@@ -295,6 +295,46 @@ class TestDamagedFiles:
             path.write_bytes(_flip_header_bit(blob, offset, bit))
             with pytest.raises(ParseError):
                 load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A trained VBPR-C checkpoint of a few KB and its feedback file."""
+    cfg = SynthConfig(n_users=12, n_items=24, feature_dim=4, branching=(2,),
+                      n_positives=3, planted_scheme=(2,), rng_seed=8)
+    corpus, _ = make_corpus(cfg)
+    tc, split = split_leave_one_out(corpus, 1)
+    model = PreferenceModel.create(
+        ModelConfig(2, AllocationScheme((2,)), kind=KIND_VBPRC, rng_seed=2),
+        corpus)
+    train(model, tc, TrainConfig(iterations=1, rng_seed=3))
+    out = tmp_path_factory.mktemp("small_ckpt")
+    save_checkpoint(out / "m.ckpt", model, split=split,
+                    item_train_count=tc.item_counts())
+    pos = corpus.positives
+    write_feedback(out / "feedback.tsv",
+                   [(corpus.user_ids[u], corpus.item_ids[i])
+                    for u, i in zip(pos.rows(), pos.indices)])
+    return out, (out / "m.ckpt").read_bytes()
+
+
+class TestDamageProperty:
+    """Any one flipped bit, or any cut, fails to load with a ParseError, and
+    ``eval`` turns it into one JSON error line."""
+
+    # capsys is read and emptied on every example.
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_flip_or_cut(self, small_checkpoint, capsys, data):
+        out, blob = small_checkpoint
+        path = out / "damaged.ckpt"
+        path.write_bytes(flip_or_cut(data, blob))
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+        assert main(["eval", "--model", str(path),
+                     "--feedback", str(out / "feedback.tsv")]) == 1
+        assert one_error(capsys)["error"] == "ParseError"
 
 
 class TestFormat:

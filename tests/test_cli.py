@@ -20,6 +20,8 @@ from hierbpr.ingestion import (
 from hierbpr.model import ModelConfig
 from hierbpr.training import TrainConfig
 
+from conftest import one_error
+
 
 def synth_args(out_dir, **overrides):
     base = {
@@ -86,9 +88,16 @@ class TestSynthValidate:
                 "--hierarchy", "/nonexistent/h.tsv",
                 "--item-leaves", "/nonexistent/l.tsv"]
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        payload = json.loads(err.strip().splitlines()[-1])
-        assert "error" in payload and "message" in payload
+        assert set(one_error(capsys)) == {"error", "message"}
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--temperature", "nan"), ("--temperature", "inf"),
+        ("--feature-noise", "nan"), ("--feature-noise", "inf")])
+    def test_synth_non_finite(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "data"
+        assert main(synth_args(out, **{flag: value})) == 1
+        assert one_error(capsys)["error"] == "InvalidShape"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -162,19 +171,14 @@ class TestTrainEvalRank:
         ckpt, _ = checkpoint
         assert main(["rank-dim", "--model", str(ckpt), "--dim", "0",
                      "--category", "root"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1
-        payload = json.loads(lines[0])
-        assert payload["error"] == "UnknownItem"
-        assert "holds no items" in payload["message"]
+        error = one_error(capsys)
+        assert error["error"] == "UnknownItem"
+        assert "holds no items" in error["message"]
 
     def test_rank_dim_bad_dimension(self, checkpoint, capsys):
         ckpt, _ = checkpoint
         assert main(["rank-dim", "--model", str(ckpt), "--dim", "99"]) == 1
-        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["error"] == "DimensionOutOfRange"
+        assert one_error(capsys)["error"] == "DimensionOutOfRange"
 
 
 class TestRunExperiment:
@@ -407,13 +411,9 @@ def _put(section, key, value):
 def assert_one_parse_error(capsys, argv, named):
     """``main(argv)`` exits 1 with one JSON ParseError line naming ``named``."""
     assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["error"] == "ParseError"
-    assert named in payload["message"]
+    error = one_error(capsys)
+    assert error["error"] == "ParseError"
+    assert named in error["message"]
 
 
 class TestManifestErrors:
@@ -453,6 +453,11 @@ class TestManifestErrors:
                 _put("model", "use_category_bias", False)(raw))),
          "use_category_bias"),
         (_put("model", "n_visual", 3), "n_visual is 3"),
+        # json reads NaN and Infinity; a non-finite number is out of range.
+        (_put("train", "learning_rate", float("nan")), "learning rate"),
+        (_put("train", "learning_rate", float("inf")), "learning rate"),
+        (_put("train.reg", "bias", float("nan")), "bias"),
+        (_put("train.reg", "segments", float("inf")), "segments"),
     ], ids=["bogus_reg_key", "json_list", "missing_out_dir",
             "misspelled_train", "missing_input", "missing_model",
             "unknown_input", "unknown_model_key", "unknown_seed",
@@ -464,7 +469,8 @@ class TestManifestErrors:
             "negative_init_seed", "negative_sample_seed",
             "rand_with_dimensions",
             "bprmf_with_visual", "vbpr_layered_scheme",
-            "vbprc_without_category_bias", "n_visual_not_scheme_total"])
+            "vbprc_without_category_bias", "n_visual_not_scheme_total",
+            "nan_learning_rate", "inf_learning_rate", "nan_reg", "inf_reg"])
     def test_one_line_parse_error(self, tmp_path, capsys, change, named):
         # The inputs do not exist, so reading any of them would end in an
         # OSError: a ParseError shows the manifest was checked first, and
@@ -473,6 +479,16 @@ class TestManifestErrors:
         path.write_text(json.dumps(_manifest_with(tmp_path, change)))
         assert_one_parse_error(capsys, ["run", "--manifest", str(path)],
                                named)
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_number(self, tmp_path, capsys):
+        # json parses 1e400 as inf.
+        path = tmp_path / "exp.json"
+        text = json.dumps(_manifest_with(
+            tmp_path, _put("train", "learning_rate", 0.125)))
+        path.write_text(text.replace("0.125", "1e400"))
+        assert_one_parse_error(capsys, ["run", "--manifest", str(path)],
+                               "learning rate")
         assert not (tmp_path / "out").exists()
 
     def test_train_checks_manifest_first(self, tmp_path, capsys):
@@ -500,8 +516,7 @@ class TestManifestErrors:
         path = tmp_path / "exp.json"
         path.write_text('{"inputs": ')
         assert main(["run", "--manifest", str(path)]) == 1
-        payload = json.loads(capsys.readouterr().err)
-        assert payload["error"] == "ParseError"
+        assert one_error(capsys)["error"] == "ParseError"
 
     def test_null_patience_and_defaults_accepted(self, tmp_path):
         path = tmp_path / "exp.json"

@@ -6,6 +6,7 @@ from hierbpr.errors import DimensionOutOfRange
 from hierbpr.hierarchy import AllocationScheme, assign_layers, build_hierarchy
 from hierbpr.model import ItemTable
 
+import reference
 from conftest import TREE3_EDGES
 
 
@@ -18,12 +19,17 @@ def single_layer():
     return build_hierarchy([], ["root"])
 
 
+def project(store, f, leaf):
+    """One feature vector's projection on the library's path."""
+    return store.project_all(np.asarray(f)[None, :], np.array([leaf]))[0]
+
+
 class TestProject:
     def test_zero_feature_gives_zero(self, rng):
         h = two_layer()
         a = assign_layers(h, AllocationScheme((2, 2)))
         store = SegmentStore.create(a, 5, rng)
-        theta = store.project(np.zeros(5), h.node_of("leaf0"))
+        theta = project(store, np.zeros(5), h.node_of("leaf0"))
         assert np.all(theta == 0.0)
 
     def test_hand_computed_product(self):
@@ -31,7 +37,7 @@ class TestProject:
         a = assign_layers(h, AllocationScheme((2,)))
         store = SegmentStore(a, 2)
         store.blocks[0][:] = [[1.0, 0.0], [0.0, 2.0]]
-        theta = store.project(np.array([3.0, 5.0]), h.root)
+        theta = project(store, np.array([3.0, 5.0]), h.root)
         assert np.allclose(theta, [3.0, 10.0])
 
     def test_shared_root_row_distinct_leaf_rows(self, rng):
@@ -39,8 +45,8 @@ class TestProject:
         a = assign_layers(h, AllocationScheme((1, 1)))
         store = SegmentStore.create(a, 4, rng)
         f = rng.normal(size=4)
-        t0 = store.project(f, h.node_of("leaf0"))
-        t1 = store.project(f, h.node_of("leaf1"))
+        t0 = project(store, f, h.node_of("leaf0"))
+        t1 = project(store, f, h.node_of("leaf1"))
         assert t0[0] == t1[0]
         assert t0[1] != t1[1]
 
@@ -50,8 +56,9 @@ class TestProject:
         store = SegmentStore.create(a, 3, rng)
         features = rng.normal(size=(3, 3))
         leaves = np.array([h.node_of(f"leaf{k}") for k in range(3)])
-        theta = store.project(features[1], int(leaves[1]))
-        assert theta.shape == (3,)
+        theta = reference.project(store.backing, (2, 1), h.parent,
+                                  int(leaves[1]), features[1])
+        assert len(theta) == 3
         assert store.project_all(features, leaves)[1, 2] == (
             pytest.approx(theta[2], abs=1e-15))
 
@@ -76,7 +83,8 @@ class TestDimensionScore:
         leaves = np.array([h.node_of(f"leaf{k % 3}") for k in range(4)])
         theta = store.project_all(features, leaves)
         for k in range(4):
-            row = store.project(features[k], int(leaves[k]))
+            row = reference.project(store.backing, (2, 3), h.parent,
+                                    int(leaves[k]), features[k])
             for d in range(5):
                 assert theta[k, d] == pytest.approx(row[d], abs=1e-15)
 
@@ -86,7 +94,7 @@ class TestDimensionScore:
         store = SegmentStore.create(a, 8, rng)
         f = rng.normal(size=8)
         leaf = h.node_of("leaf2")
-        stacked = store.stacked_matrix(leaf)
+        stacked = store.backing[reference.visual_rows((3, 2), h.parent, leaf)]
         theta = store.project_all(f[None, :], np.array([leaf]))
         for d in range(5):
             naive = sum(stacked[d][k] * f[k] for k in range(8))
@@ -115,8 +123,8 @@ class TestInvariants:
         f = rng.normal(size=4)
         g = rng.normal(size=4)
         alpha, beta = 0.7, -2.2
-        combined = store.project(alpha * f + beta * g, leaf)
-        split = alpha * store.project(f, leaf) + beta * store.project(g, leaf)
+        combined = project(store, alpha * f + beta * g, leaf)
+        split = alpha * project(store, f, leaf) + beta * project(store, g, leaf)
         assert np.allclose(combined, split, atol=1e-12)
 
     def test_stacking_equivalence(self, rng):
@@ -126,7 +134,11 @@ class TestInvariants:
         for leaf_name in ("skirts", "boots"):
             leaf = h.node_of(leaf_name)
             f = rng.normal(size=6)
-            segmented = store.project(f, leaf)
+            rows = reference.visual_rows((4, 2, 1), h.parent, leaf)
+            assert np.array_equal(store.stacked_matrix(leaf),
+                                  store.backing[rows])
+            segmented = reference.project(store.backing, (4, 2, 1), h.parent,
+                                          leaf, f)
             stacked = store.stacked_matrix(leaf) @ f
             assert np.max(np.abs(segmented - stacked)) < 1e-12
 
@@ -139,7 +151,9 @@ class TestInvariants:
         table = store.project_all(features, leaves)
         for i in range(7):
             assert np.allclose(table[i],
-                               store.project(features[i], int(leaves[i])),
+                               reference.project(store.backing, (2, 2),
+                                                 h.parent, int(leaves[i]),
+                                                 features[i]),
                                atol=1e-12)
 
     def test_backing_layout_and_views(self, rng):

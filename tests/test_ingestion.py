@@ -1,13 +1,17 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierbpr.cli import main
 from hierbpr.errors import (
     DanglingItemLeaf,
     DimensionMismatch,
     EmptyCorpus,
+    HierBprError,
     OrphanItem,
     ParseError,
 )
@@ -26,6 +30,9 @@ from hierbpr.ingestion import (
 )
 from hierbpr.hierarchy import AllocationScheme
 from hierbpr.model import KIND_VBPR, ModelConfig, PreferenceModel
+from hierbpr.synthdata import SynthConfig, generate
+
+from conftest import one_error
 
 
 EDGES = [("a", "root"), ("b", "root")]
@@ -140,6 +147,18 @@ class TestFeatureFiles:
         with pytest.raises(ParseError, match=message):
             read_features(path)
 
+    def test_header_cut(self, tmp_path, capsys):
+        # Past the magic but short of the two u64 counts.
+        paths = write_inputs(tmp_path)
+        blob = paths["features"].read_bytes()
+        for size in range(8, 24):
+            paths["features"].write_bytes(blob[:size])
+            with pytest.raises(ParseError, match=f"f.bin: header cut at "
+                                                 f"{size} of 24 bytes"):
+                read_features(paths["features"])
+            assert validate(paths) == 1
+            assert one_error(capsys)["error"] == "ParseError"
+
     def test_extra_binary_record(self, tmp_path):
         path = tmp_path / "f.bin"
         write_features_binary(path, ["a", "b"], np.ones((2, 3), dtype=np.float32))
@@ -147,6 +166,46 @@ class TestFeatureFiles:
         path.write_bytes(blob + blob[-(8 + 3 * 4):])  # the last record again
         with pytest.raises(ParseError, match="bytes follow the 2 records"):
             read_features(path)
+
+
+def flip_or_cut(data, blob):
+    """``blob`` cut short or with one bit flipped, as hypothesis draws it."""
+    if data.draw(st.booleans(), label="cut"):
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="size")]
+    bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+    byte = bytes([blob[bit // 8] ^ 1 << bit % 8])
+    return blob[:bit // 8] + byte + blob[bit // 8 + 1:]
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    """A generated corpus's paths and its feature file and sidecar bytes."""
+    cfg = SynthConfig(n_users=6, n_items=12, feature_dim=3, branching=(2,),
+                      n_positives=2, planted_scheme=(1,), rng_seed=4)
+    paths = generate(cfg, tmp_path_factory.mktemp("small_dataset"))
+    del paths["ground_truth"]
+    features = paths["features"]
+    with open(features, "rb") as fh, open(features + ".ids", "rb") as ids:
+        return paths, {features: fh.read(), features + ".ids": ids.read()}
+
+
+class TestDamageProperty:
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_flip_or_cut_loads_or_is_typed(self, small_dataset, data):
+        # A damaged feature file or sidecar either still loads or raises
+        # one of the package's own errors, never a bare Python one.
+        paths, originals = small_dataset
+        target = data.draw(st.sampled_from(sorted(originals)), label="file")
+        for path, original in originals.items():
+            with open(path, "wb") as fh:
+                fh.write(flip_or_cut(data, original) if path == target
+                         else original)
+        try:
+            load_corpus(paths["feedback"], paths["features"],
+                        paths["hierarchy"], paths["item_leaves"])
+        except HierBprError:
+            pass
 
 
 class TestLoadCorpus:
@@ -245,12 +304,6 @@ def validate(paths, *extra):
     return main(argv + list(extra))
 
 
-def one_error(capsys) -> dict:
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    return json.loads(lines[0])
-
-
 class TestItemCategories:
     def test_conflicting_duplicate_rejected(self, tmp_path, capsys):
         paths = write_inputs(tmp_path)
@@ -307,6 +360,19 @@ class TestFeatureMatrix:
         error = one_error(capsys)
         assert error["error"] == "ParseError"
         assert "'i1'" in error["message"]
+
+    def test_binary_signalling_nan_is_quiet(self, tmp_path, capsys):
+        # No RuntimeWarning ahead of the one JSON error line.
+        paths = write_inputs(tmp_path)
+        blob = bytearray(paths["features"].read_bytes())
+        blob[32:36] = (0x7F800001).to_bytes(4, "little")  # i0's first value
+        paths["features"].write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate(paths) == 1
+        error = one_error(capsys)
+        assert error["error"] == "ParseError"
+        assert "'i0'" in error["message"]
 
     def test_read_only_float64(self, tmp_path):
         paths = write_inputs(tmp_path)  # the file holds float32

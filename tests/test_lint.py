@@ -1,0 +1,43 @@
+"""Static checks over the package source, with no linter needed."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hierbpr"
+
+
+def unused_imports(source: str, exported: bool) -> list[str]:
+    """Names the source imports but never reads as a plain name (``np`` in
+    ``np.zeros`` counts); with ``exported``, ``__all__`` entries count too."""
+    tree = ast.parse(source)
+    imported, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (exported and isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_import_is_used(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert unused_imports(source, module == "__init__.py") == []
+
+
+def test_checker_sees_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import os, numpy as np\n"
+              "from .model import ItemTable, ModelConfig\n"
+              "__all__ = ['ModelConfig']\n"
+              "x = np.zeros(1)\n")
+    assert unused_imports(source, exported=True) == ["os", "ItemTable"]
+    assert unused_imports(source, exported=False) == [
+        "os", "ItemTable", "ModelConfig"]

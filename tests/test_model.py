@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from hierbpr.errors import DimensionOutOfRange, UnknownItem, UnknownUser
+from hierbpr.errors import DimensionOutOfRange, UnknownItem
 from hierbpr.evaluation import auc, split_leave_one_out
 from hierbpr.hierarchy import AllocationScheme
 from hierbpr.model import (
@@ -20,6 +20,7 @@ from hierbpr.model import (
 from hierbpr.synthdata import SynthConfig, make_corpus
 from hierbpr.training import TrainConfig, Trainer, sample_triple
 
+import reference
 from conftest import build_corpus
 
 
@@ -32,6 +33,11 @@ def flat_corpus(n_items=4, feature_dim=2, rng_seed=0):
     return build_corpus([], items, features, feedback)
 
 
+def score(model, u, i):
+    """One pair's score on the path every AUC and ranking takes."""
+    return model.item_table().score_all(u)[i]
+
+
 class TestScore:
     def test_all_zero_parameters_score_zero(self):
         corpus = flat_corpus()
@@ -39,7 +45,7 @@ class TestScore:
         model = PreferenceModel.create(config, corpus)
         for arr in model.params.arrays().values():
             arr[:] = 0.0
-        assert model.score(0, 1) == 0.0
+        assert score(model, 0, 1) == 0.0
 
     def test_bias_only_scoring(self):
         # The config contract requires at least one rating dimension, so the
@@ -52,7 +58,7 @@ class TestScore:
         model.params.item_bias[:] = 0.25
         for u in range(2):
             for i in range(4):
-                assert model.score(u, i) == 0.25
+                assert score(model, u, i) == 0.25
 
     def test_hand_computed_full_predictor(self):
         # One latent and one visual dimension at feature length 1:
@@ -69,7 +75,7 @@ class TestScore:
         p.segments.blocks[0][0, 0] = 1.0
         p.visual_bias[0] = 0.5
         p.item_bias[0] = 0.1
-        assert model.score(0, 0) == pytest.approx(7.6, abs=1e-12)
+        assert score(model, 0, 0) == pytest.approx(7.6, abs=1e-12)
 
     def test_category_bias_added(self):
         corpus = flat_corpus()
@@ -77,16 +83,7 @@ class TestScore:
         model = PreferenceModel.create(config, corpus)
         model.params.user_latent[:] = 0.0
         model.params.category_bias[corpus.item_leaf[2]] = 0.75
-        assert model.score(0, 2) == pytest.approx(0.75)
-
-    def test_bounds_checks(self):
-        corpus = flat_corpus()
-        config = ModelConfig(1)
-        model = PreferenceModel.create(config, corpus)
-        with pytest.raises(UnknownUser):
-            model.score(5, 0)
-        with pytest.raises(UnknownItem):
-            model.score(0, 9)
+        assert score(model, 0, 2) == pytest.approx(0.75)
 
 
 class TestScoreMargin:
@@ -122,7 +119,7 @@ class TestScoreMargin:
             i, j = rng.choice(6, size=2, replace=False)
             u = int(rng.integers(2))
             direct = trainer.margin(u, int(i), int(j))
-            oracle = model.score(u, int(i)) - model.score(u, int(j))
+            oracle = reference.margin(model, u, int(i), int(j))
             assert direct == pytest.approx(oracle, abs=1e-12)
 
 
@@ -293,7 +290,11 @@ class TestRankByDimension:
         config = ModelConfig(0, AllocationScheme((2,)), rng_seed=7)
         model = PreferenceModel.create(config, corpus)
         ranked = model.item_table().rank_by_dimension(1, top_n=50)
-        scores = [model.project(i)[1] for i in range(n)]
+        backing = model.params.segments.backing
+        parent = corpus.hierarchy.parent
+        scores = [reference.project(backing, (2,), parent,
+                                    int(corpus.item_leaf[i]),
+                                    corpus.features[i])[1] for i in range(n)]
         oracle = sorted(range(n), key=lambda i: (-scores[i], corpus.item_ids[i]))
         assert [i for i, _ in ranked] == oracle[:50]
 

@@ -34,6 +34,13 @@ class TestConfigValidation:
         with pytest.raises(InvalidShape):
             SynthConfig(planted_scheme=(0, 0))
 
+    @pytest.mark.parametrize("field", ["temperature", "feature_noise",
+                                       "center_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(InvalidShape, match="finite"):
+            SynthConfig(**{field: value})
+
 
 class TestGenerate:
     def test_byte_identical_regeneration(self, tmp_path):

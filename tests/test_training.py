@@ -20,18 +20,19 @@ from hierbpr.training import (
     TrainConfig,
     Trainer,
     _STEP_BUFSIZE,
-    per_triple_cost_probe,
     _sigmoid,
     sample_triple,
     train,
 )
 
+import reference
 from conftest import (
     TREE3_EDGES,
     TREE3_LEAVES,
     build_corpus,
     log_sigmoid,
     numeric_gradient,
+    per_triple_cost_probe,
     relative_error,
     training_corpus,
 )
@@ -75,20 +76,41 @@ def training_corpus_of(model):
     return TrainingCorpus(train_pos=positives, full_pos=positives)
 
 
-def analytic_gradients(model, triple, groups):
-    """Parameter deltas from one unit-rate, unregularized step.
+def check_gradient(model, triple, spots):
+    """Check one step against finite differences at ``(name, index)`` spots.
 
-    With the rate at 1 and no shrinkage the in-place update equals the
-    gradient of ln sigmoid(margin) at the pre-step parameters.
+    With the rate at 1 and no shrinkage a step's change to each parameter is
+    the gradient of ln sigmoid(margin) at the pre-step values; the numeric
+    gradient differences the reference margin. Spots where both are below
+    1e-9 are skipped. Leaves the parameters as they were before the step and
+    returns how many spots were compared.
     """
-    config = TrainConfig(learning_rate=1.0, reg=RegWeights(0, 0, 0, 0, 0, 0))
-    before = {name: arr.copy() for name, arr in model.params.arrays().items()}
+    u, i, j = triple
     saved = model.params.copy()
-    Trainer(model, config).step(*triple)
-    after = model.params.arrays()
-    deltas = {name: after[name] - before[name] for name in groups}
+    config = TrainConfig(learning_rate=1.0, reg=RegWeights(0, 0, 0, 0, 0, 0))
+    Trainer(model, config).step(u, i, j)
+    stepped = model.params.arrays()
     model.params = saved
-    return deltas
+    arrays = saved.arrays()
+    checked = 0
+    for name, idx in spots:
+        analytic = stepped[name][idx] - arrays[name][idx]
+        numeric = numeric_gradient(
+            lambda: log_sigmoid(reference.margin(model, u, i, j)),
+            arrays[name], idx)
+        if abs(numeric) < 1e-9 and abs(analytic) < 1e-9:
+            continue
+        assert relative_error(analytic, numeric) < 1e-4, (
+            name, idx, analytic, numeric)
+        checked += 1
+    return checked
+
+
+def changed_rows(before, model):
+    """Per parameter array, the rows whose bits differ from ``before``."""
+    return {name: set(np.flatnonzero(np.any(
+                arr != before[name], axis=tuple(range(1, arr.ndim)))).tolist())
+            for name, arr in model.params.arrays().items()}
 
 
 class TestSampleTriple:
@@ -163,18 +185,11 @@ class TestSgdStep:
         trainer.step(0, 0, 1)
         assert p.item_bias[0] == pytest.approx(bias0 * (1 - 0.5 * 0.1))
         assert np.allclose(p.user_latent[0], gu0 * (1 - 0.5 * 0.2))
-        touched = {blk for blk, _, _ in
-                   p.segments.assignment.blocks_for_leaf(int(model.item_leaf[0]))}
-        touched |= {blk for blk, _, _ in
-                    p.segments.assignment.blocks_for_leaf(int(model.item_leaf[1]))}
-        for blk in range(p.segments.n_blocks):
-            view = p.segments.blocks[blk]
-            start = sum(b.shape[0] for b in p.segments.blocks[:blk])
-            ref = seg0[start:start + view.shape[0]]
-            if blk in touched:
-                assert np.allclose(view, ref * (1 - 0.5 * 0.3))
-            else:
-                assert np.array_equal(view, ref)
+        # Every block on either path shrinks; the others keep their bits.
+        rows = reference.path_rows(model, 0, 1)
+        seg = p.segments.backing
+        assert np.allclose(seg[rows], seg0[rows] * (1 - 0.5 * 0.3))
+        assert np.array_equal(np.delete(seg, rows, 0), np.delete(seg0, rows, 0))
 
     def test_finite_difference_all_groups(self):
         model = tiny_model(rng_seed=3)
@@ -184,48 +199,22 @@ class TestSgdStep:
         for _ in range(8):
             u = int(rng.integers(corpus.n_users))
             i, j = (int(x) for x in rng.choice(corpus.n_items, 2, replace=False))
-
-            def objective():
-                return log_sigmoid(model.score(u, i) - model.score(u, j))
-
-            deltas = analytic_gradients(
-                model, (u, i, j),
-                ["item_bias", "item_latent", "user_latent", "user_visual",
-                 "visual_bias", "segments"])
             spots = (
                 [("item_bias", (i,)), ("item_bias", (j,))]
                 + [("user_latent", (u, k)) for k in range(2)]
                 + [("item_latent", (i, 0)), ("item_latent", (j, 1))]
                 + [("user_visual", (u, k)) for k in range(3)]
                 + [("visual_bias", (k,)) for k in range(4)]
-            )
-            # analytic_gradients restored model.params; fetch live references.
-            arrays = model.params.arrays()
-            for r in range(arrays["segments"].shape[0]):
-                spots.append(("segments", (r, int(rng.integers(4)))))
-            for name, idx in spots:
-                numeric = numeric_gradient(objective, arrays[name], idx)
-                analytic = deltas[name][idx]
-                if abs(numeric) < 1e-9 and abs(analytic) < 1e-9:
-                    continue
-                err = relative_error(analytic, numeric)
-                assert err < 1e-4, (name, idx, analytic, numeric)
-                checked += 1
+                + [("segments", (r, int(rng.integers(4))))
+                   for r in range(len(model.params.segments.backing))])
+            checked += check_gradient(model, (u, i, j), spots)
         assert checked > 100
 
     def test_category_bias_gradient(self):
         model = tiny_model(rng_seed=6, use_category_bias=True)
-        rng = np.random.default_rng(1)
-        u, i, j = 0, 0, 4  # distinct leaves by construction (0 % 3 != 4 % 3)
-
-        def objective():
-            return log_sigmoid(model.score(u, i) - model.score(u, j))
-
-        deltas = analytic_gradients(model, (u, i, j), ["category_bias"])
-        arrays = model.params.arrays()
-        for leaf in (int(model.item_leaf[i]), int(model.item_leaf[j])):
-            numeric = numeric_gradient(objective, arrays["category_bias"], (leaf,))
-            assert relative_error(deltas["category_bias"][leaf], numeric) < 1e-4
+        # Items 0 and 4 sit on distinct leaves (0 % 3 != 4 % 3).
+        spots = [("category_bias", (int(model.item_leaf[k]),)) for k in (0, 4)]
+        assert check_gradient(model, (0, 0, 4), spots) == 2
 
     def test_shared_leaf_category_bias_cancels(self):
         model = tiny_model(rng_seed=8, use_category_bias=True)
@@ -247,44 +236,22 @@ class TestSgdStep:
             u = int(rng.integers(model.corpus.n_users))
             i, j = (int(x) for x in
                     rng.choice(model.corpus.n_items, 2, replace=False))
-            before = log_sigmoid(model.score(u, i) - model.score(u, j))
+            before = log_sigmoid(reference.margin(model, u, i, j))
             Trainer(model, config).step(u, i, j)
-            after = log_sigmoid(model.score(u, i) - model.score(u, j))
+            after = log_sigmoid(reference.margin(model, u, i, j))
             assert after > before
 
     def test_untouched_parameters_bit_identical(self):
         model = tiny_model(rng_seed=12)
-        p = model.params
-        before = {name: arr.copy() for name, arr in p.arrays().items()}
+        before = {name: arr.copy() for name, arr in model.params.arrays().items()}
         u, i, j = 1, 0, 5
         Trainer(model, TrainConfig(learning_rate=0.1)).step(u, i, j)
-        leaves = {int(model.item_leaf[i]), int(model.item_leaf[j])}
-        touched_blocks = set()
-        for leaf in leaves:
-            touched_blocks |= {blk for blk, _, _ in
-                               p.segments.assignment.blocks_for_leaf(leaf)}
-        for name, arr in p.arrays().items():
-            ref = before[name]
-            if name == "item_bias":
-                mask = np.ones(len(arr), dtype=bool)
-                mask[[i, j]] = False
-                assert np.array_equal(arr[mask], ref[mask])
-            elif name == "item_latent":
-                mask = np.ones(arr.shape[0], dtype=bool)
-                mask[[i, j]] = False
-                assert np.array_equal(arr[mask], ref[mask])
-            elif name in ("user_latent", "user_visual"):
-                mask = np.ones(arr.shape[0], dtype=bool)
-                mask[u] = False
-                assert np.array_equal(arr[mask], ref[mask])
-            elif name == "segments":
-                offset = 0
-                for blk, view in enumerate(p.segments.blocks):
-                    rows = view.shape[0]
-                    if blk not in touched_blocks:
-                        assert np.array_equal(
-                            view, ref[offset:offset + rows]), blk
-                    offset += rows
+        changed = changed_rows(before, model)
+        assert changed["item_bias"] <= {i, j}
+        assert changed["item_latent"] <= {i, j}
+        assert changed["user_latent"] <= {u}
+        assert changed["user_visual"] <= {u}
+        assert changed["segments"] <= set(reference.path_rows(model, i, j))
 
     def test_non_finite_margin_aborts(self):
         model = tiny_model()
