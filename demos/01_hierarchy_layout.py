@@ -39,8 +39,7 @@ print(f"embedding parameters at F=4096: "
 print("\nsegment chain per item (block owner per layer):")
 for item in sorted(item_leaves):
     chain = assignment.blocks_for_leaf(hierarchy.node_of(item_leaves[item]))
-    owners = [hierarchy.node_ids[assignment.block_owner[b]]
-              for b, _, _ in chain]
+    owners = [hierarchy.node_ids[assignment.blocks[b][0]] for b, _, _ in chain]
     print(f"  {item:7s} ({item_leaves[item]:9s}) -> {' / '.join(owners)}")
 
 print("\nitems under 'clothing' share the root and clothing blocks;")

@@ -27,7 +27,7 @@ class SegmentStore:
                  backing: np.ndarray | None = None):
         self.assignment = assignment
         self.feature_dim = int(feature_dim)
-        widths = [assignment.block_width(b) for b in range(assignment.n_blocks)]
+        widths = [stop - start for _, start, stop in assignment.blocks]
         total = sum(widths)
         if backing is None:
             backing = np.zeros((total, feature_dim), dtype=np.float64)

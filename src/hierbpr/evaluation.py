@@ -11,7 +11,6 @@ times in training and ranks against cold non-positives alone.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,20 +198,18 @@ def evaluate_report(
     split: EvalSplit,
     cold_set: ColdItemSet | None = None,
 ) -> dict:
-    """Warm and cold AUC plus counts, config echo, and wall time."""
-    started = time.perf_counter()
-    warm = auc(model, corpus.positives, split, setting="warm")
+    """Warm and cold AUC plus the config echo, from one frozen item table."""
+    table = model.item_table()
+    warm = auc(table, corpus.positives, split, setting="warm")
     report = {
         "config": model.config.to_dict(),
-        "items_total": corpus.n_items,
         "warm": {"auc": warm.auc, "users_evaluated": warm.users_evaluated},
     }
     if cold_set is not None:
-        cold = auc(model, corpus.positives, split, setting="cold",
+        cold = auc(table, corpus.positives, split, setting="cold",
                    cold_set=cold_set)
         report["cold"] = {"auc": cold.auc,
                           "users_evaluated": cold.users_evaluated}
         report["cold_items"] = cold_set.n_cold
         report["cold_threshold"] = cold_set.threshold
-    report["wall_time_seconds"] = time.perf_counter() - started
     return report

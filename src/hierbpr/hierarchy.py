@@ -31,12 +31,12 @@ class CategoryHierarchy:
     """Validated category tree with dense node indices.
 
     Node ids are opaque strings; internally nodes are 0..n-1 in sorted-id
-    order. ``parent[root] == -1``. ``depth`` counts layers from 1 at the root.
+    order. The root is the one node with ``parent == -1``. ``depth`` counts
+    layers from 1 at the root.
     """
 
     node_ids: tuple[str, ...]
     parent: np.ndarray
-    root: int
     depth: np.ndarray
     height: int
     effective_height: int
@@ -141,7 +141,6 @@ def build_hierarchy(
     return CategoryHierarchy(
         node_ids=node_ids,
         parent=parent,
-        root=root,
         depth=depth,
         height=height,
         effective_height=effective,
@@ -188,34 +187,25 @@ class LayerAssignment:
 
     Row ranges partition [0, K') in layer order. Every node on a layer with a
     nonzero count owns one block; block ids are dense, layer-major, node
-    ascending. Deeper tree structure carries no blocks. ``chains[node]`` is
+    ascending. ``blocks[b]`` is block ``b``'s ``(owner, row_start,
+    row_stop)``. Deeper tree structure carries no blocks. ``chains[node]`` is
     the node's ``(block, row_start, row_stop)`` per nonempty layer,
     root-to-node, or None for a node above the deepest allocated layer.
     """
 
     scheme: AllocationScheme
     layer_rows: tuple[tuple[int, int], ...]
-    block_of_node: np.ndarray
-    block_owner: tuple[int, ...]
-    block_layer: tuple[int, ...]
+    blocks: tuple[tuple[int, int, int], ...]
     chains: tuple[tuple[tuple[int, int, int], ...] | None, ...] = field(
         repr=False)
 
     @property
     def n_blocks(self) -> int:
-        return len(self.block_owner)
+        return len(self.blocks)
 
     @property
     def n_visual(self) -> int:
         return self.scheme.total
-
-    def block_rows(self, block: int) -> tuple[int, int]:
-        """Row range (start, stop) in visual-dimension space for a block."""
-        return self.layer_rows[self.block_layer[block] - 1]
-
-    def block_width(self, block: int) -> int:
-        start, stop = self.block_rows(block)
-        return stop - start
 
     def blocks_for_leaf(self, leaf: int) -> tuple[tuple[int, int, int], ...]:
         """(block, row_start, row_stop) per nonempty layer, root-to-leaf.
@@ -231,7 +221,7 @@ class LayerAssignment:
 
     def parameter_count(self, feature_dim: int) -> int:
         """Total embedding parameters across every instantiated block."""
-        return feature_dim * sum(self.block_width(b) for b in range(self.n_blocks))
+        return feature_dim * sum(stop - start for _, start, stop in self.blocks)
 
 
 def assign_layers(h: CategoryHierarchy, s: AllocationScheme) -> LayerAssignment:
@@ -255,9 +245,7 @@ def assign_layers(h: CategoryHierarchy, s: AllocationScheme) -> LayerAssignment:
         offset += count
 
     # Top-down, so each node extends its parent's finished chain.
-    block_of_node = np.full(h.n_nodes, -1, dtype=np.int64)
-    block_owner: list[int] = []
-    block_layer: list[int] = []
+    blocks: list[tuple[int, int, int]] = []
     chains: list = [()] * h.n_nodes
     for layer in range(1, h.height + 1):
         start, stop = (layer_rows[layer - 1] if layer <= len(layer_rows)
@@ -266,20 +254,15 @@ def assign_layers(h: CategoryHierarchy, s: AllocationScheme) -> LayerAssignment:
             parent = h.parent[node]
             chain = chains[parent] if parent >= 0 else ()
             if stop > start:
-                chain += ((len(block_owner), start, stop),)
-                block_of_node[node] = len(block_owner)
-                block_owner.append(int(node))
-                block_layer.append(layer)
+                chain += ((len(blocks), start, stop),)
+                blocks.append((int(node), start, stop))
             chains[node] = chain
     for node in np.flatnonzero(h.depth < s.depth_used):
         chains[node] = None
 
-    block_of_node.flags.writeable = False
     return LayerAssignment(
         scheme=s,
         layer_rows=tuple(layer_rows),
-        block_of_node=block_of_node,
-        block_owner=tuple(block_owner),
-        block_layer=tuple(block_layer),
+        blocks=tuple(blocks),
         chains=tuple(chains),
     )

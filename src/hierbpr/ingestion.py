@@ -189,7 +189,7 @@ def _read_features_csv(path) -> tuple[list[str], np.ndarray]:
         if len(cols) < 2:
             raise ParseError(f"{path}:{lineno}: expected item_id,v1,...")
         try:
-            vec = np.array([float(v) for v in cols[1:]], dtype=np.float32)
+            vec = np.array([float(v) for v in cols[1:]])
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-numeric feature") from None
         if feat is None:
@@ -199,6 +199,11 @@ def _read_features_csv(path) -> tuple[list[str], np.ndarray]:
                 f"{path}:{lineno}: vector length {len(vec)} != {feat}")
         if not np.isfinite(vec).all():
             raise ParseError(f"{path}:{lineno}: non-finite feature value")
+        with np.errstate(over="ignore"):
+            vec = vec.astype(np.float32)
+        if not np.isfinite(vec).all():
+            raise ParseError(f"{path}:{lineno}: feature value does not fit "
+                             "in float32")
         ids.append(cols[0])
         rows.append(vec)
     if feat is None:

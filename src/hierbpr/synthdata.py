@@ -93,7 +93,7 @@ class SynthData:
     pairs: list[tuple[str, str]]
     edges: list[tuple[str, str]]
     leaf_map: dict[str, str]
-    features: np.ndarray
+    features: np.ndarray        # float32, as the feature files store them
     ground_truth: dict
 
 
@@ -108,23 +108,32 @@ def _materialize(cfg: SynthConfig) -> SynthData:
     user_ids = [f"u{k:05d}" for k in range(cfg.n_users)]
     item_leaf = rng.integers(n_leaves, size=cfg.n_items)
 
-    centers = rng.normal(0.0, 1.0, size=(n_leaves, feat)) * cfg.center_scale
-    features = centers[item_leaf] + cfg.feature_noise * rng.normal(
-        0.0, 1.0, size=(cfg.n_items, feat))
+    # Every consumer of the features (both writers, make_corpus) takes the
+    # float32 copy the feature files store; the planted truth below uses
+    # the float64 draw. Overflow is caught here, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = rng.normal(0.0, 1.0, size=(n_leaves, feat)) * cfg.center_scale
+        features = centers[item_leaf] + cfg.feature_noise * rng.normal(
+            0.0, 1.0, size=(cfg.n_items, feat))
+        stored = features.astype(np.float32)
+    if not np.isfinite(stored).all():
+        raise InvalidShape("feature_noise and center_scale give feature "
+                           "values that do not fit in float32")
 
     # Planted projection: one block per node on each planted layer, drawn
     # in (layer, node) generation order so the stream is reproducible. The
     # hierarchy numbers nodes in sorted-id order, where c2_1000 comes before
-    # c2_101, so each block is found by its node's name.
+    # c2_101, so each block is found by its owner node's name.
     k_true = sum(cfg.planted_scheme)
     hierarchy = build_hierarchy(edges, leaf_names)
     assignment = assign_layers(hierarchy, AllocationScheme(cfg.planted_scheme))
+    block_of = {owner: b for b, (owner, _, _) in enumerate(assignment.blocks)}
     projection = SegmentStore(assignment, feat)
     for layer, rows in enumerate(cfg.planted_scheme, start=1):
         if rows == 0:
             continue
         for name in layers[layer - 1]:
-            block = assignment.block_of_node[hierarchy.node_of(name)]
+            block = block_of[hierarchy.node_of(name)]
             projection.blocks[block][:] = rng.normal(
                 0.0, 1.0 / np.sqrt(feat), size=(rows, feat))
     leaf_nodes = np.array([hierarchy.node_of(name) for name in leaf_names])
@@ -162,7 +171,7 @@ def _materialize(cfg: SynthConfig) -> SynthData:
         pairs=pairs,
         edges=edges,
         leaf_map=leaf_map,
-        features=features,
+        features=stored,
         ground_truth=ground_truth,
     )
 
@@ -170,16 +179,14 @@ def _materialize(cfg: SynthConfig) -> SynthData:
 def make_corpus(cfg: SynthConfig) -> tuple[InteractionCorpus, dict]:
     """Generate straight to an in-memory corpus (file round-trip parity).
 
-    Features pass through float32 exactly as the binary file format would
-    store them, so this corpus matches one loaded back from generate()'s
-    output bit for bit.
+    The features are the float32 values the binary file format stores, so
+    this corpus matches one loaded back from generate()'s output bit for bit.
     """
     data = _materialize(cfg)
-    quantized = data.features.astype(np.float32)
     corpus, _report = assemble_corpus(
         pairs=data.pairs,
         feat_ids=data.item_ids,
-        feat_matrix=quantized,
+        feat_matrix=data.features,
         edges=data.edges,
         leaf_map=data.leaf_map,
         policy="strict",
@@ -194,9 +201,9 @@ def generate(cfg: SynthConfig, out_dir, features_format: str = "binary") -> dict
     """
     if features_format not in ("binary", "csv"):
         raise ValueError(f"unknown features format {features_format!r}")
+    data = _materialize(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data = _materialize(cfg)
 
     paths = {
         "feedback": out / "feedback.tsv",

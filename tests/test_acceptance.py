@@ -391,7 +391,7 @@ def test_criterion_10_imbalanced_tree_reduction():
         assignment = assign_layers(corpus.hierarchy, scheme)
         deep = int(corpus.item_leaf[corpus.item_ids.index("i01")])
         chain = assignment.blocks_for_leaf(deep)
-        owners = [assignment.block_owner[b] for b, _, _ in chain]
+        owners = [assignment.blocks[b][0] for b, _, _ in chain]
         owner_depths = [int(corpus.hierarchy.depth[o]) for o in owners]
         assert owner_depths == [1, 2]
         deep_names = {corpus.hierarchy.node_ids[o] for o in owners}

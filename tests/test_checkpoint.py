@@ -4,7 +4,6 @@ import zlib
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from hierbpr.checkpoint import VERSION, load_checkpoint, save_checkpoint
 from hierbpr.cli import main
@@ -22,7 +21,7 @@ from hierbpr.synthdata import SynthConfig, make_corpus
 from hierbpr.training import TrainConfig, train
 
 from conftest import one_error
-from test_ingestion import flip_or_cut
+from test_ingestion import BYTE_DAMAGE, damaged
 
 
 @pytest.fixture(scope="module")
@@ -325,11 +324,11 @@ class TestDamageProperty:
     # capsys is read and emptied on every example.
     @settings(max_examples=250, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_flip_or_cut(self, small_checkpoint, capsys, data):
+    @given(how=BYTE_DAMAGE)
+    def test_flip_or_cut(self, small_checkpoint, capsys, how):
         out, blob = small_checkpoint
         path = out / "damaged.ckpt"
-        path.write_bytes(flip_or_cut(data, blob))
+        path.write_bytes(damaged(blob, how))
         with pytest.raises(ParseError):
             load_checkpoint(path)
         assert main(["eval", "--model", str(path),

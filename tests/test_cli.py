@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,10 +93,13 @@ class TestSynthValidate:
 
     @pytest.mark.parametrize("flag, value", [
         ("--temperature", "nan"), ("--temperature", "inf"),
-        ("--feature-noise", "nan"), ("--feature-noise", "inf")])
+        ("--feature-noise", "nan"), ("--feature-noise", "inf"),
+        ("--feature-noise", "1e39")])   # finite, but features pass float32
     def test_synth_non_finite(self, tmp_path, capsys, flag, value):
         out = tmp_path / "data"
-        assert main(synth_args(out, **{flag: value})) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(synth_args(out, **{flag: value})) == 1
         assert one_error(capsys)["error"] == "InvalidShape"
         assert not out.exists()
 

@@ -37,7 +37,7 @@ class TestProject:
         a = assign_layers(h, AllocationScheme((2,)))
         store = SegmentStore(a, 2)
         store.blocks[0][:] = [[1.0, 0.0], [0.0, 2.0]]
-        theta = project(store, np.array([3.0, 5.0]), h.root)
+        theta = project(store, np.array([3.0, 5.0]), h.node_of("root"))
         assert np.allclose(theta, [3.0, 10.0])
 
     def test_shared_root_row_distinct_leaf_rows(self, rng):
@@ -72,7 +72,7 @@ class TestDimensionScore:
         store = SegmentStore(a, 3)
         f = np.array([1.0, 2.0, 2.0])
         store.blocks[0][0] = f / np.dot(f, f)
-        theta = store.project_all(f[None, :], np.array([h.root]))
+        theta = store.project_all(f[None, :], np.array([h.node_of("root")]))
         assert theta[0, 0] == pytest.approx(1.0)
 
     def test_matches_projection_componentwise(self, rng):
@@ -104,7 +104,7 @@ class TestDimensionScore:
         h = single_layer()
         a = assign_layers(h, AllocationScheme((2,)))
         store = SegmentStore.create(a, 3, rng)
-        leaves = np.array([h.root])
+        leaves = np.array([h.node_of("root")])
         theta = store.project_all(np.zeros((1, 3)), leaves)
         table = ItemTable(theta, np.zeros((1, 0)), np.zeros(1), leaves,
                           np.zeros((1, 2)), np.zeros((1, 0)))

@@ -287,7 +287,7 @@ class TestValidationAuc:
 
 
 class TestEvaluateReport:
-    def test_report_fields(self):
+    def test_report_fields(self, monkeypatch):
         cfg = SynthConfig(n_users=25, n_items=60, feature_dim=5,
                           branching=(3,), n_positives=4,
                           planted_scheme=(2,), rng_seed=6)
@@ -296,13 +296,20 @@ class TestEvaluateReport:
         cold = ColdItemSet.from_training(tc, 5)
         model = PreferenceModel.create(ModelConfig(kind=KIND_RAND, rng_seed=1),
                                        corpus)
+        expected = {setting: auc(model, corpus.positives, split, setting,
+                                 cold).auc for setting in ("warm", "cold")}
+        builds = []
+        frozen = PreferenceModel.item_table
+        monkeypatch.setattr(PreferenceModel, "item_table",
+                            lambda self: builds.append(1) or frozen(self))
         report = evaluate_report(model, corpus, split, cold)
-        assert set(report) >= {"config", "items_total", "warm", "cold",
-                               "cold_items", "cold_threshold",
-                               "wall_time_seconds"}
+        assert len(builds) == 1     # one frozen table serves both settings
+        assert set(report) == {"config", "warm", "cold", "cold_items",
+                               "cold_threshold"}
+        assert report["warm"]["auc"] == expected["warm"]
+        assert report["cold"]["auc"] == expected["cold"]
         assert 0.0 <= report["warm"]["auc"] <= 1.0
         assert report["config"]["kind"] == "RAND"
-        assert report["items_total"] == corpus.n_items
 
 
 @pytest.fixture(scope="module")

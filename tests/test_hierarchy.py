@@ -28,19 +28,24 @@ def path_blocks(h, a, node_id):
     return [block for block, _, _ in a.blocks_for_leaf(h.node_of(node_id))]
 
 
+def block_of(a, node):
+    """The id of the segment block the node owns."""
+    return [owner for owner, _, _ in a.blocks].index(node)
+
+
 class TestBuildHierarchy:
     def test_single_root_degenerate(self):
         h = build_hierarchy([], ["root", "root"])
         assert h.height == 1
         assert h.effective_height == 1
         assert h.n_nodes == 1
-        assert h.parent[h.root] == -1
+        assert h.parent[h.node_of("root")] == -1
 
     def test_three_layer_tree_height(self):
         h = tree3()
         assert h.height == 3
         assert h.effective_height == 3
-        assert h.depth[h.root] == 1
+        assert h.depth[h.node_of("root")] == 1
         assert h.depth[h.node_of("clothing")] == 2
         assert h.depth[h.node_of("skirts")] == 3
 
@@ -101,8 +106,8 @@ class TestAssignLayers:
         assert a.layer_rows == ((0, 4), (4, 6), (6, 7))
         # One block at the root, one per layer-2 and layer-3 node.
         assert a.n_blocks == 1 + 3 + 5
-        root_block = a.block_of_node[h.root]
-        assert a.block_rows(int(root_block)) == (0, 4)
+        root_block = block_of(a, h.node_of("root"))
+        assert a.blocks[root_block][1:] == (0, 4)
 
     def test_all_root_scheme_single_block(self):
         h = tree3()
@@ -139,7 +144,7 @@ class TestAssignLayers:
         h = tree3()
         a = assign_layers(h, AllocationScheme((1, 1, 1)))
         mids = [h.node_of(n) for n in ("clothing", "shoes", "intimates")]
-        blocks = {int(a.block_of_node[n]) for n in mids}
+        blocks = {block_of(a, n) for n in mids}
         assert len(blocks) == 3
 
 
@@ -149,11 +154,12 @@ class TestPathSegments:
         a = assign_layers(h, AllocationScheme((4, 2, 1)))
         blocks = path_blocks(h, a, "skirts")
         assert len(blocks) == 3
-        assert a.block_layer[blocks[0]] == 1
-        assert a.block_layer[blocks[1]] == 2
-        assert a.block_layer[blocks[2]] == 3
-        assert a.block_owner[blocks[1]] == h.node_of("clothing")
-        assert a.block_owner[blocks[2]] == h.node_of("skirts")
+        owners = [a.blocks[b][0] for b in blocks]
+        assert h.depth[owners[0]] == 1
+        assert h.depth[owners[1]] == 2
+        assert h.depth[owners[2]] == 3
+        assert owners[1] == h.node_of("clothing")
+        assert owners[2] == h.node_of("skirts")
 
     def test_degenerate_split_same_block_for_all(self):
         leaves = ["skirts", "boots", "bras"]
@@ -180,8 +186,8 @@ class TestPathSegments:
         h = build_hierarchy(edges, ["a", "b2"])
         a = assign_layers(h, AllocationScheme((2, 1)))
         chain = path_blocks(h, a, "b2")
-        owners = [a.block_owner[b] for b in chain]
-        assert owners == [h.root, h.node_of("b")]
+        owners = [a.blocks[b][0] for b in chain]
+        assert owners == [h.node_of("root"), h.node_of("b")]
         depths = [int(h.depth[o]) for o in owners]
         assert max(depths) <= 2
 
@@ -259,6 +265,8 @@ class TestChainProperty:
                         if h.depth[v] <= len(counts) and counts[h.depth[v] - 1])
         block_of = {v: b for b, (_, v) in enumerate(owners)}
         offsets = [sum(counts[:k]) for k in range(len(counts) + 1)]
+        assert a.blocks == tuple((v, offsets[layer - 1], offsets[layer])
+                                 for layer, v in owners)
         for node in range(h.n_nodes):
             path = [node]
             while h.parent[path[-1]] >= 0:

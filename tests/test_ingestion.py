@@ -1,9 +1,10 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hierbpr.cli import main
@@ -123,6 +124,24 @@ class TestFeatureFiles:
         with pytest.raises(ParseError):
             read_features(path)
 
+    @pytest.mark.parametrize("value", ["1e39", "-3.5e38"])
+    def test_csv_value_past_float32(self, tmp_path, capsys, value):
+        # A finite value float32 cannot hold: named, and no RuntimeWarning
+        # ahead of the one JSON error line.
+        paths = write_inputs(tmp_path, fmt="csv")
+        lines = paths["features"].read_text(encoding="utf-8").splitlines()
+        lines[1] = "i1,0.5," + value
+        paths["features"].write_text("\n".join(lines) + "\n",
+                                     encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError,
+                               match="f.csv:2: feature value does not fit "
+                                     "in float32"):
+                read_features(paths["features"])
+            assert validate(paths) == 1
+        assert one_error(capsys)["error"] == "ParseError"
+
     def test_truncated_binary(self, tmp_path):
         path = tmp_path / "f.bin"
         write_features_binary(path, ["a", "b"], np.ones((2, 3), dtype=np.float32))
@@ -168,13 +187,41 @@ class TestFeatureFiles:
             read_features(path)
 
 
-def flip_or_cut(data, blob):
-    """``blob`` cut short or with one bit flipped, as hypothesis draws it."""
-    if data.draw(st.booleans(), label="cut"):
-        return blob[:data.draw(st.integers(0, len(blob) - 1), label="size")]
-    bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
-    byte = bytes([blob[bit // 8] ^ 1 << bit % 8])
-    return blob[:bit // 8] + byte + blob[bit // 8 + 1:]
+# One damage, drawn as (kind, at, field): a cut, a flipped bit, an inserted
+# tab or newline, a dropped line, or one field replaced by a token no finite
+# float32 can hold. Positions are taken modulo the file's bytes, bits,
+# lines and fields, so one draw fits any file.
+BYTE_DAMAGE = st.tuples(st.sampled_from(["cut", "flip"]),
+                        st.integers(0, 2**32), st.just(0))
+TEXT_DAMAGE = st.one_of(
+    BYTE_DAMAGE,
+    st.tuples(st.sampled_from(["\t", "\n", "drop", "nan", "inf", "1e999",
+                               "1e39"]),
+              st.integers(0, 2**32), st.integers(0, 2**32)))
+
+
+def damaged(blob, how, sep=b"\t"):
+    """``blob`` damaged as ``how`` names; a text file's fields split on
+    ``sep``."""
+    kind, at, field = how
+    if kind == "cut":
+        return blob[:at % len(blob)]
+    if kind == "flip":
+        at %= 8 * len(blob)
+        byte = bytes([blob[at // 8] ^ 1 << at % 8])
+        return blob[:at // 8] + byte + blob[at // 8 + 1:]
+    if kind in ("\t", "\n"):
+        at %= len(blob) + 1
+        return blob[:at] + kind.encode() + blob[at:]
+    lines = blob.splitlines(keepends=True)
+    at %= len(lines)
+    if kind == "drop":
+        del lines[at]
+    else:
+        fields = lines[at].rstrip(b"\n").split(sep)
+        fields[field % len(fields)] = kind.encode()
+        lines[at] = sep.join(fields) + b"\n"
+    return b"".join(lines)
 
 
 @pytest.fixture(scope="module")
@@ -191,21 +238,61 @@ def small_dataset(tmp_path_factory):
 
 class TestDamageProperty:
     @settings(max_examples=250, deadline=None)
-    @given(data=st.data())
-    def test_flip_or_cut_loads_or_is_typed(self, small_dataset, data):
+    @given(sidecar=st.booleans(), how=BYTE_DAMAGE)
+    def test_flip_or_cut_loads_or_is_typed(self, small_dataset, sidecar, how):
         # A damaged feature file or sidecar either still loads or raises
         # one of the package's own errors, never a bare Python one.
         paths, originals = small_dataset
-        target = data.draw(st.sampled_from(sorted(originals)), label="file")
+        target = sorted(originals)[sidecar]
         for path, original in originals.items():
             with open(path, "wb") as fh:
-                fh.write(flip_or_cut(data, original) if path == target
+                fh.write(damaged(original, how) if path == target
                          else original)
         try:
             load_corpus(paths["feedback"], paths["features"],
                         paths["hierarchy"], paths["item_leaves"])
         except HierBprError:
             pass
+
+
+@pytest.fixture(scope="module")
+def text_dataset(tmp_path_factory):
+    """A generated corpus with CSV features: its paths and each file's bytes."""
+    cfg = SynthConfig(n_users=6, n_items=12, feature_dim=3, branching=(2,),
+                      n_positives=2, planted_scheme=(1,), rng_seed=4)
+    paths = generate(cfg, tmp_path_factory.mktemp("text_dataset"),
+                     features_format="csv")
+    del paths["ground_truth"]
+    return paths, {key: Path(path).read_bytes() for key, path in paths.items()}
+
+
+class TestTextDamageProperty:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(target=st.sampled_from(["feedback", "features", "hierarchy",
+                                   "item_leaves"]),
+           how=TEXT_DAMAGE)
+    @example(target="features", how=("1e39", 0, 1))
+    def test_loads_or_is_one_json_error(self, text_dataset, capsys, target,
+                                        how):
+        # Damaged text either still loads or raises one of the package's
+        # own errors, which validate prints as its one stderr line, with no
+        # numpy warning first.
+        paths, originals = text_dataset
+        for key, original in originals.items():
+            sep = b"," if key == "features" else b"\t"
+            Path(paths[key]).write_bytes(
+                damaged(original, how, sep) if key == target else original)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                load_corpus(paths["feedback"], paths["features"],
+                            paths["hierarchy"], paths["item_leaves"])
+            except HierBprError as exc:
+                assert validate(paths) == 1
+                assert one_error(capsys) == {"error": type(exc).__name__,
+                                             "message": str(exc)}
 
 
 class TestLoadCorpus:

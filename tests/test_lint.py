@@ -41,3 +41,46 @@ def test_checker_sees_unused_names():
     assert unused_imports(source, exported=True) == ["os", "ItemTable"]
     assert unused_imports(source, exported=False) == [
         "os", "ItemTable", "ModelConfig"]
+
+
+
+# The types ``cli.main`` turns into the one-line JSON error, besides the
+# package's own.
+JSON_ERROR_BUILTINS = {"ValueError", "KeyError", "OSError"}
+
+
+def stray_raises(source: str) -> list[str]:
+    """By line, each ``raise`` whose class is neither in ``hierbpr.errors``
+    nor a JSON-error builtin; a bare re-raise reads as ``"raise"``."""
+    from hierbpr import errors
+    allowed = JSON_ERROR_BUILTINS | {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)}
+    raises = [node for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Raise)]
+    names = []
+    for node in sorted(raises, key=lambda node: (node.lineno, node.col_offset)):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        names.append("raise" if exc is None
+                     else getattr(exc, "id", None) or getattr(exc, "attr", "?"))
+    return [name for name in names if name not in allowed]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_raise_is_a_json_error(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert stray_raises(source) == []
+
+
+def test_checker_sees_stray_raises():
+    source = ("from . import errors\n"
+              "def f(x):\n"
+              "    if x:\n"
+              "        raise ParseError('bad')\n"
+              "    try:\n"
+              "        raise errors.UnknownUser\n"
+              "    except KeyError:\n"
+              "        raise\n"
+              "    raise TypeError(x) from None\n"
+              "raise OSError(2, 'gone')\n")
+    assert stray_raises(source) == ["raise", "TypeError"]

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,20 @@ class TestConfigValidation:
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(InvalidShape, match="finite"):
             SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("feature_noise", 1e39), ("center_scale", -1e39),
+        ("center_scale", 1e308)])
+    def test_features_past_float32_raise_before_writing(self, tmp_path,
+                                                        field, value):
+        cfg = SynthConfig(**{**SMALL, field: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidShape, match="float32"):
+                make_corpus(cfg)
+            with pytest.raises(InvalidShape, match="float32"):
+                generate(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestGenerate:
