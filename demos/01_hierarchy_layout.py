@@ -32,7 +32,7 @@ for layer, (start, stop) in enumerate(assignment.layer_rows, start=1):
           f"x {len(nodes)} node(s) -> "
           f"{[hierarchy.node_ids[n] for n in nodes]}")
 
-print(f"\ntotal segment blocks: {assignment.n_blocks}")
+print(f"\ntotal segment blocks: {len(assignment.blocks)}")
 print(f"embedding parameters at F=4096: "
       f"{assignment.parameter_count(4096):,}")
 
@@ -46,4 +46,4 @@ print("\nitems under 'clothing' share the root and clothing blocks;")
 print("their leaf row is category-specific. An all-root split (7:0:0)")
 print("collapses everything to one shared block:")
 flat = assign_layers(hierarchy, AllocationScheme((7, 0, 0)))
-print(f"  blocks under 7:0:0 -> {flat.n_blocks}")
+print(f"  blocks under 7:0:0 -> {len(flat.blocks)}")

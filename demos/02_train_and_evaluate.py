@@ -30,7 +30,7 @@ print(f"corpus: {corpus.n_users} users, {corpus.n_items} items, "
 
 training_corpus, split = split_leave_one_out(corpus, 1)
 cold = ColdItemSet.from_training(training_corpus, threshold=5)
-print(f"split: {split.n_test_users()} test users, "
+print(f"split: {np.count_nonzero(split.test_item >= 0)} test users, "
       f"{cold.n_cold}/{corpus.n_items} cold items")
 
 # The same model section a manifest takes; the kind defaults to HVBPR.
@@ -38,14 +38,14 @@ model_config = ModelConfig.from_dict({"n_latent": 10, "scheme": [5, 5],
                                       "rng_seed": 2})
 model = PreferenceModel.create(model_config, corpus)
 
-print("\nepoch  val_auc  train_loss")
 result = train(
     model, training_corpus,
     TrainConfig(learning_rate=0.05, iterations=15, rng_seed=3),
     split=split,
-    progress=lambda s: print(f"{s.epoch:5d}  {s.val_auc:.4f}  "
-                             f"{s.train_loss:.4f}"),
 )
+print("\nepoch  val_auc  train_loss")
+for s in result.history:
+    print(f"{s.epoch:5d}  {s.val_auc:.4f}  {s.train_loss:.4f}")
 model.params = result.best_params
 print(f"\nbest epoch {result.best_epoch} "
       f"(validation AUC {result.best_val_auc:.4f})")

@@ -24,36 +24,15 @@ from pathlib import Path
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import HierBprError, ParseError
-from .evaluation import (
-    ColdItemSet,
-    EvalSplit,
-    auc,
-    evaluate_report,
-    split_leave_one_out,
-)
-from .ingestion import (
-    FEATURE_NORMS,
-    POLICIES,
-    InteractionCorpus,
-    TrainingCorpus,
-    load_corpus,
-    read_feedback,
-)
+from .evaluation import ColdItemSet, auc, evaluate_report, split_leave_one_out
+from .ingestion import FEATURE_NORMS, POLICIES, load_corpus, read_feedback
 from .model import KIND_RAND, ModelConfig, PreferenceModel
 from .synthdata import SynthConfig, generate
-from .training import RegWeights, TrainConfig, train
+from .training import RegWeights, TrainConfig, TrainResult, train
 
 
-@dataclass
-class Seeds:
-    split: int = 0
-    init: int = 0
-    sample: int = 0
-
-    def to_dict(self) -> dict:
-        return {"split": self.split, "init": self.init, "sample": self.sample}
-
-
+# The three named seeds a manifest may set; each left out is zero.
+_SEED_NAMES = ("split", "init", "sample")
 _INPUT_KEYS = ("feedback", "features", "hierarchy", "item_leaves")
 # Every key a manifest may hold: a dict is a section, anything else the
 # value's type (float: any number; list: a list of integers).
@@ -64,7 +43,7 @@ _MANIFEST_KEYS = {
     "train": {"learning_rate": float, "iterations": int,
               "patience": (int, type(None)),
               "reg": {f.name: float for f in fields(RegWeights)}},
-    "seeds": {f.name: int for f in fields(Seeds)},
+    "seeds": dict.fromkeys(_SEED_NAMES, int),
     "cold_threshold": int, "policy": str, "feature_norm": str, "out_dir": str,
 }
 _REQUIRED_KEYS = {"": ("inputs", "model", "out_dir"), "inputs.": _INPUT_KEYS}
@@ -112,10 +91,13 @@ class ExperimentManifest:
     out_dir: str
     model: dict
     train: dict = field(default_factory=dict)
-    seeds: Seeds = field(default_factory=Seeds)
+    seeds: dict = field(default_factory=dict)
     cold_threshold: int = 5
     policy: str = "strict"
     feature_norm: str = "none"
+
+    def __post_init__(self):
+        self.seeds = {**dict.fromkeys(_SEED_NAMES, 0), **self.seeds}
 
     @classmethod
     def from_json(cls, path) -> "ExperimentManifest":
@@ -127,8 +109,7 @@ class ExperimentManifest:
                 raise ParseError(
                     f"{path}: manifest is not UTF-8 JSON: {exc}") from None
         _check_manifest(raw)
-        seeds = Seeds(**raw.pop("seeds", {}))
-        return cls(**raw.pop("inputs"), **raw, seeds=seeds)
+        return cls(**raw.pop("inputs"), **raw)
 
     def configs(self) -> tuple[ModelConfig, TrainConfig]:
         """Model and training configs; an out-of-range value is a ParseError.
@@ -144,23 +125,21 @@ class ExperimentManifest:
                   ("feature_norm", self.feature_norm,
                    self.feature_norm in FEATURE_NORMS)]
         checks += [(f"seeds.{name}", value, value >= 0)
-                   for name, value in self.seeds.to_dict().items()]
+                   for name, value in self.seeds.items()]
         for key, value, ok in checks:
             if not ok:
                 raise ParseError(f"manifest value out of range: {key!r} is "
                                  f"{value!r}")
+        # ``TrainConfig``'s own defaults fill every train key left out.
+        train = dict(self.train)
         try:
+            reg = RegWeights(**train.pop("reg", {}))
             return (ModelConfig.from_dict({**self.model,
-                                           "rng_seed": self.seeds.init}),
-                    self.train_config())
+                                           "rng_seed": self.seeds["init"]}),
+                    TrainConfig(**train, reg=reg,
+                                rng_seed=self.seeds["sample"]))
         except ValueError as exc:
             raise ParseError(f"manifest value out of range: {exc}") from None
-
-    def train_config(self) -> TrainConfig:
-        """``TrainConfig``'s own defaults fill every key left out."""
-        t = dict(self.train)
-        reg = RegWeights(**t.pop("reg", {}))
-        return TrainConfig(**t, reg=reg, rng_seed=self.seeds.sample)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -178,95 +157,55 @@ def _write_metrics(path, history) -> None:
                      f"\t{stats.seconds:.6f}\n")
 
 
-@dataclass
-class Fitted:
-    """What ``train_experiment`` fitted: the best-on-validation model and
-    the corpus, split and history it came from."""
-
-    manifest: ExperimentManifest
-    corpus: InteractionCorpus
-    ingest_report: dict
-    training_corpus: TrainingCorpus
-    split: EvalSplit
-    model: PreferenceModel
-    history: list = field(default_factory=list)
-    best_epoch: int | None = None
-    best_val_auc: float | None = None
-
-    def summary(self) -> dict:
-        """What ``train`` prints: the files written and the epoch kept."""
-        out_dir = Path(self.manifest.out_dir)
-        return {"checkpoint": str(out_dir / "model.ckpt"),
-                "metrics": str(out_dir / "metrics.tsv"),
-                "epochs_run": len(self.history),
-                "best_epoch": self.best_epoch,
-                "best_val_auc": self.best_val_auc}
-
-
-def train_experiment(manifest: ExperimentManifest) -> Fitted:
+def run_experiment(manifest: ExperimentManifest, evaluate: bool = True
+                   ) -> dict:
     """load -> split -> train -> restore the epoch best on validation ->
-    write ``model.ckpt`` and ``metrics.tsv`` into ``out_dir``.
+    write ``model.ckpt`` and ``metrics.tsv``; with ``evaluate``, also
+    evaluate warm and cold and write ``report.json``.
 
-    ``run`` is this step followed by evaluation, so a manifest writes the
-    same checkpoint through ``train`` and ``run``.
+    ``train`` is this without ``evaluate`` and ``run`` is it with, so a
+    manifest writes the same checkpoint through both. Returns what the
+    subcommand prints.
     """
-    # Out-of-range values fail before out_dir exists or any input is read.
+    # Out-of-range values fail before any input is read, and bad inputs
+    # before out_dir exists.
     model_config, train_config = manifest.configs()
-    Path(manifest.out_dir).mkdir(parents=True, exist_ok=True)
-    corpus, ingest_report = load_corpus(
+    corpus, _ = load_corpus(
         manifest.feedback, manifest.features, manifest.hierarchy,
         manifest.item_leaves, policy=manifest.policy,
         feature_norm=manifest.feature_norm)
-    training_corpus, split = split_leave_one_out(corpus, manifest.seeds.split)
+    training_corpus, split = split_leave_one_out(corpus,
+                                                 manifest.seeds["split"])
     model = PreferenceModel.create(model_config, corpus)
-    fitted = Fitted(manifest, corpus, ingest_report, training_corpus, split,
-                    model)
-    if model.config.kind != KIND_RAND:
+    out_dir = Path(manifest.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if model.config.kind == KIND_RAND:
+        result = TrainResult(None, None, None, [])
+    else:
         result = train(model, training_corpus, train_config, split=split)
-        if result.best_params is not None:
-            model.params = result.best_params
-        fitted.history = result.history
-        fitted.best_epoch = result.best_epoch
-        fitted.best_val_auc = result.best_val_auc
-    paths = fitted.summary()
+    if result.best_params is not None:
+        model.params = result.best_params
+    paths = {"checkpoint": str(out_dir / "model.ckpt"),
+             "metrics": str(out_dir / "metrics.tsv")}
     save_checkpoint(paths["checkpoint"], model, split=split,
-                    seeds=manifest.seeds.to_dict(),
+                    seeds=manifest.seeds,
                     item_train_count=training_corpus.item_counts())
-    _write_metrics(paths["metrics"], fitted.history)
-    return fitted
+    _write_metrics(paths["metrics"], result.history)
+    best = {"best_epoch": result.best_epoch,
+            "best_val_auc": result.best_val_auc}
+    if not evaluate:
+        return {**paths, **best, "epochs_run": len(result.history)}
 
-
-def run_experiment(manifest: ExperimentManifest) -> dict:
-    """train_experiment -> evaluate warm and cold -> write ``report.json``."""
-    fitted = train_experiment(manifest)
-    cold = ColdItemSet.from_training(fitted.training_corpus,
+    cold = ColdItemSet.from_training(training_corpus,
                                      threshold=manifest.cold_threshold)
-    report = evaluate_report(fitted.model, fitted.corpus, fitted.split, cold)
-    persisted = {
-        "config": report["config"],
-        "seeds": manifest.seeds.to_dict(),
-        "data": {
-            "users": fitted.corpus.n_users,
-            "items": fitted.corpus.n_items,
-            "interactions": fitted.ingest_report["interactions"],
-        },
-        "warm": report["warm"],
-        "cold": report["cold"],
-        "cold_items": report["cold_items"],
-        "cold_threshold": report["cold_threshold"],
-        "best_epoch": fitted.best_epoch,
-        "best_val_auc": fitted.best_val_auc,
-    }
-    report_path = Path(manifest.out_dir) / "report.json"
-    _write_json(report_path, persisted)
-    paths = fitted.summary()
-    return {
-        "report": str(report_path),
-        "checkpoint": paths["checkpoint"],
-        "metrics": paths["metrics"],
-        "warm_auc": report["warm"]["auc"],
-        "cold_auc": report["cold"]["auc"],
-    }
+    report = evaluate_report(model, corpus, split, cold)
+    paths["report"] = str(out_dir / "report.json")
+    _write_json(paths["report"], {
+        **report, **best, "seeds": manifest.seeds,
+        "data": {"users": corpus.n_users, "items": corpus.n_items,
+                 "interactions": corpus.n_interactions}})
+    return {**paths, "warm_auc": report["warm"]["auc"],
+            "cold_auc": report["cold"]["auc"]}
 
 
 # ------------------------------------------------------------- subcommands
@@ -280,9 +219,9 @@ def _cmd_synth(args) -> int:
         n_users=args.users,
         n_items=args.items,
         feature_dim=args.feature_dim,
-        branching=_parse_ints(args.branching),
+        branching=args.branching,
         n_positives=args.positives,
-        planted_scheme=_parse_ints(args.planted_scheme),
+        planted_scheme=args.planted_scheme,
         temperature=args.temperature,
         feature_noise=args.feature_noise,
         rng_seed=args.seed,
@@ -365,10 +304,7 @@ def _cmd_experiment(args) -> int:
     manifest = ExperimentManifest.from_json(args.manifest)
     if args.out_dir:
         manifest.out_dir = args.out_dir
-    if args.command == "train":
-        summary = train_experiment(manifest).summary()
-    else:
-        summary = run_experiment(manifest)
+    summary = run_experiment(manifest, evaluate=args.command == "run")
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
 
@@ -386,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=int, default=300)
     p.add_argument("--items", type=int, default=900)
     p.add_argument("--feature-dim", type=int, default=64)
-    p.add_argument("--branching", default="6")
+    p.add_argument("--branching", type=_parse_ints, default="6")
     p.add_argument("--positives", type=int, default=8)
-    p.add_argument("--planted-scheme", default="5:5")
+    p.add_argument("--planted-scheme", type=_parse_ints, default="5:5")
     p.add_argument("--temperature", type=float, default=0.35)
     p.add_argument("--feature-noise", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)

@@ -26,9 +26,6 @@ class EvalSplit:
     val_item: np.ndarray
     test_item: np.ndarray
 
-    def n_test_users(self) -> int:
-        return int((self.test_item >= 0).sum())
-
 
 @dataclass
 class ColdItemSet:
@@ -38,7 +35,7 @@ class ColdItemSet:
     cold_mask: np.ndarray
 
     @classmethod
-    def from_training(cls, corpus: TrainingCorpus, threshold: int = 5
+    def from_training(cls, corpus: TrainingCorpus, threshold: int
                       ) -> "ColdItemSet":
         counts = corpus.item_counts()
         return cls(threshold=threshold, cold_mask=counts < threshold)
@@ -196,20 +193,17 @@ def evaluate_report(
     model,
     corpus: InteractionCorpus,
     split: EvalSplit,
-    cold_set: ColdItemSet | None = None,
+    cold_set: ColdItemSet,
 ) -> dict:
     """Warm and cold AUC plus the config echo, from one frozen item table."""
     table = model.item_table()
     warm = auc(table, corpus.positives, split, setting="warm")
-    report = {
+    cold = auc(table, corpus.positives, split, setting="cold",
+               cold_set=cold_set)
+    return {
         "config": model.config.to_dict(),
         "warm": {"auc": warm.auc, "users_evaluated": warm.users_evaluated},
+        "cold": {"auc": cold.auc, "users_evaluated": cold.users_evaluated},
+        "cold_items": cold_set.n_cold,
+        "cold_threshold": cold_set.threshold,
     }
-    if cold_set is not None:
-        cold = auc(table, corpus.positives, split, setting="cold",
-                   cold_set=cold_set)
-        report["cold"] = {"auc": cold.auc,
-                          "users_evaluated": cold.users_evaluated}
-        report["cold_items"] = cold_set.n_cold
-        report["cold_threshold"] = cold_set.threshold
-    return report

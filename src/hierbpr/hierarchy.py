@@ -200,10 +200,6 @@ class LayerAssignment:
         repr=False)
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
     def n_visual(self) -> int:
         return self.scheme.total
 

@@ -66,6 +66,9 @@ class SynthConfig:
                                "must be finite")
         if self.temperature <= 0:
             raise InvalidShape("temperature must be positive")
+        if self.rng_seed < 0:
+            raise InvalidShape(f"rng_seed must be non-negative, got "
+                               f"{self.rng_seed}")
 
 
 def _tree_nodes(branching: tuple[int, ...]):

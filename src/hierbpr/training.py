@@ -304,14 +304,12 @@ def train(
     corpus: TrainingCorpus,
     config: TrainConfig,
     split=None,
-    progress=None,
 ) -> TrainResult:
     """Run the SGD loop for ``config.iterations`` epochs.
 
     With a split supplied, validation AUC is computed after every epoch, the
     best-on-validation parameter snapshot is kept, and (if ``patience`` is
-    set) training stops after that many epochs without improvement. The
-    ``progress`` callable receives each EpochStats as it is produced.
+    set) training stops after that many epochs without improvement.
     """
     if corpus.n_interactions == 0:
         raise EmptyCorpus("no training interactions")
@@ -346,8 +344,6 @@ def train(
                            train_loss=loss_sum / steps_per_epoch,
                            seconds=time.perf_counter() - started)
         history.append(stats)
-        if progress is not None:
-            progress(stats)
         if (config.patience is not None and best_epoch is not None
                 and epoch - best_epoch >= config.patience):
             break

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hierbpr.checkpoint import load_checkpoint
-from hierbpr.cli import ExperimentManifest, Seeds, run_experiment
+from hierbpr.cli import ExperimentManifest, run_experiment
 from hierbpr.evaluation import ColdItemSet, auc, split_leave_one_out
 from hierbpr.hierarchy import AllocationScheme, assign_layers
 from hierbpr.model import (
@@ -332,7 +332,7 @@ def test_criterion_08_experiment_determinism(tmp_path):
                 model={"kind": "HVBPR", "n_latent": 4, "n_visual": 4,
                        "scheme": [3, 1]},
                 train={"learning_rate": 0.05, "iterations": 4},
-                seeds=Seeds(split=1, init=2, sample=3),
+                seeds={"split": 1, "init": 2, "sample": 3},
             )
             outputs.append(run_experiment(manifest))
         ckpt1 = Path(outputs[0]["checkpoint"]).read_bytes()

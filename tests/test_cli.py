@@ -7,13 +7,13 @@ import pytest
 
 from hierbpr.cli import (
     ExperimentManifest,
-    Seeds,
     build_parser,
     main,
     run_experiment,
 )
 from hierbpr.hierarchy import AllocationScheme
 from hierbpr.ingestion import (
+    load_corpus,
     read_features,
     write_features_binary,
     write_features_csv,
@@ -101,6 +101,28 @@ class TestSynthValidate:
             warnings.simplefilter("error")
             assert main(synth_args(out, **{flag: value})) == 1
         assert one_error(capsys)["error"] == "InvalidShape"
+        assert not out.exists()
+
+    def test_synth_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(synth_args(out, **{"--seed": "-1"})) == 1
+        error = one_error(capsys)
+        assert error["error"] == "InvalidShape"
+        assert "rng_seed" in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--branching", "2,x"), ("--planted-scheme", "5:x"),
+        ("--branching", "")])
+    def test_synth_malformed_list_is_usage_error(self, tmp_path, capsys,
+                                                 flag, value):
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as exc:
+            main(synth_args(out, **{flag: value}))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: hierbpr" in err
+        assert f"argument {flag}" in err
         assert not out.exists()
 
 
@@ -200,7 +222,7 @@ class TestRunExperiment:
             out_dir=str(out_dir),
             model=model,
             train={"learning_rate": 0.05, "iterations": 3},
-            seeds=Seeds(split=1, init=2, sample=3),
+            seeds={"split": 1, "init": 2, "sample": 3},
         )
 
     def test_outputs_written(self, dataset, tmp_path):
@@ -298,6 +320,44 @@ class TestRunExperiment:
         assert {json.dumps(r["data"], sort_keys=True) for r in reports}
         kinds = [r["config"]["kind"] for r in reports]
         assert kinds == ["BPR-MF", "VBPR", "HVBPR"]
+
+    def test_report_and_printed_keys(self, dataset, tmp_path, capsys):
+        manifest = write_manifest(
+            tmp_path / "exp.json", dataset, tmp_path / "out",
+            train={"learning_rate": 0.05, "iterations": 2},
+            seeds={"split": 1, "init": 2, "sample": 3})
+        assert main(["run", "--manifest", manifest]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert set(printed) == {"checkpoint", "cold_auc", "metrics", "report",
+                                "warm_auc"}
+        report = json.loads(Path(printed["report"]).read_text())
+        assert set(report) == {"best_epoch", "best_val_auc", "cold",
+                               "cold_items", "cold_threshold", "config",
+                               "data", "seeds", "warm"}
+        corpus, _ = load_corpus(dataset["feedback"], dataset["features"],
+                                dataset["hierarchy"], dataset["item_leaves"])
+        assert report["data"] == {"users": corpus.n_users,
+                                  "items": corpus.n_items,
+                                  "interactions": corpus.n_interactions}
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    @pytest.mark.parametrize("section, key, value, expected", [
+        ("inputs", "features", "absent.bin", "FileNotFoundError"),
+        ("model", "scheme", [1, 1, 1], "SchemeTooDeep"),
+    ], ids=["missing_features", "scheme_too_deep"])
+    def test_failed_run_leaves_no_out_dir(self, dataset, tmp_path, capsys,
+                                          command, section, key, value,
+                                          expected):
+        # The dataset's tree has two layers, so a three-layer scheme fails
+        # once the model is created, after every input has been read.
+        path = Path(write_manifest(tmp_path / "exp.json", dataset,
+                                   tmp_path / "out"))
+        raw = json.loads(path.read_text())
+        raw[section][key] = value
+        path.write_text(json.dumps(raw))
+        assert main([command, "--manifest", str(path)]) == 1
+        assert one_error(capsys)["error"] == expected
+        assert not (tmp_path / "out").exists()
 
     def test_input_files_never_mutated(self, dataset, tmp_path):
         import hashlib
@@ -527,15 +587,15 @@ class TestManifestErrors:
         raw = _manifest_with(tmp_path, _drop("", "seeds"))
         path.write_text(json.dumps(raw))
         manifest = ExperimentManifest.from_json(path)
-        assert manifest.train_config().patience is None
-        assert manifest.train_config().reg.bias == 0.01
-        assert manifest.seeds == Seeds()
+        assert manifest.configs()[1].patience is None
+        assert manifest.configs()[1].reg.bias == 0.01
+        assert manifest.seeds == {"split": 0, "init": 0, "sample": 0}
         assert manifest.features == raw["inputs"]["features"]
         # An empty train section leaves every default to TrainConfig.
         path.write_text(json.dumps(_manifest_with(
             tmp_path, lambda raw: {**raw, "train": {}, "seeds": {}})))
         manifest = ExperimentManifest.from_json(path)
-        assert manifest.train_config() == TrainConfig()
+        assert manifest.configs()[1] == TrainConfig()
 
     def test_model_section_defaults(self, tmp_path):
         # Keys left out of the model section follow ModelConfig's rule;

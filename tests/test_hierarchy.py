@@ -105,20 +105,20 @@ class TestAssignLayers:
         a = assign_layers(h, AllocationScheme((4, 2, 1)))
         assert a.layer_rows == ((0, 4), (4, 6), (6, 7))
         # One block at the root, one per layer-2 and layer-3 node.
-        assert a.n_blocks == 1 + 3 + 5
+        assert len(a.blocks) == 1 + 3 + 5
         root_block = block_of(a, h.node_of("root"))
         assert a.blocks[root_block][1:] == (0, 4)
 
     def test_all_root_scheme_single_block(self):
         h = tree3()
         a = assign_layers(h, AllocationScheme((7, 0, 0)))
-        assert a.n_blocks == 1
+        assert len(a.blocks) == 1
         assert a.layer_rows == ((0, 7), (7, 7), (7, 7))
 
     def test_trailing_zeros_fit_shallow_tree(self):
         h = build_hierarchy([], ["root"])
         a = assign_layers(h, AllocationScheme((10, 0, 0)))
-        assert a.n_blocks == 1
+        assert len(a.blocks) == 1
 
     def test_block_count_two_layer_scheme(self):
         # 1 root, 3 mid, 9 leaves; scheme 2:2 puts blocks on layers 1 and 2.
@@ -126,7 +126,7 @@ class TestAssignLayers:
         edges += [(f"l{k}", f"m{k % 3}") for k in range(9)]
         h = build_hierarchy(edges, [f"l{k}" for k in range(9)])
         a = assign_layers(h, AllocationScheme((2, 2)))
-        assert a.n_blocks == 1 + 3
+        assert len(a.blocks) == 1 + 3
         assert a.layer_rows == ((0, 2), (2, 4))
 
     def test_scheme_too_deep(self):
@@ -138,7 +138,7 @@ class TestAssignLayers:
         h = tree3()
         a = assign_layers(h, AllocationScheme((3, 0, 2)))
         assert a.layer_rows == ((0, 3), (3, 3), (3, 5))
-        assert a.n_blocks == 1 + 5
+        assert len(a.blocks) == 1 + 5
 
     def test_same_layer_distinct_blocks(self):
         h = tree3()

@@ -5,7 +5,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hierbpr"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hierbpr"
+# Every Python file whose imports are checked: package modules by file
+# name, tests and demos by path from the repository root.
+LINTED = {p.name: p for p in PACKAGE.glob("*.py")} | {
+    p.relative_to(ROOT).as_posix(): p
+    for folder in ("tests", "demos") for p in (ROOT / folder).glob("*.py")}
 
 
 def unused_imports(source: str, exported: bool) -> list[str]:
@@ -26,10 +32,10 @@ def unused_imports(source: str, exported: bool) -> list[str]:
     return [name for name in imported if name not in read]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
-def test_every_import_is_used(module):
-    source = (PACKAGE / module).read_text(encoding="utf-8")
-    assert unused_imports(source, module == "__init__.py") == []
+@pytest.mark.parametrize("name", sorted(LINTED))
+def test_every_import_is_used(name):
+    source = LINTED[name].read_text(encoding="utf-8")
+    assert unused_imports(source, name == "__init__.py") == []
 
 
 def test_checker_sees_unused_names():

@@ -34,6 +34,8 @@ class TestConfigValidation:
             SynthConfig(temperature=0.0)
         with pytest.raises(InvalidShape):
             SynthConfig(planted_scheme=(0, 0))
+        with pytest.raises(InvalidShape, match="rng_seed"):
+            SynthConfig(rng_seed=-1)
 
     @pytest.mark.parametrize("field", ["temperature", "feature_noise",
                                        "center_scale"])

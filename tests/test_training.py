@@ -371,7 +371,7 @@ class TestTrain:
         for name in snapshots[0]:
             assert np.array_equal(snapshots[0][name], snapshots[1][name]), name
 
-    def test_history_and_progress_sink(self):
+    def test_history_records_every_epoch(self):
         cfg = SynthConfig(n_users=20, n_items=40, feature_dim=5,
                           branching=(2,), n_positives=4,
                           planted_scheme=(2,), rng_seed=3)
@@ -380,11 +380,9 @@ class TestTrain:
         model = PreferenceModel.create(
             ModelConfig(2, AllocationScheme((2,)), rng_seed=0, kind=KIND_VBPR),
             corpus)
-        seen = []
         result = train(model, tc, TrainConfig(iterations=3, rng_seed=5),
-                       split=split, progress=seen.append)
+                       split=split)
         assert [s.epoch for s in result.history] == [1, 2, 3]
-        assert len(seen) == 3
         assert all(s.val_auc is not None for s in result.history)
         assert result.best_epoch is not None
         assert result.best_params is not None
