@@ -7,8 +7,9 @@ the header bytes before that member, followed by the payload. The writer
 is fully deterministic (same model, same bytes), which is what makes
 rerun-identity checks possible; zip-based containers embed timestamps. The
 reader checks every length, that the array directory tiles the payload,
-the digest, and every array's shape against the id lists and config, and
-raises ``ParseError`` for any damaged file.
+the digest, that the arrays are exactly those the format and the config
+name, and every array's dtype and shape, and raises ``ParseError`` for any
+damaged file.
 
 Checkpoints carry the raw parameter blocks plus the frozen per-item
 projections and visual-bias scores, so ranking and evaluation need only the
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import ParseError
 from .evaluation import EvalSplit
 from .hierarchy import CategoryHierarchy, assign_layers, build_hierarchy
 from .ingestion import Positives
-from .model import KIND_RAND, ItemTable, ModelConfig, ModelParams, PreferenceModel
+from .model import ItemTable, ModelConfig, ModelParams, PreferenceModel, frozen_table
 from .embedding import SegmentStore
 
 MAGIC = b"HBPRCKP1"
@@ -120,16 +121,14 @@ def save_checkpoint(
 
 @dataclass
 class CheckpointBundle:
-    """Everything a checkpoint restores, plus the frozen scoring view."""
+    """Everything a checkpoint restores, its frozen scoring table included."""
 
     config: ModelConfig
     params: ModelParams
     hierarchy: CategoryHierarchy
     user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
-    item_leaf: np.ndarray
-    item_theta: np.ndarray
-    item_base: np.ndarray
+    table: ItemTable
     split: EvalSplit | None
     item_train_count: np.ndarray | None
     seeds: dict | None
@@ -144,17 +143,8 @@ class CheckpointBundle:
         return len(self.item_ids)
 
     def frozen_model(self) -> ItemTable:
-        """The checkpoint's scorer: its frozen item table and user matrices."""
-        return ItemTable(
-            theta=self.item_theta,
-            latent=self.params.item_latent,
-            base=self.item_base,
-            item_leaf=self.item_leaf,
-            user_visual=self.params.user_visual,
-            user_latent=self.params.user_latent,
-            rand_seed=(self.config.rng_seed
-                       if self.config.kind == KIND_RAND else None),
-        )
+        """The checkpoint's scorer: the table it restored."""
+        return self.table
 
     def positives_from_pairs(self, pairs) -> tuple[Positives, int]:
         """Positives of the pairs, and how many named an unknown id."""
@@ -214,6 +204,8 @@ def _read_checked(path) -> tuple[dict, dict[str, np.ndarray]]:
         if (entry["dtype"] not in _DTYPES
                 or nbytes != 8 * int(np.prod(entry["shape"]))):
             raise ParseError(f"{path}: bad directory entry for {name!r}")
+        if name in arrays:
+            raise ParseError(f"{path}: array {name!r} is listed twice")
         if start != end:
             raise ParseError(f"{path}: array {name!r} starts at payload byte "
                              f"{start}, not {end}")
@@ -244,75 +236,74 @@ def load_checkpoint(path) -> CheckpointBundle:
         raise ParseError(f"{path}: malformed checkpoint: {exc!r}") from None
 
 
-def _check_shapes(header: dict, config: ModelConfig,
+def _check_arrays(header: dict, config: ModelConfig,
                   arrays: dict[str, np.ndarray]) -> None:
-    """Every array has one row per item, user, node or feature, as it applies.
+    """The file holds exactly the parameter arrays ``config`` creates and no
+    array outside the format, each with its dtype and one row per item,
+    user, node or feature, as it applies.
 
-    ``segments`` is left to ``SegmentStore``, which knows the block rows.
+    ``segments`` is shaped by ``SegmentStore``, which knows the block rows.
     """
     items, users = len(header["item_ids"]), len(header["user_ids"])
     nodes, feat = len(header["node_ids"]), header["feature_dim"]
+    i, f = "int64", "float64"
     expected = {
-        "parent": (nodes,),
-        "item_leaf": (items,),
-        "item_theta": (items, config.n_visual),
-        "item_base": (items,),
-        "item_bias": (items,),
-        "item_latent": (items, config.n_latent),
-        "item_train_count": (items,),
-        "user_latent": (users, config.n_latent),
-        "user_visual": (users, config.n_visual),
-        "split_val": (users,),
-        "split_test": (users,),
-        "visual_bias": (feat,),
-        "category_bias": (nodes,),
+        "parent": (i, (nodes,)),
+        "item_leaf": (i, (items,)),
+        "item_theta": (f, (items, config.n_visual)),
+        "item_base": (f, (items,)),
+        "item_bias": (f, (items,)),
+        "item_latent": (f, (items, config.n_latent)),
+        "item_train_count": (i, (items,)),
+        "user_latent": (f, (users, config.n_latent)),
+        "user_visual": (f, (users, config.n_visual)),
+        "split_val": (i, (users,)),
+        "split_test": (i, (users,)),
+        "visual_bias": (f, (feat,)),
+        "category_bias": (f, (nodes,)),
+        "segments": (f, None),
     }
-    for name, shape in expected.items():
-        if name in arrays and arrays[name].shape != shape:
-            raise ValueError(f"array {name!r} has shape "
-                             f"{arrays[name].shape}, expected {shape}")
+    unknown = set(arrays) - set(expected)
+    if unknown:
+        raise ValueError(f"arrays {sorted(unknown)} are not in the format")
+    params = {field.name for field in fields(ModelParams)}
+    created = {name for name in params if config.creates(name)}
+    held = params & set(arrays)
+    if created != held:
+        raise ValueError(f"a {config.kind} config creates the parameter "
+                         f"arrays {sorted(created)}, the file holds "
+                         f"{sorted(held)}")
+    for name, arr in arrays.items():
+        dtype, shape = expected[name]
+        if arr.dtype.name != dtype or shape not in (None, arr.shape):
+            raise ValueError(f"array {name!r} is {arr.dtype.name} "
+                             f"{arr.shape}, expected {dtype} {shape}")
 
 
 def _bundle(header: dict, arrays: dict[str, np.ndarray]) -> CheckpointBundle:
     config = ModelConfig.from_dict(header["config"])
     if config.to_dict() != header["config"]:
         raise ValueError(f"config {header['config']} is not in to_dict form")
-    _check_shapes(header, config, arrays)
-    item_ids = tuple(header["item_ids"])
-    user_ids = tuple(header["user_ids"])
+    _check_arrays(header, config, arrays)
+    item_leaf = arrays["item_leaf"]
     hierarchy = _hierarchy_from_parts(header["node_ids"], arrays["parent"],
-                                      arrays["item_leaf"])
-
-    segments = None
+                                      item_leaf)
     if "segments" in arrays:
-        assignment = assign_layers(hierarchy, config.scheme)
-        segments = SegmentStore(assignment, header["feature_dim"],
-                                backing=arrays["segments"])
-    params = ModelParams(
-        item_bias=arrays["item_bias"],
-        item_latent=arrays["item_latent"],
-        user_latent=arrays["user_latent"],
-        user_visual=arrays["user_visual"],
-        visual_bias=arrays["visual_bias"],
-        segments=segments,
-        category_bias=arrays.get("category_bias"),
-    )
-    split = None
-    if "split_val" in arrays:
-        split = EvalSplit(
-            val_item=arrays["split_val"],
-            test_item=arrays["split_test"],
-        )
+        arrays["segments"] = SegmentStore(
+            assign_layers(hierarchy, config.scheme), header["feature_dim"],
+            backing=arrays["segments"])
+    params = ModelParams(**{f.name: arrays.get(f.name)
+                            for f in fields(ModelParams)})
     return CheckpointBundle(
         config=config,
         params=params,
         hierarchy=hierarchy,
-        user_ids=user_ids,
-        item_ids=item_ids,
-        item_leaf=arrays["item_leaf"],
-        item_theta=arrays["item_theta"],
-        item_base=arrays["item_base"],
-        split=split,
+        user_ids=tuple(header["user_ids"]),
+        item_ids=tuple(header["item_ids"]),
+        table=frozen_table(config, params, arrays["item_theta"],
+                           arrays["item_base"], item_leaf),
+        split=(EvalSplit(arrays["split_val"], arrays["split_test"])
+               if "split_val" in arrays else None),
         item_train_count=arrays.get("item_train_count"),
         seeds=header.get("seeds"),
         feature_dim=header["feature_dim"],

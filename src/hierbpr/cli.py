@@ -211,7 +211,14 @@ def run_experiment(manifest: ExperimentManifest, evaluate: bool = True
 # ------------------------------------------------------------- subcommands
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.replace(",", ":").split(":"))
+    """A ``--branching`` or ``--planted-scheme`` value; argparse prints a
+    malformed one as a usage error under the flag's name."""
+    try:
+        return tuple(int(part) for part in text.replace(",", ":").split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected integers separated by ',' or ':', got {text!r}"
+        ) from None
 
 
 def _cmd_synth(args) -> int:

@@ -66,20 +66,16 @@ def read_feedback(path) -> list[tuple[str, str]]:
     return list(dict.fromkeys(_read_pairs(path, "user<TAB>item")))
 
 
-def write_feedback(path, pairs) -> None:
+def write_pairs(path, pairs) -> None:
+    """One tab-separated pair a line: feedback, hierarchy edges or item
+    leaves (pass ``leaves.items()``)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for user, item in pairs:
-            fh.write(f"{user}\t{item}\n")
+        for first, second in pairs:
+            fh.write(f"{first}\t{second}\n")
 
 
 def read_hierarchy_edges(path) -> list[tuple[str, str]]:
     return list(_read_pairs(path, "child<TAB>parent"))
-
-
-def write_hierarchy_edges(path, edges) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for child, parent in edges:
-            fh.write(f"{child}\t{parent}\n")
 
 
 def read_item_leaves(path) -> dict[str, str]:
@@ -90,12 +86,6 @@ def read_item_leaves(path) -> dict[str, str]:
             raise ParseError(f"{path}: item {item!r} is listed under both "
                              f"{leaves[item]!r} and {node!r}")
     return leaves
-
-
-def write_item_leaves(path, leaves: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item, node in leaves.items():
-            fh.write(f"{item}\t{node}\n")
 
 
 # ------------------------------------------------------------- feature files

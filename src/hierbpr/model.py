@@ -15,13 +15,13 @@ parameters entirely with a seeded hash ranking.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .embedding import SegmentStore
 from .errors import DimensionOutOfRange, UnknownItem, UnknownUser
-from .hierarchy import AllocationScheme, LayerAssignment, assign_layers
+from .hierarchy import AllocationScheme, assign_layers
 
 KIND_RAND = "RAND"
 KIND_BPRMF = "BPR-MF"
@@ -76,6 +76,13 @@ class ModelConfig:
     def n_visual(self) -> int:
         return self.scheme.total
 
+    def creates(self, param: str) -> bool:
+        """Whether a model under this config has the ``ModelParams`` array
+        ``param``: ``segments`` exactly when there are visual rows,
+        ``category_bias`` exactly with its flag, every other one always."""
+        return {"segments": self.n_visual > 0,
+                "category_bias": self.use_category_bias}.get(param, True)
+
     def to_dict(self) -> dict:
         return {**asdict(self), "n_visual": self.n_visual,
                 "scheme": list(self.scheme.per_layer)}
@@ -119,30 +126,17 @@ class ModelParams:
     category_bias: np.ndarray | None
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            item_bias=self.item_bias.copy(),
-            item_latent=self.item_latent.copy(),
-            user_latent=self.user_latent.copy(),
-            user_visual=self.user_visual.copy(),
-            visual_bias=self.visual_bias.copy(),
-            segments=self.segments.copy() if self.segments is not None else None,
-            category_bias=(self.category_bias.copy()
-                           if self.category_bias is not None else None),
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return ModelParams(**{name: value if value is None else value.copy()
+                              for name, value in values.items()})
 
     def arrays(self) -> dict[str, np.ndarray]:
-        out = {
-            "item_bias": self.item_bias,
-            "item_latent": self.item_latent,
-            "user_latent": self.user_latent,
-            "user_visual": self.user_visual,
-            "visual_bias": self.visual_bias,
-        }
+        """Each array the model has, by field name; ``segments`` gives its
+        backing."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.segments is not None:
             out["segments"] = self.segments.backing
-        if self.category_bias is not None:
-            out["category_bias"] = self.category_bias
-        return out
+        return {name: arr for name, arr in out.items() if arr is not None}
 
     def check_finite(self) -> None:
         for name, arr in self.arrays().items():
@@ -150,15 +144,8 @@ class ModelParams:
                 raise ValueError(f"non-finite values in {name}")
 
 
-def init_params(
-    config: ModelConfig,
-    n_users: int,
-    n_items: int,
-    n_nodes: int,
-    feature_dim: int,
-    assignment: LayerAssignment | None,
-) -> ModelParams:
-    """Seeded initialization.
+def init_params(config: ModelConfig, corpus) -> ModelParams:
+    """Seeded initialization of the arrays ``config`` creates for ``corpus``.
 
     Draw order is fixed (user latent, item latent, user visual, segments) so
     identical configs always produce identical parameters. Latent factors are
@@ -166,22 +153,24 @@ def init_params(
     """
     rng = np.random.default_rng(config.rng_seed)
     k, kp = config.n_latent, config.n_visual
+    n_users, n_items = corpus.n_users, corpus.n_items
     user_latent = rng.uniform(-LATENT_INIT_SCALE, LATENT_INIT_SCALE, (n_users, k))
     item_latent = rng.uniform(-LATENT_INIT_SCALE, LATENT_INIT_SCALE, (n_items, k))
     user_visual = rng.uniform(-LATENT_INIT_SCALE, LATENT_INIT_SCALE, (n_users, kp))
     segments = None
-    if kp > 0:
-        if assignment is None:
-            raise ValueError("visual dimensions need a layer assignment")
-        segments = SegmentStore.create(assignment, feature_dim, rng)
+    if config.creates("segments"):
+        segments = SegmentStore.create(
+            assign_layers(corpus.hierarchy, config.scheme),
+            corpus.feature_dim, rng)
     return ModelParams(
         item_bias=np.zeros(n_items),
         item_latent=item_latent,
         user_latent=user_latent,
         user_visual=user_visual,
-        visual_bias=np.zeros(feature_dim),
+        visual_bias=np.zeros(corpus.feature_dim),
         segments=segments,
-        category_bias=np.zeros(n_nodes) if config.use_category_bias else None,
+        category_bias=(np.zeros(corpus.hierarchy.n_nodes)
+                       if config.creates("category_bias") else None),
     )
 
 
@@ -292,6 +281,16 @@ class ItemTable:
         return [(int(items[k]), float(col[k])) for k in order]
 
 
+def frozen_table(config: ModelConfig, params: ModelParams, theta: np.ndarray,
+                 base: np.ndarray, item_leaf: np.ndarray) -> ItemTable:
+    """The ``ItemTable`` of ``params`` with the item projections ``theta``
+    and the folded offsets ``base``; a RAND model ranks by its seed instead.
+    The live model and a restored checkpoint both freeze through here."""
+    return ItemTable(theta, params.item_latent, base, item_leaf,
+                     params.user_visual, params.user_latent,
+                     config.rng_seed if config.kind == KIND_RAND else None)
+
+
 class PreferenceModel:
     """Parameters plus the corpus's features and item leaves; it scores
     through the ``ItemTable`` that ``item_table`` freezes."""
@@ -306,13 +305,7 @@ class PreferenceModel:
     @classmethod
     def create(cls, config: ModelConfig, corpus) -> "PreferenceModel":
         """Initialize parameters for ``corpus`` under ``config``."""
-        assignment = None
-        if config.n_visual > 0:
-            assignment = assign_layers(corpus.hierarchy, config.scheme)
-        params = init_params(config, corpus.n_users, corpus.n_items,
-                             corpus.hierarchy.n_nodes, corpus.feature_dim,
-                             assignment)
-        return cls(config, corpus, params)
+        return cls(config, corpus, init_params(config, corpus))
 
     @property
     def n_users(self) -> int:
@@ -335,9 +328,7 @@ class PreferenceModel:
             base += self.features @ p.visual_bias
         if self.config.use_category_bias:
             base += p.category_bias[self.item_leaf]
-        rand_seed = self.config.rng_seed if self.config.kind == KIND_RAND else None
-        return ItemTable(theta, p.item_latent, base, self.item_leaf,
-                         p.user_visual, p.user_latent, rand_seed)
+        return frozen_table(self.config, p, theta, base, self.item_leaf)
 
     def score_all(self, users, table: ItemTable | None = None) -> np.ndarray:
         """``ItemTable.score_all`` with the users range-checked.

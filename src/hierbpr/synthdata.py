@@ -24,11 +24,9 @@ from .hierarchy import AllocationScheme, assign_layers, build_hierarchy
 from .ingestion import (
     InteractionCorpus,
     assemble_corpus,
-    write_feedback,
     write_features_binary,
     write_features_csv,
-    write_hierarchy_edges,
-    write_item_leaves,
+    write_pairs,
 )
 
 
@@ -216,13 +214,13 @@ def generate(cfg: SynthConfig, out_dir, features_format: str = "binary") -> dict
         "item_leaves": out / "item_categories.tsv",
         "ground_truth": out / "ground_truth.json",
     }
-    write_feedback(paths["feedback"], data.pairs)
+    write_pairs(paths["feedback"], data.pairs)
     if features_format == "binary":
         write_features_binary(paths["features"], data.item_ids, data.features)
     else:
         write_features_csv(paths["features"], data.item_ids, data.features)
-    write_hierarchy_edges(paths["hierarchy"], data.edges)
-    write_item_leaves(paths["item_leaves"], data.leaf_map)
+    write_pairs(paths["hierarchy"], data.edges)
+    write_pairs(paths["item_leaves"], data.leaf_map.items())
     with open(paths["ground_truth"], "w", encoding="utf-8") as fh:
         json.dump(data.ground_truth, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -10,9 +10,12 @@ from hierbpr.cli import main
 from hierbpr.errors import ParseError
 from hierbpr.evaluation import ColdItemSet, auc, split_leave_one_out
 from hierbpr.hierarchy import AllocationScheme
-from hierbpr.ingestion import write_feedback
+from hierbpr.ingestion import write_pairs
 from hierbpr.model import (
+    KIND_BPRMF,
+    KIND_HVBPR,
     KIND_RAND,
+    KIND_VBPR,
     KIND_VBPRC,
     ModelConfig,
     PreferenceModel,
@@ -22,6 +25,13 @@ from hierbpr.training import TrainConfig, train
 
 from conftest import one_error
 from test_ingestion import BYTE_DAMAGE, damaged
+
+
+def write_corpus_feedback(path, corpus):
+    """``corpus``'s positives as a feedback file ``eval`` can read."""
+    pos = corpus.positives
+    write_pairs(path, [(corpus.user_ids[u], corpus.item_ids[i])
+                       for u, i in zip(pos.rows(), pos.indices)])
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +73,7 @@ class TestRoundTrip:
         h0, h1 = corpus.hierarchy, bundle.hierarchy
         assert h0.node_ids == h1.node_ids
         assert np.array_equal(h0.parent, h1.parent)
-        assert np.array_equal(bundle.item_leaf, corpus.item_leaf)
+        assert np.array_equal(bundle.table.item_leaf, corpus.item_leaf)
 
     def test_frozen_model_reproduces_scores(self, trained_setup, tmp_path):
         corpus, _tc, split, model = trained_setup
@@ -170,29 +180,65 @@ def _shift_item_leaf(header):
     entry["offset"] += 8
 
 
-def _edit_array(name, edit):
-    """Damage that rewrites one array through ``edit``.
+# The little-endian dtype of each directory ``dtype``.
+_LITTLE = {"int64": "<i8", "float64": "<f8"}
 
-    Later offsets and the digest are recomputed, so only the array's own
-    content or shape is wrong.
+
+def _rewrite_arrays(edit):
+    """Damage that rewrites the file's arrays through ``edit``, which maps
+    a name-to-array dict to a new one.
+
+    The directory, offsets and digest are recomputed, so only what ``edit``
+    changed is wrong.
     """
     def damage(blob: bytes) -> bytes:
         size = int.from_bytes(blob[8:16], "little")
         header = json.loads(blob[16:16 + size])
-        payload, offset = [], 0
+        arrays = {}
         for entry in header["arrays"]:
             start = 16 + size + entry["offset"]
-            part = blob[start:start + entry["nbytes"]]
-            if entry["name"] == name:
-                dtype = "<f8" if entry["dtype"] == "float64" else "<i8"
-                arr = edit(np.frombuffer(part, dtype).reshape(entry["shape"]))
-                part = np.ascontiguousarray(arr, dtype).tobytes()
-                entry["shape"] = list(arr.shape)
-            entry["offset"], entry["nbytes"] = offset, len(part)
+            arrays[entry["name"]] = np.frombuffer(
+                blob[start:start + entry["nbytes"]],
+                _LITTLE[entry["dtype"]]).reshape(entry["shape"])
+        header["arrays"], payload, offset = [], [], 0
+        for name, arr in edit(arrays).items():
+            kind = "int64" if arr.dtype.kind == "i" else "float64"
+            part = np.ascontiguousarray(arr, _LITTLE[kind]).tobytes()
+            header["arrays"].append({"name": name, "dtype": kind,
+                                     "shape": list(arr.shape),
+                                     "offset": offset, "nbytes": len(part)})
             payload.append(part)
             offset += len(part)
         return _signed(header, b"".join(payload))
     return damage
+
+
+def _edit_array(name, edit):
+    """Damage that rewrites one array through ``edit``: only the array's
+    own content or shape is wrong."""
+    return _rewrite_arrays(lambda arrays: {**arrays, name: edit(arrays[name])})
+
+
+def _without(name):
+    """Damage that drops one array, its directory entry included."""
+    return _rewrite_arrays(
+        lambda arrays: {k: v for k, v in arrays.items() if k != name})
+
+
+def _with(name, arr):
+    """Damage that adds one well-formed array the file should not hold."""
+    return _rewrite_arrays(lambda arrays: {**arrays, name: arr})
+
+
+def _repeat_last_array(blob: bytes) -> bytes:
+    """A second directory entry under the last array's name, over bytes
+    appended to the payload: each entry alone is well formed."""
+    size = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + size])
+    payload = blob[16 + size:]
+    repeat = {**header["arrays"][-1], "offset": len(payload)}
+    header["arrays"].append(repeat)
+    return _signed(header, payload + bytes(repeat["nbytes"]))
 
 
 def _shorten_header_length(blob: bytes) -> bytes:
@@ -216,6 +262,7 @@ DAMAGE = {
                                                      _repeat_first_user_id),
     "shifted_array_offset": lambda blob: _rewrite_header(blob,
                                                          _shift_item_leaf),
+    "repeated_array_name": _repeat_last_array,
     # The config must hold every key ModelConfig.to_dict writes.
     **{f"config_without_{key}": lambda blob, key=key: _rewrite_header(
         blob, lambda header: header["config"].pop(key))
@@ -229,6 +276,11 @@ DAMAGE = {
                     "item_bias", "user_visual", "split_test", "visual_bias")},
     **{f"narrow_{name}": _edit_array(name, lambda arr: arr[:, :-1])
        for name in ("item_theta", "item_latent", "user_latent")},
+    # Index arrays stored as float64, and a float array as int64.
+    **{f"float_{name}": _edit_array(name, lambda arr: arr + 0.5)
+       for name in ("parent", "split_val", "split_test")},
+    "int_item_bias": _edit_array("item_bias",
+                                 lambda arr: arr.astype(np.int64)),
 }
 
 
@@ -254,9 +306,7 @@ class TestDamagedFiles:
         save_checkpoint(path, model, split=split)
         path.write_bytes(DAMAGE["repeated_user_id"](path.read_bytes()))
         feedback = tmp_path / "feedback.tsv"
-        pos = corpus.positives
-        write_feedback(feedback, [(corpus.user_ids[u], corpus.item_ids[i])
-                                  for u, i in zip(pos.rows(), pos.indices)])
+        write_corpus_feedback(feedback, corpus)
         argv = ["eval", "--model", str(path), "--feedback", str(feedback)]
         assert main(argv) == 1
         error = one_error(capsys)
@@ -310,10 +360,7 @@ def small_checkpoint(tmp_path_factory):
     out = tmp_path_factory.mktemp("small_ckpt")
     save_checkpoint(out / "m.ckpt", model, split=split,
                     item_train_count=tc.item_counts())
-    pos = corpus.positives
-    write_feedback(out / "feedback.tsv",
-                   [(corpus.user_ids[u], corpus.item_ids[i])
-                    for u, i in zip(pos.rows(), pos.indices)])
+    write_corpus_feedback(out / "feedback.tsv", corpus)
     return out, (out / "m.ckpt").read_bytes()
 
 
@@ -379,3 +426,122 @@ class TestFormat:
         save_checkpoint(path, model, split=split)
         frozen = load_checkpoint(path).frozen_model()
         assert np.allclose(frozen.score_all(0), model.score_all(0))
+
+
+# One config per kind; each creates a different set of parameter arrays.
+KIND_CONFIGS = {
+    KIND_RAND: ModelConfig(kind=KIND_RAND, rng_seed=9),
+    KIND_BPRMF: ModelConfig(3, kind=KIND_BPRMF, rng_seed=4),
+    KIND_VBPR: ModelConfig(2, AllocationScheme((2,)), kind=KIND_VBPR,
+                           rng_seed=4),
+    KIND_VBPRC: ModelConfig(2, AllocationScheme((2,)), kind=KIND_VBPRC,
+                            rng_seed=4),
+    KIND_HVBPR: ModelConfig(2, AllocationScheme((2, 1)), rng_seed=4),
+}
+
+
+@pytest.fixture(scope="module")
+def kind_checkpoints(tmp_path_factory):
+    """A briefly trained checkpoint of every kind, beside its live model,
+    and a feedback file over the same corpus."""
+    cfg = SynthConfig(n_users=12, n_items=24, feature_dim=4, branching=(2,),
+                      n_positives=3, planted_scheme=(2, 1), rng_seed=6)
+    corpus, _ = make_corpus(cfg)
+    tc, split = split_leave_one_out(corpus, 1)
+    out = tmp_path_factory.mktemp("kinds")
+    models = {}
+    for kind, config in KIND_CONFIGS.items():
+        model = PreferenceModel.create(config, corpus)
+        if kind != KIND_RAND:
+            train(model, tc, TrainConfig(iterations=1, rng_seed=3))
+        save_checkpoint(out / f"{kind}.ckpt", model, split=split,
+                        item_train_count=tc.item_counts())
+        models[kind] = model
+    write_corpus_feedback(out / "feedback.tsv", corpus)
+    return out, models
+
+
+class TestEveryKind:
+    @pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
+    def test_round_trip(self, kind_checkpoints, kind):
+        out, models = kind_checkpoints
+        model = models[kind]
+        bundle = load_checkpoint(out / f"{kind}.ckpt")
+        live, restored = model.params.arrays(), bundle.params.arrays()
+        assert sorted(restored) == sorted(live)
+        for name, arr in live.items():
+            assert restored[name].shape == arr.shape, name
+            assert restored[name].tobytes() == arr.tobytes(), name
+        users = np.arange(model.n_users)
+        expected = model.item_table().score_all(users)
+        assert np.array_equal(bundle.frozen_model().score_all(users),
+                              expected)
+
+    # Each file is well formed and signed; only its array set is wrong.
+    MISMATCHED = {
+        "hvbpr_without_segments": (KIND_HVBPR, _without("segments"),
+                                   "creates the parameter arrays"),
+        "bprmf_with_segments": (KIND_BPRMF, _with("segments", np.zeros((2, 4))),
+                                "creates the parameter arrays"),
+        "vbprc_without_category_bias": (KIND_VBPRC, _without("category_bias"),
+                                        "creates the parameter arrays"),
+        "unknown_array": (KIND_VBPR, _with("zzz_bogus", np.zeros(3)),
+                          "not in the format"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISMATCHED))
+    def test_array_set_must_match_config(self, kind_checkpoints, tmp_path,
+                                         capsys, case):
+        out, _models = kind_checkpoints
+        kind, damage, message = self.MISMATCHED[case]
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(damage((out / f"{kind}.ckpt").read_bytes()))
+        with pytest.raises(ParseError, match=message):
+            load_checkpoint(path)
+        assert main(["eval", "--model", str(path),
+                     "--feedback", str(out / "feedback.tsv")]) == 1
+        error = one_error(capsys)
+        assert error["error"] == "ParseError"
+        assert message in error["message"]
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
+    def test_rewritten_file_loads(self, kind_checkpoints, tmp_path, kind):
+        # The control for the case above: rewriting the arrays unchanged
+        # gives a file that loads.
+        out, _models = kind_checkpoints
+        path = tmp_path / "m.ckpt"
+        blob = (out / f"{kind}.ckpt").read_bytes()
+        path.write_bytes(_rewrite_arrays(lambda arrays: arrays)(blob))
+        assert load_checkpoint(path).config == KIND_CONFIGS[kind]
+
+
+class TestEvalNeeds:
+    """``eval`` needs the split, and cold ``eval`` the training counts, that
+    ``save_checkpoint`` writes only when given them."""
+
+    def test_no_split(self, trained_setup, tmp_path, capsys):
+        corpus, _tc, _split, model = trained_setup
+        path, feedback = tmp_path / "m.ckpt", tmp_path / "feedback.tsv"
+        save_checkpoint(path, model)
+        write_corpus_feedback(feedback, corpus)
+        assert main(["eval", "--model", str(path),
+                     "--feedback", str(feedback)]) == 1
+        assert one_error(capsys) == {
+            "error": "HierBprError",
+            "message": "checkpoint carries no evaluation split"}
+        # Ranking needs neither.
+        assert main(["rank-dim", "--model", str(path), "--dim", "0"]) == 0
+        assert capsys.readouterr().out.startswith("rank\titem_id\tscore\n")
+
+    def test_cold_without_training_counts(self, trained_setup, tmp_path,
+                                          capsys):
+        corpus, _tc, split, model = trained_setup
+        path, feedback = tmp_path / "m.ckpt", tmp_path / "feedback.tsv"
+        save_checkpoint(path, model, split=split)
+        write_corpus_feedback(feedback, corpus)
+        argv = ["eval", "--model", str(path), "--feedback", str(feedback)]
+        assert main(argv + ["--setting", "cold"]) == 1
+        assert one_error(capsys) == {
+            "error": "HierBprError",
+            "message": "checkpoint carries no item training counts"}
+        assert main(argv + ["--setting", "warm"]) == 0

@@ -122,7 +122,9 @@ class TestSynthValidate:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage: hierbpr" in err
-        assert f"argument {flag}" in err
+        assert (f"argument {flag}: expected integers separated by ',' or "
+                f"':', got {value!r}") in err
+        assert "_parse_ints" not in err
         assert not out.exists()
 
 

@@ -25,9 +25,7 @@ from hierbpr.ingestion import (
     read_feedback,
     write_features_binary,
     write_features_csv,
-    write_feedback,
-    write_hierarchy_edges,
-    write_item_leaves,
+    write_pairs,
 )
 from hierbpr.hierarchy import AllocationScheme
 from hierbpr.model import KIND_VBPR, ModelConfig, PreferenceModel
@@ -50,22 +48,22 @@ def write_inputs(tmp_path, pairs=PAIRS, feats=FEATS, leaves=LEAVES,
         "hierarchy": tmp_path / "h.tsv",
         "item_leaves": tmp_path / "il.tsv",
     }
-    write_feedback(paths["feedback"], pairs)
+    write_pairs(paths["feedback"], pairs)
     ids = sorted(feats)
     matrix = np.array([feats[i] for i in ids], dtype=np.float32)
     if fmt == "binary":
         write_features_binary(paths["features"], ids, matrix)
     else:
         write_features_csv(paths["features"], ids, matrix)
-    write_hierarchy_edges(paths["hierarchy"], edges)
-    write_item_leaves(paths["item_leaves"], leaves)
+    write_pairs(paths["hierarchy"], edges)
+    write_pairs(paths["item_leaves"], leaves.items())
     return paths
 
 
 class TestFeedbackParsing:
     def test_duplicates_collapse(self, tmp_path):
         path = tmp_path / "fb.tsv"
-        write_feedback(path, [("u", "i"), ("u", "i"), ("v", "i")])
+        write_pairs(path, [("u", "i"), ("u", "i"), ("v", "i")])
         assert read_feedback(path) == [("u", "i"), ("v", "i")]
 
     def test_extra_columns_ignored(self, tmp_path):
@@ -347,10 +345,9 @@ class TestLoadCorpus:
         corpus_a, _ = load_corpus(paths["feedback"], paths["features"],
                                   paths["hierarchy"], paths["item_leaves"])
         # Same content, permuted lines everywhere.
-        write_feedback(paths["feedback"], list(reversed(PAIRS)))
-        write_hierarchy_edges(paths["hierarchy"], list(reversed(EDGES)))
-        write_item_leaves(paths["item_leaves"],
-                          dict(reversed(list(LEAVES.items()))))
+        write_pairs(paths["feedback"], list(reversed(PAIRS)))
+        write_pairs(paths["hierarchy"], list(reversed(EDGES)))
+        write_pairs(paths["item_leaves"], reversed(list(LEAVES.items())))
         corpus_b, _ = load_corpus(paths["feedback"], paths["features"],
                                   paths["hierarchy"], paths["item_leaves"])
         assert corpus_a.item_ids == corpus_b.item_ids
