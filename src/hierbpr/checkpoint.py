@@ -19,6 +19,7 @@ checkpoint and a feedback file, not the original feature matrix.
 from __future__ import annotations
 
 import json
+import operator
 import zlib
 from dataclasses import dataclass, fields
 
@@ -190,7 +191,7 @@ def _read_checked(path) -> tuple[dict, dict[str, np.ndarray]]:
     # order, so a repeated or unsorted id means a damaged header.
     for key in ("user_ids", "item_ids"):
         ids = header[key]
-        if any(a >= b for a, b in zip(ids, ids[1:])):
+        if not all(map(operator.lt, ids, ids[1:])):
             raise ParseError(f"{path}: {key.replace('_', ' ')} are not "
                              "strictly increasing")
 

@@ -148,7 +148,11 @@ class Trainer:
 
     All partial derivatives are evaluated at the pre-step parameter values;
     the user vectors are snapshotted before mutation so the segment and item
-    updates see the old state.
+    updates see the old state. A segment block on both items' paths (any
+    block from the root down to their deepest common ancestor) enters
+    the margin only as W_b (f_i - f_j), so it takes one product in the
+    margin and one rank-1 update with f_i - f_j in the step; a block on one
+    path takes its item's product and update.
     """
 
     def __init__(self, model: PreferenceModel, config: TrainConfig):
@@ -180,7 +184,6 @@ class Trainer:
         self.seg_reg = r.segments
         feat_dim = self.features.shape[1]
         self._fd = np.empty(feat_dim)
-        self._ti = np.empty(self.n_visual)
         self._tj = np.empty(self.n_visual)
         self._td = np.empty(self.n_visual)
         self._tu_old = np.empty(self.n_visual)
@@ -201,21 +204,25 @@ class Trainer:
         if self.n_latent:
             np.subtract(self.item_latent[i], self.item_latent[j], out=self._gd)
             m += self.user_latent[u] @ self._gd
+        if self.n_visual or self.use_vb:
+            np.subtract(self.features[i], self.features[j], out=self._fd)
         if self.n_visual:
             # Both paths list the same row ranges in the same layer order.
             path_i = self._chains[self.leaves[i]]
             path_j = self._chains[self.leaves[j]]
             self._paths = (path_i, path_j)
             blocks = self.segments.blocks
-            fi, fj = self.features[i], self.features[j]
-            ti, tj = self._ti, self._tj
+            fi, fj, fd = self.features[i], self.features[j], self._fd
+            td, tj = self._td, self._tj
             for (bi, start, stop), (bj, _, _) in zip(path_i, path_j):
-                np.matmul(blocks[bi], fi, out=ti[start:stop])
-                np.matmul(blocks[bj], fj, out=tj[start:stop])
-            np.subtract(ti, tj, out=self._td)
-            m += self.user_visual[u] @ self._td
+                if bi == bj:
+                    np.matmul(blocks[bi], fd, out=td[start:stop])
+                else:
+                    np.matmul(blocks[bi], fi, out=td[start:stop])
+                    np.matmul(blocks[bj], fj, out=tj[start:stop])
+                    td[start:stop] -= tj[start:stop]
+            m += self.user_visual[u] @ td
         if self.use_vb:
-            np.subtract(self.features[i], self.features[j], out=self._fd)
             m += self.visual_bias @ self._fd
         if self.use_cb:
             m += (self.category_bias[self.leaves[i]]
@@ -259,22 +266,27 @@ class Trainer:
             tu *= self.shrink_uv
             tu += ac * self._td          # _td = theta_i - theta_j from margin()
             # One rank-1 pass per layer at the old theta_u: shrink the
-            # layer's blocks once, then add su (x) f_i and subtract
-            # su (x) f_j. A block on both paths takes both updates, i first.
+            # layer's blocks once, then give a block on both paths
+            # su (x) (f_i - f_j), and otherwise add su (x) f_i to i's block
+            # and subtract su (x) f_j from j's.
             seg_shrink = 1.0 - lr * self.seg_reg
             blocks = self.segments.blocks
             scratch = self._scratch
             su = self._su
             np.multiply(self._tu_old, ac, out=su)
-            fi, fj = self.features[i], self.features[j]
+            fi, fj, fd = self.features[i], self.features[j], self._fd
             for (bi, start, stop), (bj, _, _) in zip(*self._paths):
                 block_i = blocks[bi]
-                block_j = blocks[bj]
                 if self.seg_reg:
                     block_i *= seg_shrink
-                    if bj != bi:
-                        block_j *= seg_shrink
                 work = scratch[: stop - start]
+                if bi == bj:
+                    np.multiply(su[start:stop, None], fd[None, :], out=work)
+                    block_i += work
+                    continue
+                block_j = blocks[bj]
+                if self.seg_reg:
+                    block_j *= seg_shrink
                 np.multiply(su[start:stop, None], fi[None, :], out=work)
                 block_i += work
                 np.multiply(su[start:stop, None], fj[None, :], out=work)
@@ -282,7 +294,8 @@ class Trainer:
 
         if self.use_vb:
             vb = self.visual_bias
-            vb *= self.shrink_vb
+            if self.shrink_vb != 1.0:
+                vb *= self.shrink_vb
             self._fd *= ac               # _fd = f_i - f_j from margin()
             vb += self._fd
 

@@ -1,11 +1,24 @@
-"""An independent per-pair scorer: the oracle the library is checked against.
+"""Independent references the library is checked against.
 
-Plain loops over ``ModelParams``, the features, ``item_leaf`` and the tree's
-``parent`` array. The segment layout comes from the scheme alone: on each
-layer with a nonzero row count every node of that layer owns one block,
-numbered layer-major and node-ascending, stored in that order in the
-backing array. Nothing here reads the chains that ``assign_layers`` builds.
+The per-pair scorer is plain loops over ``ModelParams``, the features,
+``item_leaf`` and the tree's ``parent`` array. The segment layout comes from
+the scheme alone: on each layer with a nonzero row count every node of that
+layer owns one block, numbered layer-major and node-ascending, stored in
+that order in the backing array. Nothing in the scorer reads the chains
+that ``assign_layers`` builds.
+
+``TwoProductTrainer`` is the SGD step as it stood before shared blocks took
+one product: its ``margin`` and ``step`` are kept verbatim, so every block
+on both paths still takes W_b f_i and W_b f_j in the margin and
++su (x) f_i then -su (x) f_j in the update.
 """
+
+import math
+
+import numpy as np
+
+from hierbpr.errors import NonFiniteUpdate
+from hierbpr.training import Trainer, _sigmoid, _softplus
 
 
 def visual_rows(per_layer, parent, leaf):
@@ -65,3 +78,114 @@ def score(model, u, i):
 def margin(model, u, i, j):
     """x_ui - x_uj from two ``score`` calls."""
     return score(model, u, i) - score(model, u, j)
+
+
+class TwoProductTrainer(Trainer):
+    """``Trainer`` with the two-product margin and step."""
+
+    def __init__(self, model, config):
+        super().__init__(model, config)
+        self._ti = np.empty(self.n_visual)
+
+    def margin(self, u: int, i: int, j: int) -> float:
+        """x_ui - x_uj using the scratch buffers (leaves them populated)."""
+        m = self.item_bias[i] - self.item_bias[j]
+        if self.n_latent:
+            np.subtract(self.item_latent[i], self.item_latent[j], out=self._gd)
+            m += self.user_latent[u] @ self._gd
+        if self.n_visual:
+            # Both paths list the same row ranges in the same layer order.
+            path_i = self._chains[self.leaves[i]]
+            path_j = self._chains[self.leaves[j]]
+            self._paths = (path_i, path_j)
+            blocks = self.segments.blocks
+            fi, fj = self.features[i], self.features[j]
+            ti, tj = self._ti, self._tj
+            for (bi, start, stop), (bj, _, _) in zip(path_i, path_j):
+                np.matmul(blocks[bi], fi, out=ti[start:stop])
+                np.matmul(blocks[bj], fj, out=tj[start:stop])
+            np.subtract(ti, tj, out=self._td)
+            m += self.user_visual[u] @ self._td
+        if self.use_vb:
+            np.subtract(self.features[i], self.features[j], out=self._fd)
+            m += self.visual_bias @ self._fd
+        if self.use_cb:
+            m += (self.category_bias[self.leaves[i]]
+                  - self.category_bias[self.leaves[j]])
+        return float(m)
+
+    def step(self, u: int, i: int, j: int) -> float:
+        """One ascent step on ln sigmoid(margin); returns the step's loss.
+
+        A bare call is correct but runs under numpy's default ufunc
+        buffering; ``train`` calls it inside ``_step_buffer``, where its
+        cost is linear in K'xF.
+        """
+        m = self.margin(u, i, j)
+        if not math.isfinite(m):
+            raise NonFiniteUpdate(
+                f"margin for triple ({u}, {i}, {j}) is {m}")
+        c = _sigmoid(-m)
+        lr = self.lr
+        ac = lr * c
+
+        ib = self.item_bias
+        ib[i] = ib[i] * self.shrink_bias + ac
+        ib[j] = ib[j] * self.shrink_bias - ac
+
+        if self.n_latent:
+            gu = self.user_latent[u]
+            np.copyto(self._gu_old, gu)
+            gu *= self.shrink_latent
+            gu += ac * self._gd          # _gd = gamma_i - gamma_j from margin()
+            gi = self.item_latent[i]
+            gi *= self.shrink_latent
+            gi += ac * self._gu_old
+            gj = self.item_latent[j]
+            gj *= self.shrink_latent
+            gj -= ac * self._gu_old
+
+        if self.n_visual:
+            tu = self.user_visual[u]
+            np.copyto(self._tu_old, tu)
+            tu *= self.shrink_uv
+            tu += ac * self._td          # _td = theta_i - theta_j from margin()
+            # One rank-1 pass per layer at the old theta_u: shrink the
+            # layer's blocks once, then add su (x) f_i and subtract
+            # su (x) f_j. A block on both paths takes both updates, i first.
+            seg_shrink = 1.0 - lr * self.seg_reg
+            blocks = self.segments.blocks
+            scratch = self._scratch
+            su = self._su
+            np.multiply(self._tu_old, ac, out=su)
+            fi, fj = self.features[i], self.features[j]
+            for (bi, start, stop), (bj, _, _) in zip(*self._paths):
+                block_i = blocks[bi]
+                block_j = blocks[bj]
+                if self.seg_reg:
+                    block_i *= seg_shrink
+                    if bj != bi:
+                        block_j *= seg_shrink
+                work = scratch[: stop - start]
+                np.multiply(su[start:stop, None], fi[None, :], out=work)
+                block_i += work
+                np.multiply(su[start:stop, None], fj[None, :], out=work)
+                block_j -= work
+
+        if self.use_vb:
+            vb = self.visual_bias
+            vb *= self.shrink_vb
+            self._fd *= ac               # _fd = f_i - f_j from margin()
+            vb += self._fd
+
+        if self.use_cb:
+            cb = self.category_bias
+            ci = self.leaves[i]
+            cj = self.leaves[j]
+            if ci != cj:
+                cb[ci] = cb[ci] * self.shrink_cb + ac
+                cb[cj] = cb[cj] * self.shrink_cb - ac
+            else:
+                cb[ci] = cb[ci] * self.shrink_cb
+
+        return _softplus(-m)

@@ -39,7 +39,10 @@ def test_traced_round_records_every_layer(tmp_path):
     # ``test_tracer_patches_every_name`` shows that the patched names exist;
     # this shows that every wrapped seam is still on the path the CLI runs:
     # a traced worker round on the self-test's tiny corpus fills every
-    # per-layer metric, or the worker fails naming the empty span.
+    # per-layer metric, or the worker fails naming the empty span. The
+    # round must then pass the benchmark's per-triple checks: one SGD step
+    # per sampled triple, epochs x training interactions of them, each
+    # triple valid against the oracle's own positive sets.
     from hierbpr.synthdata import SynthConfig, generate
 
     paths = generate(SynthConfig(n_users=40, n_items=90, feature_dim=8,
@@ -78,3 +81,34 @@ def test_traced_round_records_every_layer(tmp_path):
     assert names.returncode == 0, names.stderr[-2000:]
     missing = set(json.loads(names.stdout)) - set(result["layers"])
     assert not missing
+
+    layers = tmp_path / "layers.json"
+    layers.write_text(json.dumps(result["layers"]), encoding="utf-8")
+    checked = run_python("-c", CHECK_TRACED, str(tmp_path / "out"),
+                         json.dumps(inputs), str(layers))
+    assert checked.returncode == 0, checked.stderr[-2000:]
+    verdict = json.loads(checked.stdout)
+    assert verdict["problems"] == []
+    assert verdict["epochs"] == 2
+    assert verdict["steps"] == verdict["triples"] == 2 * verdict["n_train"]
+
+
+# Runs bench/checks.py's ``check_traced`` on a traced round's output:
+# argv is the round's out_dir, its inputs as JSON and its layer metrics.
+CHECK_TRACED = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from checks import check_traced, read_metrics_tsv
+from oracle import Oracle
+out_dir = Path(sys.argv[1])
+layers = json.loads(Path(sys.argv[3]).read_text(encoding="utf-8"))
+oracle = Oracle(out_dir / "model.ckpt", json.loads(sys.argv[2]), "none")
+epochs = len(read_metrics_tsv(out_dir / "metrics.tsv"))
+print(json.dumps({
+    "problems": check_traced(oracle, out_dir, layers, epochs),
+    "epochs": epochs, "n_train": oracle.n_train,
+    "steps": layers["training.step_calls"],
+    "triples": len(np.load(out_dir / "triples.npy")),
+}))
+"""

@@ -275,14 +275,15 @@ class TestSgdStep:
         assert all(abs(r - 0.9) < 1e-9 for r in ratios)  # 1 - 0.2 * 0.5
 
 
-def tree3_model(use_category_bias=True):
-    """Three-layer tree, two items per leaf, visual rows on every layer."""
+def tree3_model(use_category_bias=True, scheme=(2, 2, 1)):
+    """Three-layer tree, two items per leaf, by default visual rows on
+    every layer."""
     rng = np.random.default_rng(21)
     items = {f"{leaf}_{k}": leaf for leaf in TREE3_LEAVES for k in range(2)}
     features = {item: rng.normal(size=4) for item in items}
     feedback = [(f"u{k % 3}", item) for k, item in enumerate(sorted(items))]
     corpus = build_corpus(TREE3_EDGES, items, features, feedback)
-    scheme = AllocationScheme((2, 2, 1))
+    scheme = AllocationScheme(scheme)
     config = ModelConfig(2, scheme, use_visual_bias=True,
                          use_category_bias=use_category_bias, rng_seed=5)
     model = PreferenceModel.create(config, corpus)
@@ -294,14 +295,23 @@ def tree3_model(use_category_bias=True):
     return model
 
 
+def pair_of(model, first, second):
+    """Dense indices of two items, and how many blocks their paths share."""
+    ids = model.corpus.item_ids
+    i, j = ids.index(first), ids.index(second)
+    path_for = model.params.segments.assignment.blocks_for_leaf
+    paths = [path_for(int(model.item_leaf[k])) for k in (i, j)]
+    return i, j, sum(a == b for a, b in zip(*paths))
+
+
 def two_loop_step(model, config, u, i, j):
-    """Reference step: the segment update as two path loops.
+    """Reference step: the segment update as loops over the blocks.
 
     Every block on either path is shrunk once, in block order; then each
-    block on i's path takes +su (x) f_i, and after all of them each block
-    on j's path takes (-su) (x) f_j. The other groups go through
-    ``Trainer.step`` with the segments put back, since only the segment
-    kernel is under test.
+    block on both paths takes su (x) (f_i - f_j), each block on i's path
+    only +su (x) f_i, and each block on j's path only (-su) (x) f_j. The
+    other groups go through ``Trainer.step`` with the segments put back,
+    since only the segment kernel is under test.
     """
     p = model.params
     seg0 = p.segments.backing.copy()
@@ -318,33 +328,88 @@ def two_loop_step(model, config, u, i, j):
         for blk in sorted({b for b, _, _ in path_i + path_j}):
             blocks[blk] *= shrink
     features = model.features
+    shared = set(path_i) & set(path_j)
+    for blk, start, stop in shared:
+        blocks[blk] += ((tu_old * ac)[start:stop, None]
+                        * (features[i] - features[j])[None, :])
     for su, item, path in ((tu_old * ac, i, path_i),
                            (tu_old * -ac, j, path_j)):
         for blk, start, stop in path:
-            blocks[blk] += su[start:stop, None] * features[item][None, :]
+            if (blk, start, stop) not in shared:
+                blocks[blk] += su[start:stop, None] * features[item][None, :]
+
+
+SHARING_CASES = pytest.mark.parametrize("pair, n_shared", [
+    (("skirts_0", "skirts_1"), 3),   # one leaf: every block shared
+    (("skirts_0", "boots_1"), 1),    # only the root
+    (("skirts_1", "jeans_0"), 2),    # the root and a layer-2 node
+], ids=["same_leaf", "root_only", "layer2_shared"])
 
 
 class TestSegmentKernel:
     @pytest.mark.parametrize("seg_reg", [0.0, 0.3])
-    @pytest.mark.parametrize("pair, n_shared", [
-        (("skirts_0", "skirts_1"), 3),   # one leaf: every block shared
-        (("skirts_0", "boots_1"), 1),    # only the root
-        (("skirts_1", "jeans_0"), 2),    # the root and a layer-2 node
-    ], ids=["same_leaf", "root_only", "layer2_shared"])
+    @SHARING_CASES
     def test_bits_match_two_loop_reference(self, seg_reg, pair, n_shared):
         config = TrainConfig(learning_rate=0.7,
                              reg=RegWeights(segments=seg_reg))
         live, ref = tree3_model(), tree3_model()
-        ids = live.corpus.item_ids
-        i, j = ids.index(pair[0]), ids.index(pair[1])
-        path_for = live.params.segments.assignment.blocks_for_leaf
-        paths = [path_for(int(live.item_leaf[k])) for k in (i, j)]
-        assert sum(a == b for a, b in zip(*paths)) == n_shared
+        i, j, shared = pair_of(live, *pair)
+        assert shared == n_shared
         for u in range(live.corpus.n_users):
             Trainer(live, config).step(u, i, j)
             two_loop_step(ref, config, u, i, j)
         for name, arr in live.params.arrays().items():
             assert np.array_equal(arr, ref.params.arrays()[name]), name
+
+
+REGS = pytest.mark.parametrize("reg", [
+    RegWeights(),
+    RegWeights(segments=0.3, visual_bias=0.1),
+], ids=["default_reg", "segment_and_visual_bias_reg"])
+
+
+class TestTwoProductReference:
+    """The step against ``reference.TwoProductTrainer``, the step that
+    took two products for every block on both paths."""
+
+    @REGS
+    @pytest.mark.parametrize("pair", [
+        ("skirts_0", "boots_1"), ("jeans_1", "bras_0"), ("flats_0", "skirts_1"),
+    ])
+    def test_bit_identical_when_no_block_is_shared(self, reg, pair):
+        # With no rows on the root, items under different layer-2 nodes
+        # share no block, so the step must not change a bit.
+        config = TrainConfig(learning_rate=0.7, reg=reg)
+        live = tree3_model(scheme=(0, 2, 1))
+        ref = tree3_model(scheme=(0, 2, 1))
+        i, j, shared = pair_of(live, *pair)
+        assert shared == 0
+        for u in range(live.corpus.n_users):
+            stepped, two_product = (Trainer(live, config),
+                                    reference.TwoProductTrainer(ref, config))
+            assert stepped.margin(u, i, j) == two_product.margin(u, i, j)
+            assert stepped.step(u, i, j) == two_product.step(u, i, j)
+        for name, arr in live.params.arrays().items():
+            assert np.array_equal(arr, ref.params.arrays()[name]), name
+
+    @REGS
+    @SHARING_CASES
+    def test_shared_blocks_agree_to_rounding(self, reg, pair, n_shared):
+        config = TrainConfig(learning_rate=0.7, reg=reg)
+        for u in range(3):
+            live, ref = tree3_model(), tree3_model()
+            i, j, shared = pair_of(live, *pair)
+            assert shared == n_shared
+            stepped, two_product = (Trainer(live, config),
+                                    reference.TwoProductTrainer(ref, config))
+            expected = two_product.margin(u, i, j)
+            assert relative_error(stepped.margin(u, i, j), expected) <= 1e-12
+            stepped.step(u, i, j)
+            two_product.step(u, i, j)
+            for name, arr in live.params.arrays().items():
+                want = ref.params.arrays()[name]
+                assert (np.max(np.abs(arr - want))
+                        <= 1e-12 * np.max(np.abs(want))), name
 
 
 class TestTrain:
