@@ -380,8 +380,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HierBprError, OSError, ValueError, KeyError) as exc:
-        error = {"error": type(exc).__name__, "message": str(exc)}
+    except (HierBprError, OSError, ValueError, KeyError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; name the public one.
+        name = ("MemoryError" if isinstance(exc, MemoryError)
+                else type(exc).__name__)
+        error = {"error": name, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 1
 

@@ -86,6 +86,8 @@ class AucResult:
 
 
 # Scores held per ``score_all`` block: rows are ``max(1, budget // n_items)``.
+# Peak RSS sets it (see ``_mean_user_auc``); ``tests/test_evaluation.py``
+# holds an AUC pass to the item matrix plus one block of float64 scores.
 SCORE_BLOCK_ELEMENTS = 2**16
 
 
@@ -100,13 +102,16 @@ def _mean_user_auc(
     ``model`` is any scorer with an ``item_table()``: the live
     ``PreferenceModel`` or a checkpoint's ``ItemTable``. Users are scored in
     blocks of ``max(1, SCORE_BLOCK_ELEMENTS // n_items)`` rows, one
-    ``score_all(users)`` call on that table per block. The budget is
-    a constant, not an option, because peak RSS sets it: on a 10,000-item
-    catalog, 2**16 scores (6 rows, 512 KB) kept ``hierbpr run`` plus both
-    ``eval`` settings at the per-user loop's peak RSS (59.1 against 59.0 MB),
-    while 2**18 raised it to 62.2 MB. A user's wins are the row's scores
-    below the target's, less those among its positives, which must hold no
-    duplicates. Fractions are added one user at a time, in user order.
+    ``score_all(users)`` call (one matrix product) on that table per block.
+    The budget is a constant, not an option, because peak RSS sets it: the
+    table holds one block of scores, 512 KB at 2**16. On the 10,000-item
+    ``catalog`` benchmark, 2**16 (6 rows) read a ``peak_rss_mb`` of 59.4
+    against 58.5 for the two-buffer scorer before it, the difference
+    mostly the item matrix's copy of the latent factors; 2**17 cut
+    ``eval_s`` from 0.30-0.35 s to 0.26-0.28 s but read 60.1 MB. A user's
+    wins are the row's scores below the target's, less those among its
+    positives, which must hold no duplicates. Fractions are added one user
+    at a time, in user order.
     """
     table = model.item_table()
     n_items = positives.n_items

@@ -207,7 +207,11 @@ class ItemTable:
 
     ``base`` folds every user-independent additive term (item bias, visual
     bias score, category bias) into one vector, so a score is
-    ``base[i] + <user_visual[u], theta[i]> + <user_latent[u], latent[i]>``.
+    ``base[i] + <user_visual[u], theta[i]> + <user_latent[u], latent[i]>``,
+    which is the product of ``[theta_u | gamma_u | 1]`` with one column of
+    the C-order item matrix ``[theta | latent | base]^T``. The first
+    ``score_all`` builds that matrix and rebinds ``theta``, ``latent`` and
+    ``base`` to views of it, so their values stay and no second copy lives.
     The live model and the checkpoint both score and rank through one.
     """
 
@@ -221,7 +225,9 @@ class ItemTable:
         self.user_visual = user_visual
         self.user_latent = user_latent
         self.rand_seed = rand_seed
-        self._block = self._work = np.empty((0, len(base)))
+        self._items: np.ndarray | None = None
+        self._users = np.empty((0, theta.shape[1] + latent.shape[1] + 1))
+        self._block = np.empty((0, len(base)))
 
     @property
     def n_items(self) -> int:
@@ -231,32 +237,48 @@ class ItemTable:
         """The table itself, so evaluation can ask any scorer for its table."""
         return self
 
+    def _item_matrix(self) -> np.ndarray:
+        """The ``(K' + K + 1, n_items)`` matrix ``[theta | latent | base]^T``,
+        built once; filled row by row, as a concatenation of the transposed
+        views would come out F-order."""
+        if self._items is None:
+            kp, k = self.theta.shape[1], self.latent.shape[1]
+            items = np.empty((kp + k + 1, self.n_items))
+            items[:kp] = self.theta.T
+            items[kp:kp + k] = self.latent.T
+            items[-1] = self.base
+            self._items = items
+            self.theta = items[:kp].T
+            self.latent = items[kp:kp + k].T
+            self.base = items[-1]
+        return self._items
+
     def score_all(self, users) -> np.ndarray:
         """Every item's score for an int user or an index array of users.
 
         An int gives an ``(n_items,)`` row; an array is a block of users and
-        gives ``(len(users), n_items)``. Each term is one matrix product for
-        the block. The result lives in a buffer the table reuses: it holds
-        until the next ``score_all`` on this table, so copy it to keep it.
+        gives ``(len(users), n_items)``. The block is one matrix product of
+        the gathered ``[theta_u | gamma_u | 1]`` rows with the item matrix.
+        The result lives in a buffer the table reuses: it holds until the
+        next ``score_all`` on this table, so copy it to keep it.
         """
         block = np.atleast_1d(users)
         b = len(block)
         if len(self._block) < b:
             self._block = np.empty((b, self.n_items))
-            self._work = np.empty((b, self.n_items))
+            # Gathers fill all but the last column, which stays 1.
+            self._users = np.ones((b, self._users.shape[1]))
         out = self._block[:b]
         if self.rand_seed is not None:
             for r, u in enumerate(block):
                 out[r] = rand_scores(self.rand_seed, int(u), self.n_items)
         else:
-            if self.theta.shape[1]:
-                np.matmul(self.user_visual[block], self.theta.T, out=out)
-                out += self.base
-            else:
-                out[:] = self.base
-            if self.latent.shape[1]:
-                out += np.matmul(self.user_latent[block], self.latent.T,
-                                 out=self._work[:b])
+            items = self._item_matrix()
+            kp = self.theta.shape[1]
+            rows = self._users[:b]
+            np.take(self.user_visual, block, axis=0, out=rows[:, :kp])
+            np.take(self.user_latent, block, axis=0, out=rows[:, kp:-1])
+            np.matmul(rows, items, out=out)
         return out if np.ndim(users) else out[0]
 
     def rank_by_dimension(self, d: int, top_n: int,

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hierbpr import cli
 from hierbpr.cli import (
     ExperimentManifest,
     build_parser,
@@ -359,6 +360,22 @@ class TestRunExperiment:
         path.write_text(json.dumps(raw))
         assert main([command, "--manifest", str(path)]) == 1
         assert one_error(capsys)["error"] == expected
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("exc_type", [
+        MemoryError, type("_ArrayMemoryError", (MemoryError,), {})],
+        ids=["builtin", "numpy_subclass"])
+    def test_allocation_failure_is_one_json_line(self, dataset, tmp_path,
+                                                 capsys, monkeypatch,
+                                                 exc_type):
+        def fail(*args, **kwargs):
+            raise exc_type("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(cli, "load_corpus", fail)
+        path = write_manifest(tmp_path / "exp.json", dataset, tmp_path / "out")
+        assert main(["run", "--manifest", str(path)]) == 1
+        assert one_error(capsys) == {"error": "MemoryError",
+                                     "message": "Unable to allocate 745. GiB"}
         assert not (tmp_path / "out").exists()
 
     def test_input_files_never_mutated(self, dataset, tmp_path):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +419,30 @@ class TestBlockedPass:
                 assert np.allclose(row, block[r], rtol=1e-12, atol=1e-15)
         with pytest.raises(UnknownUser):
             model.score_all(np.array([0, corpus.n_users]))
+
+
+class TestMemoryBudget:
+    # One boolean per score for the block's ``below`` mask, plus 64 KiB for
+    # one numpy ufunc buffer (8,192 doubles) and the per-block index arrays.
+    SLACK = SCORE_BLOCK_ELEMENTS + 64 * 1024
+
+    @pytest.mark.parametrize("setting", ["warm", "cold"])
+    def test_auc_pass_holds_one_block(self, block_setup, setting):
+        # numpy reports its buffers to tracemalloc, so the traced peak is
+        # what the pass itself adds: the item matrix, built on the first
+        # block, and one block of float64 scores, never two.
+        corpus, _tc, split, model, cold = block_setup
+        table = model.item_table()
+        width = table.theta.shape[1] + table.latent.shape[1] + 1
+        item_matrix = width * corpus.n_items * 8
+        tracemalloc.start()
+        try:
+            auc(table, corpus.positives, split, setting=setting,
+                cold_set=cold)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= item_matrix + SCORE_BLOCK_ELEMENTS * 8 + self.SLACK
 
 
 class TestBenchOracle:

@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from hierbpr.checkpoint import save_checkpoint
 from hierbpr.errors import DimensionOutOfRange, UnknownItem
 from hierbpr.evaluation import auc, split_leave_one_out
 from hierbpr.hierarchy import AllocationScheme
@@ -403,3 +404,68 @@ class TestConfigurationEquivalence:
         for u in range(corpus.n_users):
             assert np.allclose(vbpr.score_all(u), hier.score_all(u),
                                atol=1e-10)
+
+
+class TestOneProductScorer:
+    """``ItemTable.score_all``'s single product against the plain-loop
+    scorer, for every shape of the ``[theta_u | gamma_u | 1]`` rows."""
+
+    CONFIGS = {
+        "bprmf": ModelConfig(3, kind=KIND_BPRMF),
+        "vbpr_no_latent": ModelConfig(0, AllocationScheme((3,)),
+                                      kind=KIND_VBPR),
+        "vbprc": ModelConfig(2, AllocationScheme((3,)), kind=KIND_VBPRC),
+        "hvbpr_three_layers": ModelConfig(2, AllocationScheme((2, 1, 1))),
+    }
+
+    @pytest.fixture(params=sorted(CONFIGS))
+    def model(self, request):
+        cfg = SynthConfig(n_users=12, n_items=30, feature_dim=5,
+                          branching=(2, 2), n_positives=3,
+                          planted_scheme=(2, 1), rng_seed=8)
+        corpus, _ = make_corpus(cfg)
+        config = self.CONFIGS[request.param]
+        model = PreferenceModel.create(
+            ModelConfig.from_dict({**config.to_dict(), "rng_seed": 4}), corpus)
+        # Nonzero offsets, so the ones column of the user rows is exercised.
+        rng = np.random.default_rng(5)
+        p = model.params
+        p.item_bias[:] = rng.normal(size=p.item_bias.shape)
+        p.visual_bias[:] = rng.normal(size=p.visual_bias.shape)
+        if p.category_bias is not None:
+            p.category_bias[:] = rng.normal(size=p.category_bias.shape)
+        return model
+
+    def test_blocks_match_reference(self, model):
+        table = model.item_table()
+        expected = np.array([[reference.score(model, u, i)
+                              for i in range(model.n_items)]
+                             for u in range(model.n_users)])
+        # Grow the buffer to 3 rows, score a single user and a partial block
+        # inside it, then a block larger than it, which reallocates.
+        for users in (np.array([4, 0, 9]), 7, np.array([11]),
+                      np.array([2, 5]), np.arange(1, 9)):
+            scores = table.score_all(users)
+            assert scores.shape == expected[users].shape
+            np.testing.assert_allclose(scores, expected[users], rtol=0,
+                                       atol=1e-12)
+
+    def test_table_values_survive_the_first_product(self, model):
+        # The first product rebinds theta, latent and base to views of the
+        # item matrix; ranking and checkpoints read them afterwards.
+        table = model.item_table()
+        names = ("theta", "latent", "base")
+        before = {name: getattr(table, name).copy() for name in names}
+        table.score_all(np.arange(3))
+        for name in names:
+            assert np.array_equal(getattr(table, name), before[name])
+
+    def test_checkpoint_bytes_do_not_depend_on_scoring(self, model, tmp_path,
+                                                       monkeypatch):
+        save_checkpoint(tmp_path / "fresh.ckpt", model)
+        table = model.item_table()
+        table.score_all(np.arange(model.n_users))
+        monkeypatch.setattr(model, "item_table", lambda: table)
+        save_checkpoint(tmp_path / "scored.ckpt", model)
+        assert ((tmp_path / "fresh.ckpt").read_bytes()
+                == (tmp_path / "scored.ckpt").read_bytes())
