@@ -16,6 +16,7 @@ only in the metrics TSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, fields
@@ -316,7 +317,10 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing fills a
+    fresh namespace each call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="hierbpr",
         description="Hierarchical visual embeddings for one-class "
@@ -376,8 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (HierBprError, OSError, ValueError, KeyError, MemoryError) as exc:

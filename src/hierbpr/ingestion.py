@@ -31,9 +31,14 @@ from .hierarchy import CategoryHierarchy, build_hierarchy
 FEATURE_MAGIC = b"VFEATB01"
 POLICIES = ("strict", "prune")
 FEATURE_NORMS = ("none", "l2")
-# Rows per pass over the feature matrix: an l2 norm squares a whole block,
-# so the block, not the matrix, bounds that temporary.
+# Rows per pass over the feature matrix: each block is gathered (from a
+# binary file, read from disk), checked and l2-normalised before the next,
+# and an l2 norm squares a whole block, so the block, not the matrix,
+# bounds those temporaries.
 FEATURE_BLOCK_ROWS = 256
+# Bytes per read of a binary feature file: 255 records at F=4096, and the
+# whole file of a small corpus.
+FEATURE_READ_BYTES = 4 << 20
 
 
 # ---------------------------------------------------------------- text files
@@ -125,8 +130,87 @@ def write_features_csv(path, item_ids, matrix) -> None:
             fh.write(item_id + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _read_features_binary(path) -> tuple[list[str], np.ndarray]:
-    """Ids and vectors in record order; the vectors view the records."""
+class _FeatureRecords:
+    """A binary feature file's vectors, read from disk on demand.
+
+    ``rows[positions]`` is the float32 ``(len(positions), F)`` block of the
+    records at those positions, as indexing the whole matrix would give.
+    Each contiguous run of positions is one positioned read into a reused
+    window of about FEATURE_READ_BYTES. The run that ends a request reads
+    ahead to fill the window: in a file written in catalog order, the next
+    request starts there. Every record served is checked against the
+    id_index the first pass saw, so a file changed since then is a
+    ParseError, never another item's vector.
+    """
+
+    def __init__(self, path, n: int, feat: int):
+        self.path = path
+        self.shape = (n, feat)
+        record = _feature_record(feat)
+        count = max(1, min(n, FEATURE_READ_BYTES // record.itemsize))
+        self._window = np.empty(count, dtype=record)
+        self._first = self._stop = 0  # the window holds [first, stop)
+        self.index = self._read_index()
+
+    def _read(self, first: int, count: int) -> None:
+        """Records ``[first, first + count)`` into the window."""
+        size = self._window.itemsize
+        with open(self.path, "rb") as fh:
+            fh.seek(24 + first * size)  # past the header
+            got = fh.readinto(self._window[:count].view(np.uint8))
+        if got < count * size:
+            raise ParseError(f"{self.path}: truncated at record "
+                             f"{first + got // size} while being read")
+        self._first, self._stop = first, first + count
+
+    def _read_index(self) -> np.ndarray:
+        """Every record's id_index, read a window at a time."""
+        n, step = self.shape[0], len(self._window)
+        index = np.empty(n, dtype="<u8")
+        for first in range(0, n, step):
+            count = min(step, n - first)
+            self._read(first, count)
+            index[first:first + count] = self._window["index"][:count]
+        self._stop = 0  # rows are read afresh
+        return index
+
+    def __getitem__(self, positions) -> np.ndarray:
+        positions = np.asarray(positions, dtype=np.int64)
+        out = np.empty((len(positions), self.shape[1]), dtype=np.float32)
+        # Runs of consecutive records: out[lo:hi] from positions[lo] on.
+        starts = np.flatnonzero(np.diff(positions, prepend=-2) != 1).tolist()
+        for lo, hi in zip(starts, [*starts[1:], len(positions)]):
+            at, stop = int(positions[lo]), int(positions[hi - 1]) + 1
+            while at < stop:
+                if not self._first <= at < self._stop:
+                    # Only the request's last run reads ahead.
+                    end = stop if hi < len(positions) else self.shape[0]
+                    self._read(at, min(len(self._window), end - at))
+                take = min(stop, self._stop) - at
+                held = self._window[at - self._first:][:take]
+                changed = np.flatnonzero(held["index"]
+                                         != self.index[at:at + take])
+                if changed.size:
+                    raise ParseError(f"{self.path}: record "
+                                     f"{at + changed[0]} changed while "
+                                     "being read")
+                out[lo:lo + take] = held["vector"]
+                lo += take
+                at += take
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """Every row in record order: numpy reads the source as the matrix."""
+        rows = self[np.arange(self.shape[0])]
+        return rows if dtype is None else rows.astype(dtype, copy=False)
+
+
+def _read_features_binary(path) -> tuple[list[str], _FeatureRecords]:
+    """Ids in record order and a row source over the records' vectors.
+
+    This pass keeps only each record's id_index; the vectors are read again
+    when the catalog gathers them.
+    """
     ids_path = str(path) + ".ids"
     if not Path(ids_path).exists():
         raise ParseError(f"{path}: missing id sidecar {ids_path}")
@@ -159,15 +243,15 @@ def _read_features_binary(path) -> tuple[list[str], np.ndarray]:
         if body > n * record_bytes:
             raise ParseError(f"{path}: bytes follow the {n} records the "
                              "header counts")
-        records = np.fromfile(fh, dtype=_feature_record(feat), count=n)
-    index = records["index"]
+    records = _FeatureRecords(path, n, feat)
+    index = records.index
     if n and index.max() >= n:
         raise ParseError(f"{path}: id_index {index[index >= n][0]} out of "
                          "range")
     missing = np.setdiff1d(np.arange(n, dtype=index.dtype), index)
     if missing.size:
         raise ParseError(f"{path}: missing vector for id_index {missing[0]}")
-    return [ids[k] for k in index.tolist()], records["vector"]
+    return [ids[k] for k in index.tolist()], records
 
 
 def _read_features_csv(path) -> tuple[list[str], np.ndarray]:
@@ -212,8 +296,13 @@ def _check_unique(path, ids: list[str]) -> None:
         seen.add(item)
 
 
-def read_features(path) -> tuple[list[str], np.ndarray]:
-    """Read either format; binary is detected by its magic bytes."""
+def read_features(path) -> tuple[list[str], np.ndarray | _FeatureRecords]:
+    """Ids and their float32 rows; binary is detected by its magic bytes.
+
+    CSV gives the whole matrix. Binary gives a row source that reads
+    vectors from the file on demand, so no whole-file copy exists:
+    ``rows.shape`` and ``rows[positions]``, as on the matrix.
+    """
     with open(path, "rb") as fh:
         head = fh.read(8)
     if head == FEATURE_MAGIC:
@@ -322,12 +411,15 @@ class TrainingCorpus:
         return np.bincount(self.train_pos.indices, minlength=self.n_items)
 
 
-def _catalog_features(feat_ids: list[str], feat_matrix: np.ndarray,
-                      catalog: list[str], feature_norm: str) -> np.ndarray:
+def _catalog_features(feat_ids: list[str], feat_matrix, catalog: list[str],
+                      feature_norm: str) -> np.ndarray:
     """The catalog's feature rows as one read-only float64 matrix.
 
-    A block of rows at a time is gathered into catalog order, checked and
-    (for ``l2``) scaled to unit norm in place; zero rows stay zero.
+    ``feat_matrix`` is the float32 matrix or a binary file's row source;
+    either gives ``feat_matrix[positions]``. A block of rows at a time is
+    gathered into catalog order, checked and (for ``l2``) scaled to unit
+    norm in place; zero rows stay zero. So the peak is the matrix plus one
+    block and, for a binary file, one read window.
     """
     feat_row = {item: k for k, item in enumerate(feat_ids)}
     rows = [feat_row[i] for i in catalog]
@@ -352,7 +444,7 @@ def _catalog_features(feat_ids: list[str], feat_matrix: np.ndarray,
 def assemble_corpus(
     pairs: list[tuple[str, str]],
     feat_ids: list[str],
-    feat_matrix: np.ndarray,
+    feat_matrix,
     edges: list[tuple[str, str]],
     leaf_map: dict[str, str],
     policy: str = "strict",

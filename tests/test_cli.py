@@ -84,6 +84,35 @@ class TestSynthValidate:
         assert report["users"] == 30
         assert report["items"] == 60
 
+    def test_one_parser_parses_each_call_afresh(self, dataset, tmp_path,
+                                                capsys):
+        # main reuses one parser; no option of one call reaches the next.
+        assert build_parser() is build_parser()
+
+        def run(argv):
+            assert main(argv) == 0
+            return json.loads(capsys.readouterr().out)
+
+        def validate(paths, *extra):
+            argv = ["validate", *extra]
+            for key, path in paths.items():
+                argv += [f"--{key.replace('_', '-')}", path]
+            return run(argv)
+
+        pruned = validate(dataset, "--policy", "prune", "--feature-norm", "l2")
+        assert (pruned["policy"], pruned["feature_norm"]) == ("prune", "l2")
+        csv = run(synth_args(tmp_path / "csv", **{
+            "--items": "40", "--features-format": "csv"}))
+        with pytest.raises(SystemExit):
+            main(synth_args(tmp_path / "bad", **{"--branching": "x"}))
+        capsys.readouterr()
+        binary = run(synth_args(tmp_path / "bin"))
+        assert Path(csv["features"]).suffix == ".csv"
+        assert Path(binary["features"]).suffix == ".bin"
+        report = validate(data_paths(tmp_path / "bin"))
+        assert (report["policy"], report["feature_norm"]) == ("strict", "none")
+        assert report["items"] == 60
+
     def test_error_json_on_missing_file(self, capsys):
         argv = ["validate", "--feedback", "/nonexistent/x.tsv",
                 "--features", "/nonexistent/y.bin",

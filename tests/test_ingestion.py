@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from hierbpr import ingestion
 from hierbpr.cli import main
 from hierbpr.errors import (
     DanglingItemLeaf,
@@ -19,6 +22,7 @@ from hierbpr.errors import (
 from hierbpr.evaluation import split_leave_one_out, auc
 from hierbpr.ingestion import (
     FEATURE_BLOCK_ROWS,
+    FEATURE_READ_BYTES,
     assemble_corpus,
     load_corpus,
     read_features,
@@ -38,6 +42,14 @@ EDGES = [("a", "root"), ("b", "root")]
 LEAVES = {"i0": "a", "i1": "a", "i2": "b"}
 FEATS = {"i0": [1.0, 0.0], "i1": [0.0, 1.0], "i2": [1.0, 1.0]}
 PAIRS = [("u0", "i0"), ("u0", "i2"), ("u1", "i1")]
+
+
+def with_index(blob, record, value):
+    """A binary feature file's bytes with record ``record``'s id_index set
+    to ``value``."""
+    feat = int.from_bytes(blob[16:24], "little")
+    at = 24 + record * (8 + 4 * feat)
+    return blob[:at] + value.to_bytes(8, "little") + blob[at + 8:]
 
 
 def write_inputs(tmp_path, pairs=PAIRS, feats=FEATS, leaves=LEAVES,
@@ -148,18 +160,23 @@ class TestFeatureFiles:
         with pytest.raises(ParseError):
             read_features(path)
 
-    @pytest.mark.parametrize("damage, message", [
-        (lambda blob: blob[:24] + (9).to_bytes(8, "little") + blob[32:],
+    @pytest.mark.parametrize("n, feat, damage, message", [
+        (2, 3, lambda blob: blob[:24] + (9).to_bytes(8, "little") + blob[32:],
          "id_index 9 out of range"),
-        (lambda blob: blob[:24] + (1).to_bytes(8, "little") + blob[32:],
+        (2, 3, lambda blob: blob[:24] + (1).to_bytes(8, "little") + blob[32:],
          "missing vector for id_index 0"),
-        (lambda blob: blob[:-6], "truncated vector at record 1"),
-        (lambda blob: blob[:-16], "truncated at record 1"),
+        (2, 3, lambda blob: blob[:-6], "truncated vector at record 1"),
+        (2, 3, lambda blob: blob[:-16], "truncated at record 1"),
+        # Past the first block of rows and, at F=4096, the first read.
+        (FEATURE_BLOCK_ROWS + 2, 4096,
+         lambda blob: with_index(blob, FEATURE_BLOCK_ROWS + 1, 999),
+         "id_index 999 out of range"),
     ], ids=["index_out_of_range", "index_repeated", "cut_vector",
-            "cut_index"])
-    def test_damaged_binary_named(self, tmp_path, damage, message):
+            "cut_index", "index_past_first_block"])
+    def test_damaged_binary_named(self, tmp_path, n, feat, damage, message):
         path = tmp_path / "f.bin"
-        write_features_binary(path, ["a", "b"], np.ones((2, 3), dtype=np.float32))
+        write_features_binary(path, [f"i{k}" for k in range(n)],
+                              np.ones((n, feat), dtype=np.float32))
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ParseError, match=message):
             read_features(path)
@@ -486,3 +503,119 @@ class TestFeatureMatrix:
         assert np.all(corpus.features[zero] == 0.0)
         assert np.allclose(np.linalg.norm(np.delete(corpus.features, zero, 0),
                                           axis=1), 1.0)
+
+
+def binary_corpus(tmp_path, n=2 * FEATURE_BLOCK_ROWS + 37, feat=7,
+                  shuffle=True):
+    """Input paths of a binary corpus written in shuffled (or sorted) id
+    order, every seventh item without a leaf, plus the file's ids and
+    float32 rows in record order."""
+    rng = np.random.default_rng(11)
+    ids = [f"i{k:04d}" for k in range(n)]
+    matrix = rng.normal(size=(n, feat)).astype(np.float32)
+    matrix[FEATURE_BLOCK_ROWS + 1] = 0.0
+    order = rng.permutation(n) if shuffle else np.arange(n)
+    file_ids = [ids[k] for k in order]
+    paths = {"feedback": tmp_path / "fb.tsv",
+             "features": tmp_path / "f.bin",
+             "hierarchy": tmp_path / "h.tsv",
+             "item_leaves": tmp_path / "il.tsv"}
+    write_features_binary(paths["features"], file_ids, matrix[order])
+    write_pairs(paths["feedback"], [(f"u{k % 5}", ids[k])
+                                    for k in range(0, n, 3)])
+    write_pairs(paths["hierarchy"], [("a", "root"), ("b", "root")])
+    write_pairs(paths["item_leaves"], [(item, "ab"[k % 2])
+                                       for k, item in enumerate(ids)
+                                       if k % 7])
+    return paths, file_ids, matrix[order]
+
+
+def load(paths, **options):
+    return load_corpus(paths["feedback"], paths["features"],
+                       paths["hierarchy"], paths["item_leaves"], **options)
+
+
+class TestStreamedFeatures:
+    """A binary file's vectors go from disk into the catalog matrix a block
+    at a time, with the bits the whole float32 matrix would give."""
+
+    # Sorted, the catalog's runs are six records long and later requests
+    # start inside the window an earlier one read ahead.
+    @pytest.mark.parametrize("shuffle", [True, False],
+                             ids=["shuffled", "sorted"])
+    @pytest.mark.parametrize("read_bytes",
+                             [FEATURE_READ_BYTES, 3 * (8 + 4 * 7) + 5],
+                             ids=["default_reads", "three_record_reads"])
+    @pytest.mark.parametrize("norm", ["none", "l2"])
+    def test_bits_match_in_memory_matrix(self, tmp_path, monkeypatch,
+                                         read_bytes, norm, shuffle):
+        monkeypatch.setattr(ingestion, "FEATURE_READ_BYTES", read_bytes)
+        paths, file_ids, rows = binary_corpus(tmp_path, shuffle=shuffle)
+        corpus, report = load(paths, policy="prune", feature_norm=norm)
+        reference, reference_report = assemble_corpus(
+            read_feedback(paths["feedback"]), file_ids, rows,
+            [("a", "root"), ("b", "root")],
+            ingestion.read_item_leaves(paths["item_leaves"]),
+            policy="prune", feature_norm=norm)
+        assert report["pruned"]["items_missing_category"]
+        assert report == reference_report
+        assert corpus.item_ids == reference.item_ids
+        assert corpus.features.tobytes() == reference.features.tobytes()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda blob: with_index(with_index(blob, 0, 1), 1, 0),
+         "record 0 changed while being read"),
+        (lambda blob: blob[:-4], "truncated at record 2 while being read"),
+    ], ids=["records_swapped", "cut"])
+    def test_file_changed_after_first_pass(self, tmp_path, damage, message):
+        paths = write_inputs(tmp_path)
+        feat_ids, rows = read_features(paths["features"])
+        paths["features"].write_bytes(damage(paths["features"].read_bytes()))
+        with pytest.raises(ParseError, match=re.escape(
+                f"{paths['features']}: {message}")):
+            assemble_corpus(PAIRS, feat_ids, rows, EDGES, LEAVES)
+
+    def test_change_between_passes_is_one_json_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        paths = write_inputs(tmp_path)
+        first_pass = ingestion.read_features
+
+        def read_then_cut(path):
+            result = first_pass(path)
+            Path(path).write_bytes(Path(path).read_bytes()[:-4])
+            return result
+
+        monkeypatch.setattr(ingestion, "read_features", read_then_cut)
+        assert validate(paths) == 1
+        assert one_error(capsys) == {
+            "error": "ParseError",
+            "message": f"{paths['features']}: truncated at record 2 while "
+                       "being read"}
+
+
+class TestMemoryBudget:
+    # Per item: its ids, id-to-row dict entries, feedback pairs and the sets
+    # that cross-check them. About 500 bytes an item were live at the peak.
+    SLACK_PER_ITEM = 1024
+
+    @pytest.mark.parametrize("norm", ["none", "l2"])
+    def test_load_holds_matrix_and_one_read(self, tmp_path, norm):
+        # numpy reports its buffers to tracemalloc. Besides the float64
+        # matrix, loading holds one read window and one block: the float32
+        # rows it gathers or, for l2, their float64 squares. The file is
+        # three read windows, so a whole-file copy cannot pass.
+        feat = 2048
+        record = 8 + 4 * feat
+        n = 3 * (FEATURE_READ_BYTES // record)
+        assert n > 2 * FEATURE_BLOCK_ROWS
+        paths, _, _ = binary_corpus(tmp_path, n=n, feat=feat)
+        tracemalloc.start()
+        try:
+            corpus, _ = load(paths, policy="prune", feature_norm=norm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = corpus.features.nbytes
+        window = FEATURE_READ_BYTES // record * record
+        block = FEATURE_BLOCK_ROWS * feat * 8
+        assert peak <= matrix + window + block + self.SLACK_PER_ITEM * n
