@@ -31,10 +31,10 @@ from .hierarchy import CategoryHierarchy, build_hierarchy
 FEATURE_MAGIC = b"VFEATB01"
 POLICIES = ("strict", "prune")
 FEATURE_NORMS = ("none", "l2")
-# Rows per pass over the feature matrix: each block is gathered (from a
-# binary file, read from disk), checked and l2-normalised before the next,
-# and an l2 norm squares a whole block, so the block, not the matrix,
-# bounds those temporaries.
+# Rows per pass over the feature matrix: records are scattered into their
+# catalog rows, then checked and l2-normalised, a block at a time; an l2
+# norm squares a whole block, so the block, not the matrix, bounds those
+# temporaries.
 FEATURE_BLOCK_ROWS = 256
 # Bytes per read of a binary feature file: 255 records at F=4096, and the
 # whole file of a small corpus.
@@ -133,14 +133,11 @@ def write_features_csv(path, item_ids, matrix) -> None:
 class _FeatureRecords:
     """A binary feature file's vectors, read from disk on demand.
 
-    ``rows[positions]`` is the float32 ``(len(positions), F)`` block of the
-    records at those positions, as indexing the whole matrix would give.
-    Each contiguous run of positions is one positioned read into a reused
-    window of about FEATURE_READ_BYTES. The run that ends a request reads
-    ahead to fill the window: in a file written in catalog order, the next
-    request starts there. Every record served is checked against the
-    id_index the first pass saw, so a file changed since then is a
-    ParseError, never another item's vector.
+    ``blocks()`` reads the records in file order into one reused window of
+    about FEATURE_READ_BYTES and yields ``(first, rows)``: the float32
+    vectors of records ``first, first + 1, ...``. Every window is checked
+    against the id_index the first pass saw, so a file changed since then
+    is a ParseError, never another item's vector.
     """
 
     def __init__(self, path, n: int, feat: int):
@@ -149,59 +146,40 @@ class _FeatureRecords:
         record = _feature_record(feat)
         count = max(1, min(n, FEATURE_READ_BYTES // record.itemsize))
         self._window = np.empty(count, dtype=record)
-        self._first = self._stop = 0  # the window holds [first, stop)
-        self.index = self._read_index()
+        self.index = np.empty(n, dtype="<u8")
+        for first, held in self._windows():
+            self.index[first:first + len(held)] = held["index"]
 
-    def _read(self, first: int, count: int) -> None:
-        """Records ``[first, first + count)`` into the window."""
+    def _windows(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The records in file order, a window at a time."""
+        n, step = self.shape[0], len(self._window)
         size = self._window.itemsize
         with open(self.path, "rb") as fh:
-            fh.seek(24 + first * size)  # past the header
-            got = fh.readinto(self._window[:count].view(np.uint8))
-        if got < count * size:
-            raise ParseError(f"{self.path}: truncated at record "
-                             f"{first + got // size} while being read")
-        self._first, self._stop = first, first + count
+            fh.seek(24)  # past the header
+            for first in range(0, n, step):
+                held = self._window[:min(step, n - first)]
+                got = fh.readinto(held.view(np.uint8))
+                if got < held.nbytes:
+                    raise ParseError(f"{self.path}: truncated at record "
+                                     f"{first + got // size} while being "
+                                     "read")
+                yield first, held
 
-    def _read_index(self) -> np.ndarray:
-        """Every record's id_index, read a window at a time."""
-        n, step = self.shape[0], len(self._window)
-        index = np.empty(n, dtype="<u8")
-        for first in range(0, n, step):
-            count = min(step, n - first)
-            self._read(first, count)
-            index[first:first + count] = self._window["index"][:count]
-        self._stop = 0  # rows are read afresh
-        return index
-
-    def __getitem__(self, positions) -> np.ndarray:
-        positions = np.asarray(positions, dtype=np.int64)
-        out = np.empty((len(positions), self.shape[1]), dtype=np.float32)
-        # Runs of consecutive records: out[lo:hi] from positions[lo] on.
-        starts = np.flatnonzero(np.diff(positions, prepend=-2) != 1).tolist()
-        for lo, hi in zip(starts, [*starts[1:], len(positions)]):
-            at, stop = int(positions[lo]), int(positions[hi - 1]) + 1
-            while at < stop:
-                if not self._first <= at < self._stop:
-                    # Only the request's last run reads ahead.
-                    end = stop if hi < len(positions) else self.shape[0]
-                    self._read(at, min(len(self._window), end - at))
-                take = min(stop, self._stop) - at
-                held = self._window[at - self._first:][:take]
-                changed = np.flatnonzero(held["index"]
-                                         != self.index[at:at + take])
-                if changed.size:
-                    raise ParseError(f"{self.path}: record "
-                                     f"{at + changed[0]} changed while "
-                                     "being read")
-                out[lo:lo + take] = held["vector"]
-                lo += take
-                at += take
-        return out
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Each window's float32 vectors, after its id_index check."""
+        for first, held in self._windows():
+            changed = np.flatnonzero(held["index"]
+                                     != self.index[first:first + len(held)])
+            if changed.size:
+                raise ParseError(f"{self.path}: record {first + changed[0]} "
+                                 "changed while being read")
+            yield first, held["vector"]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """Every row in record order: numpy reads the source as the matrix."""
-        rows = self[np.arange(self.shape[0])]
+        rows = np.empty(self.shape, dtype=np.float32)
+        for first, block in self.blocks():
+            rows[first:first + len(block)] = block
         return rows if dtype is None else rows.astype(dtype, copy=False)
 
 
@@ -209,7 +187,7 @@ def _read_features_binary(path) -> tuple[list[str], _FeatureRecords]:
     """Ids in record order and a row source over the records' vectors.
 
     This pass keeps only each record's id_index; the vectors are read again
-    when the catalog gathers them.
+    when the catalog is filled.
     """
     ids_path = str(path) + ".ids"
     if not Path(ids_path).exists():
@@ -301,7 +279,7 @@ def read_features(path) -> tuple[list[str], np.ndarray | _FeatureRecords]:
 
     CSV gives the whole matrix. Binary gives a row source that reads
     vectors from the file on demand, so no whole-file copy exists:
-    ``rows.shape`` and ``rows[positions]``, as on the matrix.
+    ``rows.shape``, and ``rows.blocks()`` in record order.
     """
     with open(path, "rb") as fh:
         head = fh.read(8)
@@ -411,24 +389,46 @@ class TrainingCorpus:
         return np.bincount(self.train_pos.indices, minlength=self.n_items)
 
 
+def _scatter_rows(features: np.ndarray, catalog_row: np.ndarray,
+                  feat_matrix) -> None:
+    """Write each float32 row, in record order and at most
+    FEATURE_BLOCK_ROWS at a time, into ``features[catalog_row[record]]``;
+    a record whose catalog row is -1 is skipped."""
+    windows = (feat_matrix.blocks() if isinstance(feat_matrix, _FeatureRecords)
+               else [(0, feat_matrix)])
+    for first, window in windows:
+        for start in range(0, len(window), FEATURE_BLOCK_ROWS):
+            rows = window[start:start + FEATURE_BLOCK_ROWS]
+            dest = catalog_row[first + start:first + start + len(rows)]
+            keep = dest >= 0
+            if not keep.all():  # only copy rows when some item was dropped
+                dest, rows = dest[keep], rows[keep]
+            # A signalling NaN warns as it is cast; the finite check in
+            # _catalog_features names it.
+            with np.errstate(invalid="ignore"):
+                features[dest] = rows
+
+
 def _catalog_features(feat_ids: list[str], feat_matrix, catalog: list[str],
                       feature_norm: str) -> np.ndarray:
     """The catalog's feature rows as one read-only float64 matrix.
 
-    ``feat_matrix`` is the float32 matrix or a binary file's row source;
-    either gives ``feat_matrix[positions]``. A block of rows at a time is
-    gathered into catalog order, checked and (for ``l2``) scaled to unit
-    norm in place; zero rows stay zero. So the peak is the matrix plus one
-    block and, for a binary file, one read window.
+    ``feat_matrix`` is the float32 matrix or a binary file's row source.
+    Its rows are scattered in record order into their catalog rows, so a
+    file is read once, front to back, whatever its order; records the
+    catalog dropped are skipped. Then a block of rows at a time is checked
+    and (for ``l2``) scaled to unit norm in place; zero rows stay zero. So
+    the peak is the matrix plus one block and, for a binary file, one read
+    window.
     """
     feat_row = {item: k for k, item in enumerate(feat_ids)}
-    rows = [feat_row[i] for i in catalog]
+    # Each record's catalog row, -1 where the catalog dropped the item.
+    catalog_row = np.full(len(feat_ids), -1, dtype=np.int64)
+    catalog_row[[feat_row[i] for i in catalog]] = np.arange(len(catalog))
     features = np.empty((len(catalog), feat_matrix.shape[1]))
+    _scatter_rows(features, catalog_row, feat_matrix)
     for start in range(0, len(features), FEATURE_BLOCK_ROWS):
         block = features[start:start + FEATURE_BLOCK_ROWS]
-        # A signalling NaN warns as it is cast; the check below names it.
-        with np.errstate(invalid="ignore"):
-            block[:] = feat_matrix[rows[start:start + FEATURE_BLOCK_ROWS]]
         bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
         if bad.size:
             raise ParseError(f"item {catalog[start + bad[0]]!r} has a "

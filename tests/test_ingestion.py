@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import tracemalloc
@@ -539,8 +540,8 @@ class TestStreamedFeatures:
     """A binary file's vectors go from disk into the catalog matrix a block
     at a time, with the bits the whole float32 matrix would give."""
 
-    # Sorted, the catalog's runs are six records long and later requests
-    # start inside the window an earlier one read ahead.
+    # Sorted or shuffled, the file is read front to back; three-record
+    # reads put windows and blocks on different boundaries.
     @pytest.mark.parametrize("shuffle", [True, False],
                              ids=["shuffled", "sorted"])
     @pytest.mark.parametrize("read_bytes",
@@ -561,6 +562,38 @@ class TestStreamedFeatures:
         assert report == reference_report
         assert corpus.item_ids == reference.item_ids
         assert corpus.features.tobytes() == reference.features.tobytes()
+        # Both loads share the scatter; each kept item's row, looked up by
+        # id, checks it.
+        row = dict(zip(file_ids, rows.astype(np.float64)))
+        expected = np.array([row[item] for item in corpus.item_ids])
+        if norm == "l2":
+            norms = np.linalg.norm(expected, axis=1, keepdims=True)
+            expected /= np.where(norms == 0.0, 1.0, norms)
+        assert corpus.features.tobytes() == expected.tobytes()
+
+    def test_shuffled_file_read_twice(self, tmp_path, monkeypatch):
+        # One pass for the id_index column and one for the vectors, each
+        # front to back, whatever the file's record order.
+        monkeypatch.setattr(ingestion, "FEATURE_READ_BYTES", 3 * (8 + 4 * 7))
+        paths, file_ids, _ = binary_corpus(tmp_path)
+        reads = []
+
+        class CountingReader(io.BufferedReader):
+            def readinto(self, buffer):
+                reads.append((self.tell(), super().readinto(buffer)))
+                return reads[-1][1]
+
+        def counting_open(path, mode="r", **kwargs):
+            if mode == "rb":
+                return CountingReader(io.FileIO(path))
+            return open(path, mode, **kwargs)
+
+        monkeypatch.setattr(ingestion, "open", counting_open, raising=False)
+        load(paths, policy="prune")
+        body = len(file_ids) * (8 + 4 * 7)
+        offsets = list(range(24, 24 + body, 3 * (8 + 4 * 7)))
+        assert [at for at, _ in reads] == offsets + offsets
+        assert sum(got for _, got in reads) == 2 * body
 
     @pytest.mark.parametrize("damage, message", [
         (lambda blob: with_index(with_index(blob, 0, 1), 1, 0),
@@ -602,7 +635,7 @@ class TestMemoryBudget:
     def test_load_holds_matrix_and_one_read(self, tmp_path, norm):
         # numpy reports its buffers to tracemalloc. Besides the float64
         # matrix, loading holds one read window and one block: the float32
-        # rows it gathers or, for l2, their float64 squares. The file is
+        # rows it scatters or, for l2, their float64 squares. The file is
         # three read windows, so a whole-file copy cannot pass.
         feat = 2048
         record = 8 + 4 * feat
