@@ -131,64 +131,55 @@ def write_features_csv(path, item_ids, matrix) -> None:
 
 
 class _FeatureRecords:
-    """A binary feature file's vectors, read from disk on demand.
+    """A binary feature file's records, read from disk once, front to back.
 
-    ``blocks()`` reads the records in file order into one reused window of
-    about FEATURE_READ_BYTES and yields ``(first, rows)``: the float32
-    vectors of records ``first, first + 1, ...``. Every window is checked
-    against the id_index the first pass saw, so a file changed since then
-    is a ParseError, never another item's vector.
+    ``blocks()`` reads them in file order into one reused window of about
+    FEATURE_READ_BYTES and yields ``(index, rows)``: each record's id_index
+    and float32 vector. A window is yielded only after its id_index range
+    check, and after the last window every id_index must have been seen,
+    so a damaged index is a ParseError, never another item's vector.
     """
 
     def __init__(self, path, n: int, feat: int):
         self.path = path
         self.shape = (n, feat)
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        n, feat = self.shape
         record = _feature_record(feat)
         count = max(1, min(n, FEATURE_READ_BYTES // record.itemsize))
-        self._window = np.empty(count, dtype=record)
-        self.index = np.empty(n, dtype="<u8")
-        for first, held in self._windows():
-            self.index[first:first + len(held)] = held["index"]
-
-    def _windows(self) -> Iterator[tuple[int, np.ndarray]]:
-        """The records in file order, a window at a time."""
-        n, step = self.shape[0], len(self._window)
-        size = self._window.itemsize
+        window = np.empty(count, dtype=record)
+        seen = np.zeros(n, dtype=bool)
         with open(self.path, "rb") as fh:
             fh.seek(24)  # past the header
-            for first in range(0, n, step):
-                held = self._window[:min(step, n - first)]
+            for first in range(0, n, len(window)):
+                held = window[:min(len(window), n - first)]
                 got = fh.readinto(held.view(np.uint8))
                 if got < held.nbytes:
                     raise ParseError(f"{self.path}: truncated at record "
-                                     f"{first + got // size} while being "
-                                     "read")
-                yield first, held
-
-    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Each window's float32 vectors, after its id_index check."""
-        for first, held in self._windows():
-            changed = np.flatnonzero(held["index"]
-                                     != self.index[first:first + len(held)])
-            if changed.size:
-                raise ParseError(f"{self.path}: record {first + changed[0]} "
-                                 "changed while being read")
-            yield first, held["vector"]
+                                     f"{first + got // record.itemsize} "
+                                     "while being read")
+                index = held["index"]
+                bad = np.flatnonzero(index >= n)
+                if bad.size:
+                    raise ParseError(f"{self.path}: id_index "
+                                     f"{index[bad[0]]} out of range")
+                seen[index] = True
+                yield index, held["vector"]
+        if not seen.all():
+            raise ParseError(f"{self.path}: missing vector for id_index "
+                             f"{np.argmin(seen)}")
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """Every row in record order: numpy reads the source as the matrix."""
+        """Every row at its id_index: numpy reads the source as the matrix."""
         rows = np.empty(self.shape, dtype=np.float32)
-        for first, block in self.blocks():
-            rows[first:first + len(block)] = block
+        _scatter_rows(rows, np.arange(self.shape[0]), self)
         return rows if dtype is None else rows.astype(dtype, copy=False)
 
 
 def _read_features_binary(path) -> tuple[list[str], _FeatureRecords]:
-    """Ids in record order and a row source over the records' vectors.
-
-    This pass keeps only each record's id_index; the vectors are read again
-    when the catalog is filled.
-    """
+    """The sidecar's ids in line order and a row source over the records,
+    after every header and size check; no record is read here."""
     ids_path = str(path) + ".ids"
     if not Path(ids_path).exists():
         raise ParseError(f"{path}: missing id sidecar {ids_path}")
@@ -221,15 +212,7 @@ def _read_features_binary(path) -> tuple[list[str], _FeatureRecords]:
         if body > n * record_bytes:
             raise ParseError(f"{path}: bytes follow the {n} records the "
                              "header counts")
-    records = _FeatureRecords(path, n, feat)
-    index = records.index
-    if n and index.max() >= n:
-        raise ParseError(f"{path}: id_index {index[index >= n][0]} out of "
-                         "range")
-    missing = np.setdiff1d(np.arange(n, dtype=index.dtype), index)
-    if missing.size:
-        raise ParseError(f"{path}: missing vector for id_index {missing[0]}")
-    return [ids[k] for k in index.tolist()], records
+    return ids, _FeatureRecords(path, n, feat)
 
 
 def _read_features_csv(path) -> tuple[list[str], np.ndarray]:
@@ -277,9 +260,10 @@ def _check_unique(path, ids: list[str]) -> None:
 def read_features(path) -> tuple[list[str], np.ndarray | _FeatureRecords]:
     """Ids and their float32 rows; binary is detected by its magic bytes.
 
-    CSV gives the whole matrix. Binary gives a row source that reads
-    vectors from the file on demand, so no whole-file copy exists:
-    ``rows.shape``, and ``rows.blocks()`` in record order.
+    In either format row ``k`` belongs to ``ids[k]``. CSV gives the whole
+    matrix. Binary gives a row source that reads the file once, when it is
+    iterated, so no whole-file copy exists: ``rows.shape``, and
+    ``rows.blocks()``, each window's ``(id_index, vectors)`` in file order.
     """
     with open(path, "rb") as fh:
         head = fh.read(8)
@@ -391,15 +375,16 @@ class TrainingCorpus:
 
 def _scatter_rows(features: np.ndarray, catalog_row: np.ndarray,
                   feat_matrix) -> None:
-    """Write each float32 row, in record order and at most
-    FEATURE_BLOCK_ROWS at a time, into ``features[catalog_row[record]]``;
-    a record whose catalog row is -1 is skipped."""
+    """Write each float32 row, in file order and at most
+    FEATURE_BLOCK_ROWS at a time, into ``features[catalog_row[id_index]]``;
+    a row whose catalog row is -1 is skipped. Row ``k`` of an ndarray has
+    id_index ``k``."""
     windows = (feat_matrix.blocks() if isinstance(feat_matrix, _FeatureRecords)
-               else [(0, feat_matrix)])
-    for first, window in windows:
+               else [(np.arange(len(feat_matrix)), feat_matrix)])
+    for index, window in windows:
         for start in range(0, len(window), FEATURE_BLOCK_ROWS):
             rows = window[start:start + FEATURE_BLOCK_ROWS]
-            dest = catalog_row[first + start:first + start + len(rows)]
+            dest = catalog_row[index[start:start + len(rows)]]
             keep = dest >= 0
             if not keep.all():  # only copy rows when some item was dropped
                 dest, rows = dest[keep], rows[keep]
@@ -414,15 +399,15 @@ def _catalog_features(feat_ids: list[str], feat_matrix, catalog: list[str],
     """The catalog's feature rows as one read-only float64 matrix.
 
     ``feat_matrix`` is the float32 matrix or a binary file's row source.
-    Its rows are scattered in record order into their catalog rows, so a
-    file is read once, front to back, whatever its order; records the
-    catalog dropped are skipped. Then a block of rows at a time is checked
-    and (for ``l2``) scaled to unit norm in place; zero rows stay zero. So
-    the peak is the matrix plus one block and, for a binary file, one read
-    window.
+    Its rows are scattered in file order, each by its id_index, into their
+    catalog rows, so a file is read once, front to back, whatever its
+    record order; rows the catalog dropped are skipped. Then a block of
+    rows at a time is checked and (for ``l2``) scaled to unit norm in
+    place; zero rows stay zero. So the peak is the matrix plus one block
+    and, for a binary file, one read window.
     """
     feat_row = {item: k for k, item in enumerate(feat_ids)}
-    # Each record's catalog row, -1 where the catalog dropped the item.
+    # Each id_index's catalog row, -1 where the catalog dropped the item.
     catalog_row = np.full(len(feat_ids), -1, dtype=np.int64)
     catalog_row[[feat_row[i] for i in catalog]] = np.arange(len(catalog))
     features = np.empty((len(catalog), feat_matrix.shape[1]))

@@ -161,26 +161,38 @@ class TestFeatureFiles:
         with pytest.raises(ParseError):
             read_features(path)
 
-    @pytest.mark.parametrize("n, feat, damage, message", [
+    @pytest.mark.parametrize("n, feat, damage, message, policy", [
         (2, 3, lambda blob: blob[:24] + (9).to_bytes(8, "little") + blob[32:],
-         "id_index 9 out of range"),
+         "id_index 9 out of range", "strict"),
         (2, 3, lambda blob: blob[:24] + (1).to_bytes(8, "little") + blob[32:],
-         "missing vector for id_index 0"),
-        (2, 3, lambda blob: blob[:-6], "truncated vector at record 1"),
-        (2, 3, lambda blob: blob[:-16], "truncated at record 1"),
+         "missing vector for id_index 0", "strict"),
+        (2, 3, lambda blob: blob[:-6], "truncated vector at record 1",
+         "strict"),
+        (2, 3, lambda blob: blob[:-16], "truncated at record 1", "strict"),
         # Past the first block of rows and, at F=4096, the first read.
         (FEATURE_BLOCK_ROWS + 2, 4096,
          lambda blob: with_index(blob, FEATURE_BLOCK_ROWS + 1, 999),
-         "id_index 999 out of range"),
+         "id_index 999 out of range", "strict"),
+        # The last item has no category, so prune drops it; its record is
+        # still checked.
+        (3, 3, lambda blob: with_index(blob, 2, 9), "id_index 9 out of range",
+         "prune"),
     ], ids=["index_out_of_range", "index_repeated", "cut_vector",
-            "cut_index", "index_past_first_block"])
-    def test_damaged_binary_named(self, tmp_path, n, feat, damage, message):
-        path = tmp_path / "f.bin"
-        write_features_binary(path, [f"i{k}" for k in range(n)],
-                              np.ones((n, feat), dtype=np.float32))
+            "cut_index", "index_past_first_block", "index_of_pruned_item"])
+    def test_damaged_binary_named(self, tmp_path, capsys, n, feat, damage,
+                                  message, policy):
+        # Sizes are checked as the file is opened, id_index values as its
+        # records are read; either way validate prints one JSON error line.
+        ids = [f"i{k}" for k in range(n)]
+        kept = ids[:-1] if policy == "prune" else ids
+        paths = write_inputs(tmp_path, pairs=[("u0", "i0")],
+                             feats=dict.fromkeys(ids, [1.0] * feat),
+                             leaves=dict.fromkeys(kept, "a"))
+        path = paths["features"]
         path.write_bytes(damage(path.read_bytes()))
-        with pytest.raises(ParseError, match=message):
-            read_features(path)
+        assert validate(paths, "--policy", policy) == 1
+        assert one_error(capsys) == {"error": "ParseError",
+                                     "message": f"{path}: {message}"}
 
     def test_header_cut(self, tmp_path, capsys):
         # Past the magic but short of the two u64 counts.
@@ -571,9 +583,9 @@ class TestStreamedFeatures:
             expected /= np.where(norms == 0.0, 1.0, norms)
         assert corpus.features.tobytes() == expected.tobytes()
 
-    def test_shuffled_file_read_twice(self, tmp_path, monkeypatch):
-        # One pass for the id_index column and one for the vectors, each
-        # front to back, whatever the file's record order.
+    def test_file_read_once(self, tmp_path, monkeypatch):
+        # One pass, front to back in whole windows, whatever the file's
+        # record order.
         monkeypatch.setattr(ingestion, "FEATURE_READ_BYTES", 3 * (8 + 4 * 7))
         paths, file_ids, _ = binary_corpus(tmp_path)
         reads = []
@@ -592,14 +604,12 @@ class TestStreamedFeatures:
         load(paths, policy="prune")
         body = len(file_ids) * (8 + 4 * 7)
         offsets = list(range(24, 24 + body, 3 * (8 + 4 * 7)))
-        assert [at for at, _ in reads] == offsets + offsets
-        assert sum(got for _, got in reads) == 2 * body
+        assert [at for at, _ in reads] == offsets
+        assert sum(got for _, got in reads) == body
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda blob: with_index(with_index(blob, 0, 1), 1, 0),
-         "record 0 changed while being read"),
         (lambda blob: blob[:-4], "truncated at record 2 while being read"),
-    ], ids=["records_swapped", "cut"])
+    ], ids=["cut"])
     def test_file_changed_after_first_pass(self, tmp_path, damage, message):
         paths = write_inputs(tmp_path)
         feat_ids, rows = read_features(paths["features"])
@@ -607,6 +617,20 @@ class TestStreamedFeatures:
         with pytest.raises(ParseError, match=re.escape(
                 f"{paths['features']}: {message}")):
             assemble_corpus(PAIRS, feat_ids, rows, EDGES, LEAVES)
+
+    def test_records_swapped_after_read_features(self, tmp_path):
+        # Each record carries its id_index, so each item still gets its
+        # own vector.
+        paths = write_inputs(tmp_path)
+        feat_ids, rows = read_features(paths["features"])
+        expected, _ = assemble_corpus(PAIRS, feat_ids, rows, EDGES, LEAVES)
+        blob = paths["features"].read_bytes()
+        size = 8 + 4 * 2
+        first, second = blob[24:24 + size], blob[24 + size:24 + 2 * size]
+        paths["features"].write_bytes(blob[:24] + second + first
+                                      + blob[24 + 2 * size:])
+        corpus, _ = assemble_corpus(PAIRS, feat_ids, rows, EDGES, LEAVES)
+        assert corpus.features.tobytes() == expected.features.tobytes()
 
     def test_change_between_passes_is_one_json_error(self, tmp_path, capsys,
                                                      monkeypatch):

@@ -51,9 +51,19 @@ def test_checker_sees_unused_names():
 
 
 
-# The types ``cli.main`` turns into the one-line JSON error, besides the
-# package's own.
-JSON_ERROR_BUILTINS = {"ValueError", "KeyError", "OSError"}
+def json_error_types() -> set[str]:
+    """The names in the ``except (...)`` tuple of ``cli.main``: the types
+    it turns into the one-line JSON error."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handler = next(node for node in ast.walk(main)
+                   if isinstance(node, ast.ExceptHandler)
+                   and isinstance(node.type, ast.Tuple))
+    return {name.id for name in handler.type.elts}
+
+
+JSON_ERROR_BUILTINS = json_error_types()
 
 
 def stray_raises(source: str, also: frozenset = frozenset()) -> list[str]:
@@ -93,6 +103,7 @@ def test_checker_sees_stray_raises():
               "    except KeyError:\n"
               "        raise\n"
               "    raise TypeError(x) from None\n"
-              "raise OSError(2, 'gone')\n")
+              "raise OSError(2, 'gone')\n"
+              "raise MemoryError\n")
     assert stray_raises(source) == ["raise", "TypeError"]
     assert stray_raises(source, frozenset({"TypeError"})) == ["raise"]
