@@ -11,8 +11,9 @@ the digest, that the arrays are exactly those the format and the config
 name, and every array's dtype and shape, and raises ``ParseError`` for any
 damaged file.
 
-Checkpoints carry the raw parameter blocks plus the frozen per-item
-projections and visual-bias scores, so ranking and evaluation need only the
+Every checkpoint carries the raw parameter blocks, the frozen per-item
+projections and visual-bias scores, the evaluation split, the seeds and the
+per-item training counts, so ranking and evaluation need only the
 checkpoint and a feedback file, not the original feature matrix.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import HeldOutMissing, ParseError
 from .evaluation import EvalSplit
 from .hierarchy import CategoryHierarchy, assign_layers, build_hierarchy
 from .ingestion import Positives
@@ -57,11 +58,11 @@ def _hierarchy_from_parts(node_ids, parent, item_leaf) -> CategoryHierarchy:
 def save_checkpoint(
     path,
     model: PreferenceModel,
-    split: EvalSplit | None = None,
-    seeds: dict | None = None,
-    item_train_count: np.ndarray | None = None,
+    split: EvalSplit,
+    seeds: dict,
+    item_train_count: np.ndarray,
 ) -> None:
-    """Serialize params, id maps, hierarchy, and frozen item tables."""
+    """Serialize params, id maps, hierarchy, item tables, split and counts."""
     corpus = model.corpus
     table = model.item_table()
 
@@ -70,13 +71,11 @@ def save_checkpoint(
         "item_leaf": np.asarray(corpus.item_leaf, dtype=np.int64),
         "item_theta": table.theta,
         "item_base": table.base,
+        "item_train_count": np.asarray(item_train_count, dtype=np.int64),
+        "split_val": np.asarray(split.val_item, dtype=np.int64),
+        "split_test": np.asarray(split.test_item, dtype=np.int64),
         **model.params.arrays(),
     }
-    if split is not None:
-        arrays["split_val"] = np.asarray(split.val_item, dtype=np.int64)
-        arrays["split_test"] = np.asarray(split.test_item, dtype=np.int64)
-    if item_train_count is not None:
-        arrays["item_train_count"] = np.asarray(item_train_count, dtype=np.int64)
 
     directory = []
     offset = 0
@@ -130,9 +129,9 @@ class CheckpointBundle:
     user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
     table: ItemTable
-    split: EvalSplit | None
-    item_train_count: np.ndarray | None
-    seeds: dict | None
+    split: EvalSplit
+    item_train_count: np.ndarray
+    seeds: dict
     feature_dim: int
 
     @property
@@ -159,6 +158,21 @@ class CheckpointBundle:
         positives = Positives.from_pairs(users[known], items[known],
                                          self.n_users, self.n_items)
         return positives, len(known) - int(known.sum())
+
+    def check_held_out(self, positives: Positives) -> None:
+        """``HeldOutMissing`` for the first user whose held-out test item, or
+        validation item where one is assigned, is not in ``positives``."""
+        held = np.stack([self.split.test_item, self.split.val_item])
+        pairs = np.arange(self.n_users) * self.n_items + held
+        # Sorted, as rows are, and closed by a key past every pair's.
+        keys = np.append(positives.rows() * self.n_items + positives.indices,
+                         self.n_users * self.n_items)
+        missing = (held >= 0) & (keys[np.searchsorted(keys, pairs)] != pairs)
+        if missing.any():
+            u = int(missing.any(axis=0).argmax())
+            role = "test" if missing[0, u] else "validation"
+            raise HeldOutMissing(f"feedback lacks the held-out {role} item "
+                                 f"of user {self.user_ids[u]!r}")
 
 
 # ``bench/tracer.py`` patches the checkpoint scorer under its old name.
@@ -239,16 +253,16 @@ def load_checkpoint(path) -> CheckpointBundle:
 
 def _check_arrays(header: dict, config: ModelConfig,
                   arrays: dict[str, np.ndarray]) -> None:
-    """The file holds exactly the parameter arrays ``config`` creates and no
-    array outside the format, each with its dtype and one row per item,
-    user, node or feature, as it applies.
+    """The file holds exactly the format's arrays that ``config`` creates
+    (every one but the parameter arrays it goes without), each with its
+    dtype and one row per item, user, node or feature, as it applies.
 
     ``segments`` is shaped by ``SegmentStore``, which knows the block rows.
     """
     items, users = len(header["item_ids"]), len(header["user_ids"])
     nodes, feat = len(header["node_ids"]), header["feature_dim"]
     i, f = "int64", "float64"
-    expected = {
+    expected = {name: spec for name, spec in {
         "parent": (i, (nodes,)),
         "item_leaf": (i, (items,)),
         "item_theta": (f, (items, config.n_visual)),
@@ -263,17 +277,11 @@ def _check_arrays(header: dict, config: ModelConfig,
         "visual_bias": (f, (feat,)),
         "category_bias": (f, (nodes,)),
         "segments": (f, None),
-    }
-    unknown = set(arrays) - set(expected)
-    if unknown:
-        raise ValueError(f"arrays {sorted(unknown)} are not in the format")
-    params = {field.name for field in fields(ModelParams)}
-    created = {name for name in params if config.creates(name)}
-    held = params & set(arrays)
-    if created != held:
-        raise ValueError(f"a {config.kind} config creates the parameter "
-                         f"arrays {sorted(created)}, the file holds "
-                         f"{sorted(held)}")
+    }.items() if config.creates(name)}
+    if arrays.keys() != expected.keys():
+        missing, extra = expected.keys() - arrays, arrays.keys() - expected
+        raise ValueError(f"{config.kind} checkpoint arrays: missing "
+                         f"{sorted(missing)}, unexpected {sorted(extra)}")
     for name, arr in arrays.items():
         dtype, shape = expected[name]
         if arr.dtype.name != dtype or shape not in (None, arr.shape):
@@ -286,6 +294,8 @@ def _bundle(header: dict, arrays: dict[str, np.ndarray]) -> CheckpointBundle:
     if config.to_dict() != header["config"]:
         raise ValueError(f"config {header['config']} is not in to_dict form")
     _check_arrays(header, config, arrays)
+    if not isinstance(header["seeds"], dict):
+        raise ValueError(f"seeds {header['seeds']!r} are not an object")
     item_leaf = arrays["item_leaf"]
     hierarchy = _hierarchy_from_parts(header["node_ids"], arrays["parent"],
                                       item_leaf)
@@ -303,9 +313,8 @@ def _bundle(header: dict, arrays: dict[str, np.ndarray]) -> CheckpointBundle:
         item_ids=tuple(header["item_ids"]),
         table=frozen_table(config, params, arrays["item_theta"],
                            arrays["item_base"], item_leaf),
-        split=(EvalSplit(arrays["split_val"], arrays["split_test"])
-               if "split_val" in arrays else None),
-        item_train_count=arrays.get("item_train_count"),
-        seeds=header.get("seeds"),
+        split=EvalSplit(arrays["split_val"], arrays["split_test"]),
+        item_train_count=arrays["item_train_count"],
+        seeds=header["seeds"],
         feature_dim=header["feature_dim"],
     )

@@ -258,19 +258,14 @@ def _check_at_least_one(args, name: str) -> None:
 def _cmd_eval(args) -> int:
     _check_at_least_one(args, "cold_threshold")
     bundle = load_checkpoint(args.model)
-    if bundle.split is None:
-        raise HierBprError("checkpoint carries no evaluation split")
     pairs = read_feedback(args.feedback)
     positives, dropped = bundle.positives_from_pairs(pairs)
+    bundle.check_held_out(positives)
     table = bundle.frozen_model()
 
-    cold_set = None
-    if args.setting == "cold":
-        if bundle.item_train_count is None:
-            raise HierBprError("checkpoint carries no item training counts")
-        cold_set = ColdItemSet(
-            threshold=args.cold_threshold,
-            cold_mask=bundle.item_train_count < args.cold_threshold)
+    cold = args.setting == "cold"
+    cold_set = ColdItemSet(args.cold_threshold,
+                           bundle.item_train_count < args.cold_threshold)
     result = auc(table, positives, bundle.split, setting=args.setting,
                  cold_set=cold_set)
     report = {
@@ -278,8 +273,8 @@ def _cmd_eval(args) -> int:
         "auc": result.auc,
         "users_evaluated": result.users_evaluated,
         "items_total": bundle.n_items,
-        "cold_items": cold_set.n_cold if cold_set is not None else None,
-        "cold_threshold": args.cold_threshold if cold_set is not None else None,
+        "cold_items": cold_set.n_cold if cold else None,
+        "cold_threshold": args.cold_threshold if cold else None,
         "seed": bundle.seeds,
         "config": bundle.config.to_dict(),
         "feedback_pairs_ignored": dropped,

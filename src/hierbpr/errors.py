@@ -67,6 +67,10 @@ class NoEvaluableUsers(HierBprError):
     """No user qualifies for the active evaluation setting."""
 
 
+class HeldOutMissing(HierBprError):
+    """Feedback lacks a held-out item of the checkpoint's split."""
+
+
 # --- ingestion ---
 
 class ParseError(HierBprError):

@@ -1,4 +1,5 @@
 import json
+import re
 import zlib
 
 import numpy as np
@@ -47,13 +48,20 @@ def trained_setup():
     return corpus, tc, split, model
 
 
+SEEDS = {"split": 3, "init": 11, "sample": 7}
+
+
+def save_trained(path, setup):
+    """``trained_setup``'s model with its split, seeds and training counts."""
+    _corpus, tc, split, model = setup
+    save_checkpoint(path, model, split, SEEDS, tc.item_counts())
+
+
 class TestRoundTrip:
     def test_parameters_survive(self, trained_setup, tmp_path):
         corpus, tc, split, model = trained_setup
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, split=split,
-                        seeds={"split": 3, "init": 11, "sample": 7},
-                        item_train_count=tc.item_counts())
+        save_trained(path, trained_setup)
         bundle = load_checkpoint(path)
         assert bundle.config == model.config
         assert bundle.user_ids == corpus.user_ids
@@ -62,13 +70,14 @@ class TestRoundTrip:
             assert np.array_equal(arr, bundle.params.arrays()[name]), name
         assert np.array_equal(bundle.split.test_item, split.test_item)
         assert np.array_equal(bundle.split.val_item, split.val_item)
-        assert bundle.seeds == {"split": 3, "init": 11, "sample": 7}
+        assert bundle.seeds == SEEDS
+        assert np.array_equal(bundle.item_train_count, tc.item_counts())
         assert bundle.feature_dim == corpus.feature_dim
 
     def test_hierarchy_reconstructed(self, trained_setup, tmp_path):
-        corpus, _tc, split, model = trained_setup
+        corpus = trained_setup[0]
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, split=split)
+        save_trained(path, trained_setup)
         bundle = load_checkpoint(path)
         h0, h1 = corpus.hierarchy, bundle.hierarchy
         assert h0.node_ids == h1.node_ids
@@ -76,9 +85,9 @@ class TestRoundTrip:
         assert np.array_equal(bundle.table.item_leaf, corpus.item_leaf)
 
     def test_frozen_model_reproduces_scores(self, trained_setup, tmp_path):
-        corpus, _tc, split, model = trained_setup
+        corpus, _tc, _split, model = trained_setup
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, split=split)
+        save_trained(path, trained_setup)
         frozen = load_checkpoint(path).frozen_model()
         table = model.item_table()
         for u in range(corpus.n_users):
@@ -88,8 +97,7 @@ class TestRoundTrip:
     def test_frozen_auc_matches_live(self, trained_setup, tmp_path):
         corpus, tc, split, model = trained_setup
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, split=split,
-                        item_train_count=tc.item_counts())
+        save_trained(path, trained_setup)
         bundle = load_checkpoint(path)
         frozen = bundle.frozen_model()
         live = auc(model, corpus.positives, split)
@@ -104,9 +112,9 @@ class TestRoundTrip:
         assert live_cold.auc == pytest.approx(ckpt_cold.auc, abs=1e-12)
 
     def test_rank_dim_from_checkpoint(self, trained_setup, tmp_path):
-        corpus, _tc, split, model = trained_setup
+        model = trained_setup[3]
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, split=split)
+        save_trained(path, trained_setup)
         frozen = load_checkpoint(path).frozen_model()
         live = model.item_table().rank_by_dimension(1, top_n=10)
         ckpt = frozen.rank_by_dimension(1, top_n=10)
@@ -288,9 +296,8 @@ class TestDamagedFiles:
     @pytest.mark.parametrize("damage", sorted(DAMAGE))
     def test_one_line_parse_error(self, trained_setup, tmp_path, capsys,
                                   damage):
-        _corpus, _tc, split, model = trained_setup
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, split=split)
+        save_trained(path, trained_setup)
         path.write_bytes(DAMAGE[damage](path.read_bytes()))
         with pytest.raises(ParseError):
             load_checkpoint(path)
@@ -301,9 +308,9 @@ class TestDamagedFiles:
                                            capsys):
         # Feedback names users by id, so a repeated id would silently drop
         # one user's pairs and evaluate another against them.
-        corpus, _tc, split, model = trained_setup
+        corpus = trained_setup[0]
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, split=split)
+        save_trained(path, trained_setup)
         path.write_bytes(DAMAGE["repeated_user_id"](path.read_bytes()))
         feedback = tmp_path / "feedback.tsv"
         write_corpus_feedback(feedback, corpus)
@@ -314,27 +321,23 @@ class TestDamagedFiles:
         assert "user ids are not strictly increasing" in error["message"]
 
     def test_version_1_message(self, trained_setup, tmp_path):
-        _corpus, _tc, split, model = trained_setup
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, split=split)
+        save_trained(path, trained_setup)
         path.write_bytes(DAMAGE["version_1"](path.read_bytes()))
         with pytest.raises(ParseError, match="version 1"):
             load_checkpoint(path)
 
     def test_version_2_needs_rewriting(self, trained_setup, tmp_path):
         # Version 2's digest covered only the payload.
-        _corpus, _tc, split, model = trained_setup
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, split=split)
+        save_trained(path, trained_setup)
         path.write_bytes(DAMAGE["version_2"](path.read_bytes()))
         with pytest.raises(ParseError, match="version 2 .* write it again"):
             load_checkpoint(path)
 
     def test_header_bit_flips(self, trained_setup, tmp_path):
-        _corpus, tc, split, model = trained_setup
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, split=split,
-                        item_train_count=tc.item_counts())
+        save_trained(path, trained_setup)
         blob = path.read_bytes()
         size = int.from_bytes(blob[8:16], "little")
         rng = np.random.default_rng(2024)
@@ -358,8 +361,8 @@ def small_checkpoint(tmp_path_factory):
         corpus)
     train(model, tc, TrainConfig(iterations=1, rng_seed=3))
     out = tmp_path_factory.mktemp("small_ckpt")
-    save_checkpoint(out / "m.ckpt", model, split=split,
-                    item_train_count=tc.item_counts())
+    save_checkpoint(out / "m.ckpt", model, split,
+                    {"split": 1, "init": 2, "sample": 3}, tc.item_counts())
     write_corpus_feedback(out / "feedback.tsv", corpus)
     return out, (out / "m.ckpt").read_bytes()
 
@@ -385,13 +388,10 @@ class TestDamageProperty:
 
 class TestFormat:
     def test_byte_identical_writes(self, trained_setup, tmp_path):
-        _corpus, tc, split, model = trained_setup
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
-        save_checkpoint(p1, model, split=split,
-                        item_train_count=tc.item_counts())
-        save_checkpoint(p2, model, split=split,
-                        item_train_count=tc.item_counts())
+        save_trained(p1, trained_setup)
+        save_trained(p2, trained_setup)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -401,9 +401,8 @@ class TestFormat:
             load_checkpoint(path)
 
     def test_version_check(self, trained_setup, tmp_path):
-        _corpus, _tc, split, model = trained_setup
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, split=split)
+        save_trained(path, trained_setup)
         blob = bytearray(path.read_bytes())
         # Corrupt the version field inside the JSON header.
         field = f'"version":{VERSION}'.encode()
@@ -419,11 +418,12 @@ class TestFormat:
                           branching=(2,), n_positives=3,
                           planted_scheme=(1,), rng_seed=1)
         corpus, _ = make_corpus(cfg)
-        _tc, split = split_leave_one_out(corpus, 1)
+        tc, split = split_leave_one_out(corpus, 1)
         model = PreferenceModel.create(ModelConfig(kind=KIND_RAND, rng_seed=9),
                                        corpus)
         path = tmp_path / "rand.ckpt"
-        save_checkpoint(path, model, split=split)
+        save_checkpoint(path, model, split, {"split": 1, "init": 9},
+                        tc.item_counts())
         frozen = load_checkpoint(path).frozen_model()
         assert np.allclose(frozen.score_all(0), model.score_all(0))
 
@@ -454,8 +454,9 @@ def kind_checkpoints(tmp_path_factory):
         model = PreferenceModel.create(config, corpus)
         if kind != KIND_RAND:
             train(model, tc, TrainConfig(iterations=1, rng_seed=3))
-        save_checkpoint(out / f"{kind}.ckpt", model, split=split,
-                        item_train_count=tc.item_counts())
+        save_checkpoint(out / f"{kind}.ckpt", model, split,
+                        {"split": 1, "init": config.rng_seed, "sample": 3},
+                        tc.item_counts())
         models[kind] = model
     write_corpus_feedback(out / "feedback.tsv", corpus)
     return out, models
@@ -477,16 +478,29 @@ class TestEveryKind:
         assert np.array_equal(bundle.frozen_model().score_all(users),
                               expected)
 
-    # Each file is well formed and signed; only its array set is wrong.
+    # Each file is well formed and signed; only its array set or its seeds
+    # member is wrong. The split, the seeds and the training counts are in
+    # every checkpoint, whatever the kind.
     MISMATCHED = {
         "hvbpr_without_segments": (KIND_HVBPR, _without("segments"),
-                                   "creates the parameter arrays"),
+                                   "missing ['segments']"),
         "bprmf_with_segments": (KIND_BPRMF, _with("segments", np.zeros((2, 4))),
-                                "creates the parameter arrays"),
+                                "unexpected ['segments']"),
         "vbprc_without_category_bias": (KIND_VBPRC, _without("category_bias"),
-                                        "creates the parameter arrays"),
+                                        "missing ['category_bias']"),
         "unknown_array": (KIND_VBPR, _with("zzz_bogus", np.zeros(3)),
-                          "not in the format"),
+                          "unexpected ['zzz_bogus']"),
+        "without_split_val": (KIND_VBPR, _without("split_val"),
+                              "missing ['split_val']"),
+        "without_split_test": (KIND_BPRMF, _without("split_test"),
+                               "missing ['split_test']"),
+        "without_item_train_count": (KIND_RAND, _without("item_train_count"),
+                                     "missing ['item_train_count']"),
+        "without_seeds": (KIND_HVBPR, lambda blob: _rewrite_header(
+            blob, lambda header: header.pop("seeds")), "KeyError('seeds')"),
+        "seeds_not_an_object": (KIND_VBPRC, lambda blob: _rewrite_header(
+            blob, lambda header: header.update(seeds=[1, 11, 7])),
+            "seeds [1, 11, 7] are not an object"),
     }
 
     @pytest.mark.parametrize("case", sorted(MISMATCHED))
@@ -496,13 +510,14 @@ class TestEveryKind:
         kind, damage, message = self.MISMATCHED[case]
         path = tmp_path / "m.ckpt"
         path.write_bytes(damage((out / f"{kind}.ckpt").read_bytes()))
-        with pytest.raises(ParseError, match=message):
+        with pytest.raises(ParseError, match=re.escape(message)):
             load_checkpoint(path)
-        assert main(["eval", "--model", str(path),
-                     "--feedback", str(out / "feedback.tsv")]) == 1
-        error = one_error(capsys)
-        assert error["error"] == "ParseError"
-        assert message in error["message"]
+        for argv in (["eval", "--feedback", str(out / "feedback.tsv")],
+                     ["rank-dim", "--dim", "0"]):
+            assert main(argv + ["--model", str(path)]) == 1
+            error = one_error(capsys)
+            assert error["error"] == "ParseError"
+            assert message in error["message"]
 
     @pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
     def test_rewritten_file_loads(self, kind_checkpoints, tmp_path, kind):
@@ -515,33 +530,72 @@ class TestEveryKind:
         assert load_checkpoint(path).config == KIND_CONFIGS[kind]
 
 
-class TestEvalNeeds:
-    """``eval`` needs the split, and cold ``eval`` the training counts, that
-    ``save_checkpoint`` writes only when given them."""
+def _drop_user(pairs, corpus, split):
+    """Every pair but the first user's: the message names that user."""
+    return ([(u, i) for u, i in pairs if u != corpus.user_ids[0]],
+            f"held-out test item of user {corpus.user_ids[0]!r}")
 
-    def test_no_split(self, trained_setup, tmp_path, capsys):
-        corpus, _tc, _split, model = trained_setup
-        path, feedback = tmp_path / "m.ckpt", tmp_path / "feedback.tsv"
-        save_checkpoint(path, model)
-        write_corpus_feedback(feedback, corpus)
-        assert main(["eval", "--model", str(path),
-                     "--feedback", str(feedback)]) == 1
-        assert one_error(capsys) == {
-            "error": "HierBprError",
-            "message": "checkpoint carries no evaluation split"}
-        # Ranking needs neither.
-        assert main(["rank-dim", "--model", str(path), "--dim", "0"]) == 0
-        assert capsys.readouterr().out.startswith("rank\titem_id\tscore\n")
 
-    def test_cold_without_training_counts(self, trained_setup, tmp_path,
-                                          capsys):
-        corpus, _tc, split, model = trained_setup
-        path, feedback = tmp_path / "m.ckpt", tmp_path / "feedback.tsv"
-        save_checkpoint(path, model, split=split)
-        write_corpus_feedback(feedback, corpus)
-        argv = ["eval", "--model", str(path), "--feedback", str(feedback)]
-        assert main(argv + ["--setting", "cold"]) == 1
+def _drop_validation_item(pairs, corpus, split):
+    """Every pair but the held-out validation item of a user past the
+    first, whose test item stays."""
+    u = int(np.flatnonzero(split.val_item >= 0)[3])
+    held = (corpus.user_ids[u], corpus.item_ids[split.val_item[u]])
+    return ([pair for pair in pairs if pair != held],
+            f"held-out validation item of user {corpus.user_ids[u]!r}")
+
+
+class TestEvalFeedback:
+    """``eval`` needs feedback that holds the checkpoint's held-out items,
+    such as the file the split was carved from; anything else is one
+    ``HeldOutMissing`` line, never an AUC."""
+
+    LACKING = {
+        "empty": lambda pairs, corpus, split: (
+            [], f"held-out test item of user {corpus.user_ids[0]!r}"),
+        "first_user_removed": _drop_user,
+        "validation_item_removed": _drop_validation_item,
+    }
+
+    @pytest.fixture
+    def files(self, trained_setup, tmp_path):
+        """A checkpoint and the (user id, item id) pairs its split was
+        carved from."""
+        corpus = trained_setup[0]
+        path = tmp_path / "m.ckpt"
+        save_trained(path, trained_setup)
+        pos = corpus.positives
+        pairs = [(corpus.user_ids[u], corpus.item_ids[i])
+                 for u, i in zip(pos.rows(), pos.indices)]
+        return path, pairs
+
+    @pytest.mark.parametrize("case", sorted(LACKING))
+    @pytest.mark.parametrize("setting", ["warm", "cold"])
+    def test_lacking_feedback_is_one_error(self, trained_setup, files,
+                                           tmp_path, capsys, case, setting):
+        corpus, _tc, split, _model = trained_setup
+        path, pairs = files
+        kept, message = self.LACKING[case](pairs, corpus, split)
+        feedback = tmp_path / "feedback.tsv"
+        write_pairs(feedback, kept)
+        assert main(["eval", "--model", str(path), "--feedback",
+                     str(feedback), "--setting", setting]) == 1
         assert one_error(capsys) == {
-            "error": "HierBprError",
-            "message": "checkpoint carries no item training counts"}
-        assert main(argv + ["--setting", "warm"]) == 0
+            "error": "HeldOutMissing",
+            "message": f"feedback lacks the {message}"}
+
+    def test_superset_evaluates(self, files, tmp_path, capsys):
+        # Pairs naming ids the checkpoint does not know are ignored.
+        path, pairs = files
+        reports = []
+        for name, extra in (("same", []),
+                            ("superset", [("ghost-user", pairs[0][1]),
+                                          (pairs[0][0], "ghost-item")])):
+            feedback = tmp_path / f"{name}.tsv"
+            write_pairs(feedback, pairs + extra)
+            assert main(["eval", "--model", str(path),
+                         "--feedback", str(feedback)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[1].pop("feedback_pairs_ignored") == 2
+        assert reports[0].pop("feedback_pairs_ignored") == 0
+        assert reports[0] == reports[1]

@@ -267,6 +267,21 @@ class TestRunExperiment:
         assert 0.0 <= report["warm"]["auc"] <= 1.0
         assert 0.0 <= report["cold"]["auc"] <= 1.0
 
+    def test_eval_reproduces_report(self, dataset, tmp_path, capsys):
+        # The checkpoint carries the split and the training counts, and the
+        # training feedback holds every held-out item, so ``eval`` gives the
+        # report's AUCs.
+        summary = run_experiment(self.manifest(dataset, tmp_path / "run"))
+        report = json.loads(Path(summary["report"]).read_text())
+        for setting in ("warm", "cold"):
+            assert main(["eval", "--model", summary["checkpoint"],
+                         "--feedback", dataset["feedback"],
+                         "--setting", setting]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            assert printed["auc"] == report[setting]["auc"]
+            assert (printed["users_evaluated"]
+                    == report[setting]["users_evaluated"])
+
     def test_train_matches_run(self, dataset, tmp_path, capsys):
         # One manifest into two out_dirs: run is train plus evaluation.
         manifest = write_manifest(

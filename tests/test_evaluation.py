@@ -404,9 +404,9 @@ class TestBlockedPass:
         assert np.array_equal(model.score_all(users), expected)
 
     def test_int_user_is_a_block_of_one(self, block_setup, tmp_path):
-        corpus, _tc, split, model, _cold = block_setup
+        corpus, tc, split, model, _cold = block_setup
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, split=split)
+        save_checkpoint(path, model, split, {"split": 4}, tc.item_counts())
         frozen = load_checkpoint(path).frozen_model()
         users = np.array([0, 42, corpus.n_users - 1])
         for table in (model.item_table(), frozen):

@@ -69,11 +69,13 @@ JSON_ERROR_BUILTINS = json_error_types()
 def stray_raises(source: str, also: frozenset = frozenset()) -> list[str]:
     """By line, each ``raise`` whose class is neither in ``hierbpr.errors``,
     nor a JSON-error builtin, nor in ``also``; a bare re-raise reads as
-    ``"raise"``."""
+    ``"raise"``. The base ``HierBprError`` is never allowed, so every JSON
+    error line names a specific class."""
     from hierbpr import errors
     allowed = also | JSON_ERROR_BUILTINS | {
         name for name, value in vars(errors).items()
         if isinstance(value, type) and issubclass(value, Exception)}
+    allowed -= {errors.HierBprError.__name__}
     raises = [node for node in ast.walk(ast.parse(source))
               if isinstance(node, ast.Raise)]
     names = []
@@ -104,6 +106,10 @@ def test_checker_sees_stray_raises():
               "        raise\n"
               "    raise TypeError(x) from None\n"
               "raise OSError(2, 'gone')\n"
-              "raise MemoryError\n")
-    assert stray_raises(source) == ["raise", "TypeError"]
-    assert stray_raises(source, frozenset({"TypeError"})) == ["raise"]
+              "raise MemoryError\n"
+              "raise HierBprError('which one?')\n"
+              "raise errors.HierBprError\n")
+    assert stray_raises(source) == ["raise", "TypeError", "HierBprError",
+                                    "HierBprError"]
+    assert stray_raises(source, frozenset({"TypeError"})) == [
+        "raise", "HierBprError", "HierBprError"]

@@ -462,10 +462,12 @@ class TestOneProductScorer:
 
     def test_checkpoint_bytes_do_not_depend_on_scoring(self, model, tmp_path,
                                                        monkeypatch):
-        save_checkpoint(tmp_path / "fresh.ckpt", model)
+        training, split = split_leave_one_out(model.corpus, 0)
+        members = (split, {"split": 0}, training.item_counts())
+        save_checkpoint(tmp_path / "fresh.ckpt", model, *members)
         table = model.item_table()
         table.score_all(np.arange(model.n_users))
         monkeypatch.setattr(model, "item_table", lambda: table)
-        save_checkpoint(tmp_path / "scored.ckpt", model)
+        save_checkpoint(tmp_path / "scored.ckpt", model, *members)
         assert ((tmp_path / "fresh.ckpt").read_bytes()
                 == (tmp_path / "scored.ckpt").read_bytes())

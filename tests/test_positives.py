@@ -88,7 +88,8 @@ def bundle(tmp_path_factory):
     model = PreferenceModel.create(
         ModelConfig(2, rng_seed=1, kind=KIND_BPRMF), corpus)
     path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
-    save_checkpoint(path, model)
+    training, split = split_leave_one_out(corpus, 0)
+    save_checkpoint(path, model, split, {"split": 0}, training.item_counts())
     return load_checkpoint(path)
 
 
