@@ -20,7 +20,13 @@ from .hierarchy import (
     build_hierarchy,
 )
 from .embedding import SegmentStore
-from .ingestion import InteractionCorpus, Positives, TrainingCorpus, load_corpus
+from .ingestion import (
+    Feedback,
+    InteractionCorpus,
+    Positives,
+    TrainingCorpus,
+    load_corpus,
+)
 from .model import (
     KIND_BPRMF,
     KIND_HVBPR,
@@ -59,6 +65,7 @@ __all__ = [
     "CheckpointBundle",
     "ColdItemSet",
     "EvalSplit",
+    "Feedback",
     "HierBprError",
     "InteractionCorpus",
     "ItemTable",

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import HeldOutMissing, ParseError
 from .evaluation import EvalSplit
 from .hierarchy import CategoryHierarchy, assign_layers, build_hierarchy
-from .ingestion import Positives
+from .ingestion import Feedback, Positives, index_of, sorted_unique
 from .model import ItemTable, ModelConfig, ModelParams, PreferenceModel, frozen_table
 from .embedding import SegmentStore
 
@@ -45,7 +45,7 @@ _DTYPES = {"float64": "<f8", "int64": "<i8"}
 def _hierarchy_from_parts(node_ids, parent, item_leaf) -> CategoryHierarchy:
     edges = [(node_ids[k], node_ids[int(p)])
              for k, p in enumerate(parent) if p >= 0]
-    leaves = np.unique(item_leaf)
+    leaves = sorted_unique(item_leaf)
     if leaves.size and not 0 <= leaves[0] <= leaves[-1] < len(node_ids):
         raise ValueError(f"item_leaf holds node indices outside "
                          f"[0, {len(node_ids)})")
@@ -146,14 +146,12 @@ class CheckpointBundle:
         """The checkpoint's scorer: the table it restored."""
         return self.table
 
-    def positives_from_pairs(self, pairs) -> tuple[Positives, int]:
-        """Positives of the pairs, and how many named an unknown id."""
-        user_index = {u: k for k, u in enumerate(self.user_ids)}
-        item_index = {i: k for k, i in enumerate(self.item_ids)}
-        users = np.array([user_index.get(u, -1) for u, _ in pairs],
-                         dtype=np.int64)
-        items = np.array([item_index.get(i, -1) for _, i in pairs],
-                         dtype=np.int64)
+    def positives_from_pairs(self, feedback: Feedback
+                             ) -> tuple[Positives, int]:
+        """Positives of the feedback's pairs, and how many pairs named an
+        unknown id."""
+        users = index_of(feedback.user_ids, self.user_ids)[feedback.users]
+        items = index_of(feedback.item_ids, self.item_ids)[feedback.items]
         known = (users >= 0) & (items >= 0)
         positives = Positives.from_pairs(users[known], items[known],
                                          self.n_users, self.n_items)

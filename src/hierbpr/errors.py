@@ -47,6 +47,10 @@ class InvalidShape(HierBprError):
     """Synthetic-data configuration with inconsistent dimensions."""
 
 
+class ArrayTooLarge(HierBprError):
+    """A model's dimensions ask for a parameter array numpy cannot hold."""
+
+
 # --- training ---
 
 class ExhaustedRejection(HierBprError):

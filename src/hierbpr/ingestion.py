@@ -5,7 +5,9 @@ ignored), a feature file (binary with an ``.ids`` sidecar, or CSV
 ``item_id,v1,...,vF``), and two hierarchy files (``child<TAB>parent`` edges
 plus ``item<TAB>leaf`` assignments). String ids are densified to contiguous
 integers in sorted-id order, which makes loading independent of input line
-order.
+order. The tab-separated files are split into lines and columns on their
+bytes with numpy; feedback stays arrays (``Feedback``) from file to
+``Positives``.
 """
 
 from __future__ import annotations
@@ -57,18 +59,180 @@ def _lines(path) -> Iterator[tuple[int, str]]:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_pairs(path, expected: str) -> Iterator[tuple[str, str]]:
+# What ``str.strip`` removes, on the bytes: ``_SOLID`` marks each byte
+# that is not whitespace by itself (ASCII non-whitespace, and the lead byte
+# of a multi-byte character), and ``_SPACE_CHARS`` holds the multi-byte
+# whitespace characters' UTF-8 bytes as big-endian integers (none lies
+# past U+3000).
+_SOLID = np.array([b >= 0xC0 or b < 0x80 and not chr(b).isspace()
+                   for b in range(256)])
+_SPACE_CHARS = np.array([int.from_bytes(chr(c).encode("utf-8"), "big")
+                         for c in range(0x80, 0x3001) if chr(c).isspace()])
+
+
+def _tsv_columns(path, expected: str
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A UTF-8 text file's bytes and the byte ranges of the first two
+    tab-separated columns of each nonblank line: column ``c`` of the k-th
+    is ``buf[starts[c, k]:stops[c, k]]``.
+
+    The rules of text-mode ``open`` and ``str.strip``, found on the bytes
+    with numpy: ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end a line, and a
+    line of whitespace only is blank. Every other line needs a nonempty
+    first and second column, or the first that lacks one is a ParseError
+    naming ``expected`` and its line number. Bytes that are not UTF-8 are a
+    ParseError naming the file, before any line is checked.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    lf, cr = buf == 10, buf == 13
+    # Each line break's last byte: a LF, or a CR that no LF follows.
+    ends = np.flatnonzero(lf | (cr & ~np.append(lf[1:], False)))
+    starts = np.append(0, ends + 1)
+    stops = np.append(ends - (lf[ends] & cr[ends - 1] & (ends > 0)), len(buf))
+    if starts[-1] == len(buf):  # nothing follows the last line break
+        starts, stops = starts[:-1], stops[:-1]
+    solid = _SOLID.take(buf)
+    lead = np.flatnonzero(buf >= 0xC0)
+    # Each multi-byte character's bytes as one integer: two or three bytes
+    # (four-byte characters are never whitespace).
+    char = sum(buf.take(lead + k, mode="clip").astype(np.int64) << 8 * (2 - k)
+               for k in range(3)) >> np.where(buf[lead] < 0xE0, 8, 0)
+    solid[lead[np.isin(char, _SPACE_CHARS)]] = False
+    blank = ~np.logical_or.reduceat(solid, starts)
+    lineno = np.flatnonzero(~blank) + 1
+    starts, stops = starts[~blank], stops[~blank]
+    tabs = np.append(np.flatnonzero(buf == 9), [len(buf), len(buf)])
+    first = np.searchsorted(tabs, starts)
+    tab, cut = tabs[first], np.minimum(tabs[first + 1], stops)
+    ok = (starts < tab) & (tab + 1 < cut)
+    if not ok.all():
+        raise ParseError(f"{path}:{lineno[np.argmin(ok)]}: expected "
+                         f"{expected}")
+    return buf, np.stack((starts, tab + 1)), np.stack((tab, cut))
+
+
+def _densify(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray
+             ) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct strings among the byte ranges, sorted, and each range's
+    index among them; ranges hold UTF-8 text without line breaks.
+
+    Ranges are grouped by length, so a range costs its own bytes (rounded
+    up to whole 8-byte words), never those of the longest; and ``"a"`` and
+    ``"a\\0"``, of different lengths, stay apart. Within a group the bytes,
+    read as big-endian words, sort as the strings do (UTF-8 keeps code
+    point order); each distinct one is decoded once.
+    """
+    # The eight bytes from each offset on, as one big-endian word.
+    padded = np.append(buf, np.zeros(8, dtype=np.uint8))
+    word_at = np.ndarray(len(buf) + 1, dtype=">u8", buffer=padded,
+                         strides=(1,))
+    lengths = stops - starts
+    by_length = np.argsort(lengths, kind="stable")
+    codes = np.empty(len(starts), dtype=np.int64)
+    names: list[str] = []
+    for group in np.split(by_length,
+                          np.flatnonzero(np.diff(lengths[by_length])) + 1):
+        if not group.size:
+            continue
+        width = int(lengths[group[0]])
+        count = -(-width // 8)
+        words = word_at[starts[group, None] + 8 * np.arange(count)]
+        past = 8 * (8 * count - width)  # bits of the last word past the end
+        words[:, -1] &= np.uint64((2**64 - 1) >> past << past)
+        order = (np.argsort(words[:, 0]) if count == 1
+                 else np.lexsort(words.T[::-1]))
+        words = words[order]
+        new = np.ones(len(group), dtype=bool)
+        new[1:] = (words[1:] != words[:-1]).any(axis=1)
+        codes[group[order]] = len(names) + np.cumsum(new) - 1
+        # No range holds a line break, so one joins the group's strings.
+        text = np.column_stack((words[new].view(np.uint8)[:, :width],
+                                np.full(int(new.sum()), 10, dtype=np.uint8)))
+        names += text.tobytes().decode("utf-8").split("\n")[:-1]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(len(names))
+    return tuple(names[k] for k in order), rank[codes]
+
+
+def _read_pairs(path, expected: str) -> list[tuple[str, str]]:
     """The first two tab-separated columns of every nonblank line, in order."""
-    for lineno, line in _lines(path):
-        cols = line.split("\t")
-        if len(cols) < 2 or not cols[0] or not cols[1]:
-            raise ParseError(f"{path}:{lineno}: expected {expected}")
-        yield cols[0], cols[1]
+    buf, starts, stops = _tsv_columns(path, expected)
+    columns = []
+    for c in (0, 1):
+        names, codes = _densify(buf, starts[c], stops[c])
+        columns.append([names[k] for k in codes.tolist()])
+    return list(zip(*columns))
 
 
-def read_feedback(path) -> list[tuple[str, str]]:
-    """Parse (user, item) pairs, dropping duplicates but keeping order."""
-    return list(dict.fromkeys(_read_pairs(path, "user<TAB>item")))
+def sorted_unique(values) -> np.ndarray:
+    """The distinct values, ascending: one sort and a neighbour compare,
+    where numpy 2's ``np.unique`` hashes first and is slower on int64."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def index_of(names, ids) -> np.ndarray:
+    """Each of ``names``' index in the sequence ``ids``, -1 where ``ids``
+    lacks it: one lookup per name."""
+    index = {name: k for k, name in enumerate(ids)}
+    return np.fromiter((index.get(name, -1) for name in names),
+                       dtype=np.int64, count=len(names))
+
+
+@dataclass(frozen=True, eq=False)
+class Feedback:
+    """The distinct (user, item) pairs of a feedback file, as arrays.
+
+    ``user_ids`` and ``item_ids`` are the distinct ids, sorted; pair ``k``
+    is ``(user_ids[users[k]], item_ids[items[k]])``. Pairs are distinct and
+    sorted by user index, then item index.
+    """
+
+    user_ids: tuple[str, ...]
+    item_ids: tuple[str, ...]
+    users: np.ndarray
+    items: np.ndarray
+
+    @classmethod
+    def of_indices(cls, user_ids, item_ids, users, items) -> "Feedback":
+        """Pairs given by index into sorted distinct ids; duplicates
+        collapse."""
+        keys = sorted_unique(np.asarray(users, dtype=np.int64) * len(item_ids)
+                             + np.asarray(items, dtype=np.int64))
+        users, items = np.divmod(keys, max(len(item_ids), 1))
+        return cls(tuple(user_ids), tuple(item_ids), users, items)
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "Feedback":
+        """The feedback of ``(user, item)`` string pairs: what
+        ``read_feedback`` gives for the file ``write_pairs`` writes."""
+        pairs = list(pairs)
+        user_ids = sorted({u for u, _ in pairs})
+        item_ids = sorted({i for _, i in pairs})
+        return cls.of_indices(user_ids, item_ids,
+                              index_of([u for u, _ in pairs], user_ids),
+                              index_of([i for _, i in pairs], item_ids))
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+
+def read_feedback(path) -> Feedback:
+    """The distinct (user, item) pairs of a feedback file; columns past
+    the second are ignored."""
+    buf, starts, stops = _tsv_columns(path, "user<TAB>item")
+    (user_ids, users), (item_ids, items) = (
+        _densify(buf, starts[c], stops[c]) for c in (0, 1))
+    return Feedback.of_indices(user_ids, item_ids, users, items)
 
 
 def write_pairs(path, pairs) -> None:
@@ -80,7 +244,7 @@ def write_pairs(path, pairs) -> None:
 
 
 def read_hierarchy_edges(path) -> list[tuple[str, str]]:
-    return list(_read_pairs(path, "child<TAB>parent"))
+    return _read_pairs(path, "child<TAB>parent")
 
 
 def read_item_leaves(path) -> dict[str, str]:
@@ -290,8 +454,8 @@ class Positives:
     def from_pairs(cls, users, items, n_users: int, n_items: int
                    ) -> "Positives":
         """Rows from dense (user, item) index arrays; duplicates collapse."""
-        keys = np.unique(np.asarray(users, dtype=np.int64) * n_items
-                         + np.asarray(items, dtype=np.int64))
+        keys = sorted_unique(np.asarray(users, dtype=np.int64) * n_items
+                             + np.asarray(items, dtype=np.int64))
         indptr = np.zeros(n_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // n_items, minlength=n_users),
                   out=indptr[1:])
@@ -427,7 +591,7 @@ def _catalog_features(feat_ids: list[str], feat_matrix, catalog: list[str],
 
 
 def assemble_corpus(
-    pairs: list[tuple[str, str]],
+    feedback: Feedback,
     feat_ids: list[str],
     feat_matrix,
     edges: list[tuple[str, str]],
@@ -446,13 +610,12 @@ def assemble_corpus(
         raise ValueError(f"unknown policy {policy!r}")
     if feature_norm not in FEATURE_NORMS:
         raise ValueError(f"unknown feature_norm {feature_norm!r}")
-    if not pairs:
+    if not len(feedback):
         raise EmptyCorpus("no feedback pairs")
 
     have_feat = set(feat_ids)
     have_leaf = set(leaf_map)
-    referenced = {item for _, item in pairs}
-    universe = have_feat | have_leaf | referenced
+    universe = have_feat | have_leaf | set(feedback.item_ids)
 
     missing_feat = sorted(universe - have_feat)
     missing_leaf = sorted(universe - have_leaf)
@@ -477,18 +640,19 @@ def assemble_corpus(
     if not catalog:
         raise EmptyCorpus("no item has both features and a category")
 
-    item_index = {item: k for k, item in enumerate(catalog)}
-    kept_pairs = [(u, i) for u, i in pairs if i in item_index]
-    dropped_pairs = len(pairs) - len(kept_pairs)
-    if not kept_pairs:
+    items = index_of(feedback.item_ids, catalog)[feedback.items]
+    kept = items >= 0
+    dropped_pairs = len(feedback) - int(kept.sum())
+    if not kept.any():
         raise EmptyCorpus("no feedback pair references a usable item")
 
-    users = sorted({u for u, _ in kept_pairs})
-    user_index = {u: k for k, u in enumerate(users)}
-
-    positives = Positives.from_pairs([user_index[u] for u, _ in kept_pairs],
-                                     [item_index[i] for _, i in kept_pairs],
-                                     len(users), len(catalog))
+    # The users of kept pairs, in id order, and each one's index among them.
+    has_pair = np.zeros(len(feedback.user_ids), dtype=bool)
+    has_pair[feedback.users[kept]] = True
+    users = [feedback.user_ids[k] for k in np.flatnonzero(has_pair)]
+    positives = Positives.from_pairs(
+        (np.cumsum(has_pair) - 1)[feedback.users[kept]], items[kept],
+        len(users), len(catalog))
 
     leaf_ids = [leaf_map[i] for i in catalog]
     hierarchy = build_hierarchy(edges, leaf_ids)
@@ -532,9 +696,9 @@ def load_corpus(
     feature_norm: str = "none",
 ) -> tuple[InteractionCorpus, dict]:
     """Parse the three artifacts and assemble a validated corpus."""
-    pairs = read_feedback(feedback_path)
+    feedback = read_feedback(feedback_path)
     feat_ids, feat_matrix = read_features(features_path)
     edges = read_hierarchy_edges(hierarchy_path)
     leaf_map = read_item_leaves(item_leaves_path)
-    return assemble_corpus(pairs, feat_ids, feat_matrix, edges, leaf_map,
+    return assemble_corpus(feedback, feat_ids, feat_matrix, edges, leaf_map,
                            policy=policy, feature_norm=feature_norm)

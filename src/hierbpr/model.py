@@ -15,12 +15,18 @@ parameters entirely with a seeded hash ranking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .embedding import SegmentStore
-from .errors import DimensionOutOfRange, UnknownItem, UnknownUser
+from .errors import (
+    ArrayTooLarge,
+    DimensionOutOfRange,
+    UnknownItem,
+    UnknownUser,
+)
 from .hierarchy import AllocationScheme, assign_layers
 
 KIND_RAND = "RAND"
@@ -151,17 +157,28 @@ def init_params(config: ModelConfig, corpus) -> ModelParams:
     identical configs always produce identical parameters. Latent factors are
     uniform in +-0.05, segments uniform in +-1/sqrt(F); biases start at zero.
     """
-    rng = np.random.default_rng(config.rng_seed)
     k, kp = config.n_latent, config.n_visual
     n_users, n_items = corpus.n_users, corpus.n_items
+    shapes = {"user_latent": (n_users, k), "item_latent": (n_items, k),
+              "user_visual": (n_users, kp)}
+    if config.creates("segments"):
+        assignment = assign_layers(corpus.hierarchy, config.scheme)
+        shapes["segments"] = (assignment.parameter_count(1),
+                              corpus.feature_dim)
+    # Sizes in Python ints, before numpy sees them: an array numpy cannot
+    # address would end in its own ValueError.
+    limit = np.iinfo(np.intp).max
+    for name, shape in shapes.items():
+        if max(shape) > limit or 8 * math.prod(shape) > limit:
+            raise ArrayTooLarge(f"parameter array {name!r} of shape {shape} "
+                                "is too large to allocate")
+    rng = np.random.default_rng(config.rng_seed)
     user_latent = rng.uniform(-LATENT_INIT_SCALE, LATENT_INIT_SCALE, (n_users, k))
     item_latent = rng.uniform(-LATENT_INIT_SCALE, LATENT_INIT_SCALE, (n_items, k))
     user_visual = rng.uniform(-LATENT_INIT_SCALE, LATENT_INIT_SCALE, (n_users, kp))
     segments = None
     if config.creates("segments"):
-        segments = SegmentStore.create(
-            assign_layers(corpus.hierarchy, config.scheme),
-            corpus.feature_dim, rng)
+        segments = SegmentStore.create(assignment, corpus.feature_dim, rng)
     return ModelParams(
         item_bias=np.zeros(n_items),
         item_latent=item_latent,
@@ -299,8 +316,16 @@ class ItemTable:
             raise UnknownItem(
                 f"category node index {category} holds no items")
         col = self.theta[items, d]
-        order = np.argsort(-col, kind="stable")[:top_n]
-        return [(int(items[k]), float(col[k])) for k in order]
+        # Only items at or above the top_n-th score can rank. Every item
+        # tied with it stays a candidate (so does a NaN, which sorts last
+        # either way), so the stable sort of the candidates orders them as
+        # one of the whole column would.
+        candidates = np.arange(len(col))
+        if 0 < top_n < len(col):
+            kth = np.partition(-col, top_n - 1)[top_n - 1]
+            candidates = np.flatnonzero(~(-col > kth))
+        order = candidates[np.argsort(-col[candidates], kind="stable")]
+        return [(int(items[k]), float(col[k])) for k in order[:top_n]]
 
 
 def frozen_table(config: ModelConfig, params: ModelParams, theta: np.ndarray,

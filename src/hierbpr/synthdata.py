@@ -22,6 +22,7 @@ from .embedding import SegmentStore
 from .errors import InvalidShape
 from .hierarchy import AllocationScheme, assign_layers, build_hierarchy
 from .ingestion import (
+    Feedback,
     InteractionCorpus,
     assemble_corpus,
     write_features_binary,
@@ -185,7 +186,7 @@ def make_corpus(cfg: SynthConfig) -> tuple[InteractionCorpus, dict]:
     """
     data = _materialize(cfg)
     corpus, _report = assemble_corpus(
-        pairs=data.pairs,
+        feedback=Feedback.from_pairs(data.pairs),
         feat_ids=data.item_ids,
         feat_matrix=data.features,
         edges=data.edges,

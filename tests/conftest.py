@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from hierbpr.evaluation import split_leave_one_out
-from hierbpr.ingestion import Positives, TrainingCorpus, assemble_corpus
+from hierbpr.ingestion import (
+    Feedback,
+    Positives,
+    TrainingCorpus,
+    assemble_corpus,
+)
 from hierbpr.model import ModelConfig, PreferenceModel
 from hierbpr.synthdata import SynthConfig, make_corpus
 from hierbpr.training import TrainConfig, Trainer, _step_buffer, sample_triple
@@ -34,9 +39,15 @@ def build_corpus(edges, item_leaves, features, feedback, policy="strict"):
     ids = sorted(features)
     matrix = np.array([features[i] for i in ids], dtype=float)
     corpus, _report = assemble_corpus(
-        list(feedback), ids, matrix, list(edges), dict(item_leaves),
-        policy=policy)
+        Feedback.from_pairs(feedback), ids, matrix, list(edges),
+        dict(item_leaves), policy=policy)
     return corpus
+
+
+def feedback_pairs(feedback):
+    """A ``Feedback``'s (user, item) id pairs, in its order."""
+    return [(feedback.user_ids[u], feedback.item_ids[i])
+            for u, i in zip(feedback.users.tolist(), feedback.items.tolist())]
 
 
 def positives_of(rows, n_items):

@@ -11,13 +11,21 @@ that ``assign_layers`` builds.
 one product: its ``margin`` and ``step`` are kept verbatim, so every block
 on both paths still takes W_b f_i and W_b f_j in the margin and
 +su (x) f_i then -su (x) f_j in the update.
+
+``read_feedback`` (with ``_lines`` and ``_read_pairs``) and
+``positives_from_pairs`` are the feedback reader and the checkpoint's
+densifier as they stood before feedback became arrays, kept verbatim: a
+text-mode line loop, one tuple and one dict entry per pair, and two dict
+lookups per pair.
 """
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
-from hierbpr.errors import NonFiniteUpdate
+from hierbpr.errors import NonFiniteUpdate, ParseError
+from hierbpr.ingestion import Positives
 from hierbpr.training import Trainer, _sigmoid, _softplus
 
 
@@ -189,3 +197,46 @@ class TwoProductTrainer(Trainer):
                 cb[ci] = cb[ci] * self.shrink_cb
 
         return _softplus(-m)
+
+
+def _lines(path) -> Iterator[tuple[int, str]]:
+    """Numbered nonblank lines of a UTF-8 text file, newline stripped.
+
+    Bytes that are not UTF-8 are a ParseError naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_pairs(path, expected: str) -> Iterator[tuple[str, str]]:
+    """The first two tab-separated columns of every nonblank line, in order."""
+    for lineno, line in _lines(path):
+        cols = line.split("\t")
+        if len(cols) < 2 or not cols[0] or not cols[1]:
+            raise ParseError(f"{path}:{lineno}: expected {expected}")
+        yield cols[0], cols[1]
+
+
+def read_feedback(path) -> list[tuple[str, str]]:
+    """Parse (user, item) pairs, dropping duplicates but keeping order."""
+    return list(dict.fromkeys(_read_pairs(path, "user<TAB>item")))
+
+
+# ``CheckpointBundle.positives_from_pairs``; ``self`` is the bundle.
+def positives_from_pairs(self, pairs) -> tuple[Positives, int]:
+    """Positives of the pairs, and how many named an unknown id."""
+    user_index = {u: k for k, u in enumerate(self.user_ids)}
+    item_index = {i: k for k, i in enumerate(self.item_ids)}
+    users = np.array([user_index.get(u, -1) for u, _ in pairs],
+                     dtype=np.int64)
+    items = np.array([item_index.get(i, -1) for _, i in pairs],
+                     dtype=np.int64)
+    known = (users >= 0) & (items >= 0)
+    positives = Positives.from_pairs(users[known], items[known],
+                                     self.n_users, self.n_items)
+    return positives, len(known) - int(known.sum())

@@ -406,6 +406,28 @@ class TestRunExperiment:
         assert one_error(capsys)["error"] == expected
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "run"])
+    @pytest.mark.parametrize("model, array", [
+        ({"scheme": [10**20, 1]}, "'user_visual' of shape (30, "
+                                  "100000000000000000001)"),
+        ({"scheme": [2**62, 1]}, "'user_visual'"),
+        ({"n_latent": 2**63}, "'user_latent' of shape (30, "
+                              "9223372036854775808)"),
+    ], ids=["scheme_past_intp", "scheme_past_bytes", "latent_past_intp"])
+    def test_unaddressable_array_is_typed(self, dataset, tmp_path, capsys,
+                                          command, model, array):
+        # numpy would fail these with its own ValueError; sizes are checked
+        # in Python ints first, and before out_dir exists.
+        path = write_manifest(tmp_path / "exp.json", dataset,
+                              tmp_path / "out", model={
+                                  "kind": "HVBPR", "n_latent": 3,
+                                  "scheme": [2, 1], **model})
+        assert main([command, "--manifest", path]) == 1
+        error = one_error(capsys)
+        assert error["error"] == "ArrayTooLarge"
+        assert f"parameter array {array}" in error["message"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("exc_type", [
         MemoryError, type("_ArrayMemoryError", (MemoryError,), {})],
         ids=["builtin", "numpy_subclass"])

@@ -24,6 +24,7 @@ from hierbpr.evaluation import split_leave_one_out, auc
 from hierbpr.ingestion import (
     FEATURE_BLOCK_ROWS,
     FEATURE_READ_BYTES,
+    Feedback,
     assemble_corpus,
     load_corpus,
     read_features,
@@ -36,13 +37,15 @@ from hierbpr.hierarchy import AllocationScheme
 from hierbpr.model import KIND_VBPR, ModelConfig, PreferenceModel
 from hierbpr.synthdata import SynthConfig, generate
 
-from conftest import one_error
+import reference
+from conftest import feedback_pairs, one_error
 
 
 EDGES = [("a", "root"), ("b", "root")]
 LEAVES = {"i0": "a", "i1": "a", "i2": "b"}
 FEATS = {"i0": [1.0, 0.0], "i1": [0.0, 1.0], "i2": [1.0, 1.0]}
 PAIRS = [("u0", "i0"), ("u0", "i2"), ("u1", "i1")]
+FEEDBACK = Feedback.from_pairs(PAIRS)
 
 
 def with_index(blob, record, value):
@@ -77,12 +80,13 @@ class TestFeedbackParsing:
     def test_duplicates_collapse(self, tmp_path):
         path = tmp_path / "fb.tsv"
         write_pairs(path, [("u", "i"), ("u", "i"), ("v", "i")])
-        assert read_feedback(path) == [("u", "i"), ("v", "i")]
+        assert feedback_pairs(read_feedback(path)) == [("u", "i"), ("v", "i")]
 
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "fb.tsv"
         path.write_text("u1\ti1\t5.0\t1234567\nu2\ti2\n", encoding="utf-8")
-        assert read_feedback(path) == [("u1", "i1"), ("u2", "i2")]
+        assert feedback_pairs(read_feedback(path)) == [("u1", "i1"),
+                                                       ("u2", "i2")]
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "fb.tsv"
@@ -95,6 +99,105 @@ class TestFeedbackParsing:
         path = tmp_path / "fb.tsv"
         path.write_text("u1\ti1\n\n\nu2\ti2\n", encoding="utf-8")
         assert len(read_feedback(path)) == 2
+
+    def test_arrays_index_sorted_distinct_ids(self, tmp_path):
+        path = tmp_path / "fb.tsv"
+        path.write_bytes(b"v\tj\r\nu\tj\ru\ti\nu\x00\ti\nv\tj")
+        feedback = read_feedback(path)
+        assert feedback.user_ids == ("u", "u\x00", "v")
+        assert feedback.item_ids == ("i", "j")
+        assert feedback.users.tolist() == [0, 0, 1, 2]
+        assert feedback.items.tolist() == [0, 1, 0, 1]
+        same = Feedback.from_pairs(feedback_pairs(feedback)[::-1] * 2)
+        assert same.user_ids == feedback.user_ids
+        assert same.item_ids == feedback.item_ids
+        assert np.array_equal(same.users, feedback.users)
+        assert np.array_equal(same.items, feedback.items)
+
+    def test_no_whitespace_past_u3000(self):
+        # The reader finds multi-byte whitespace among those up to U+3000.
+        assert max(c for c in range(0x110000) if chr(c).isspace()) == 0x3000
+
+    def test_memory_is_file_size_not_longest_id(self, tmp_path):
+        # A fixed-width id array would hold 10,001 ids of 64 KB: 655 MB.
+        # The reader peaks near 22 times this 160 KB file, mostly int64
+        # index arrays of its short lines.
+        path = tmp_path / "fb.tsv"
+        lines = [f"u{k % 97}\ti{k}\n" for k in range(10_000)]
+        lines.insert(5_000, "u" + "x" * 65_536 + "\ti0\n")
+        path.write_text("".join(lines), encoding="utf-8")
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            feedback = read_feedback(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(feedback) == 10_001
+        assert peak < 32 * size
+
+
+# Pieces of feedback lines: ids (a NUL, non-ASCII, astral), ASCII and
+# Unicode whitespace (U+0085, U+00A0, U+2028 and U+3000 included) and
+# tabs; and bytes that are not UTF-8 (a stray continuation byte, a
+# truncated sequence, a surrogate, an overlong form).
+LINE_PIECES = ["u", "i", "ab", "\x00", "é", "日本", "\U0001f600", " ", "\x0b",
+               "\x1c", "\x85", "\xa0", "\u2028", "\u3000", "\t", "\t",
+               "\t"]
+NOT_UTF8 = [b"\xff", b"\x80", b"\xe6\x97", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+
+@st.composite
+def feedback_bytes(draw):
+    """A feedback file's bytes: lines of pieces, each ended by \\n, \\r\\n or
+    \\r (the last one maybe not), sometimes with bytes that are not UTF-8."""
+    lines = draw(st.lists(st.tuples(
+        st.lists(st.sampled_from(LINE_PIECES), max_size=8).map("".join),
+        st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
+    data = "".join(line + end for line, end in lines).encode("utf-8")
+    if lines and draw(st.booleans()):
+        data = data[:-len(lines[-1][1])]
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    return data
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ParseError as exc:
+        return exc
+
+
+class TestFeedbackProperty:
+    """The array reader against the line-by-line reader it replaced
+    (``reference.read_feedback``): same pairs, or the same ParseError."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=feedback_bytes())
+    @example(data=b"u\ti\r\nu\ti\ru\x00\ti\n \t \n"
+                  b"\xc2\xa0\t\xe3\x80\x80\nv\tj\tk")
+    @example(data=b"u\ti\n\t\nv\t\tj\n")
+    @example(data=b"u\ti\n\xe6\x97\xa5\n")
+    @example(data=b"u\ti\n\xff\n")
+    def test_matches_line_reader(self, tmp_path, data):
+        path = tmp_path / "fb.tsv"
+        path.write_bytes(data)
+        got = _outcome(read_feedback, path)
+        expected = _outcome(reference.read_feedback, path)
+        if isinstance(expected, ParseError):
+            assert isinstance(got, ParseError)
+            assert str(got) == str(expected)
+            return
+        assert feedback_pairs(got) == sorted(expected)
+        assert got.user_ids == tuple(sorted({u for u, _ in expected}))
+        assert got.item_ids == tuple(sorted({i for _, i in expected}))
+        # The pairs constructor gives the same arrays.
+        built = Feedback.from_pairs(expected)
+        assert np.array_equal(built.users, got.users)
+        assert np.array_equal(built.items, got.items)
 
 
 class TestFeatureFiles:
@@ -407,7 +510,7 @@ class TestLoadCorpus:
 
     def test_assemble_requires_known_policy(self):
         with pytest.raises(ValueError):
-            assemble_corpus(PAIRS, ["i0"], np.ones((1, 2)), EDGES,
+            assemble_corpus(FEEDBACK, ["i0"], np.ones((1, 2)), EDGES,
                             {"i0": "a"}, policy="whatever")
 
 
@@ -506,8 +609,9 @@ class TestFeatureMatrix:
         zero = FEATURE_BLOCK_ROWS + 1
         matrix[zero] = 0.0
         # Reversed rows: the gather must put them back in catalog order.
-        corpus, _ = assemble_corpus([("u0", ids[0])], ids[::-1], matrix[::-1],
-                                    [], dict.fromkeys(ids, "root"),
+        corpus, _ = assemble_corpus(Feedback.from_pairs([("u0", ids[0])]),
+                                    ids[::-1], matrix[::-1], [],
+                                    dict.fromkeys(ids, "root"),
                                     feature_norm="l2")
         reference = matrix.astype(np.float64)
         norms = np.linalg.norm(reference, axis=1, keepdims=True)
@@ -616,20 +720,20 @@ class TestStreamedFeatures:
         paths["features"].write_bytes(damage(paths["features"].read_bytes()))
         with pytest.raises(ParseError, match=re.escape(
                 f"{paths['features']}: {message}")):
-            assemble_corpus(PAIRS, feat_ids, rows, EDGES, LEAVES)
+            assemble_corpus(FEEDBACK, feat_ids, rows, EDGES, LEAVES)
 
     def test_records_swapped_after_read_features(self, tmp_path):
         # Each record carries its id_index, so each item still gets its
         # own vector.
         paths = write_inputs(tmp_path)
         feat_ids, rows = read_features(paths["features"])
-        expected, _ = assemble_corpus(PAIRS, feat_ids, rows, EDGES, LEAVES)
+        expected, _ = assemble_corpus(FEEDBACK, feat_ids, rows, EDGES, LEAVES)
         blob = paths["features"].read_bytes()
         size = 8 + 4 * 2
         first, second = blob[24:24 + size], blob[24 + size:24 + 2 * size]
         paths["features"].write_bytes(blob[:24] + second + first
                                       + blob[24 + 2 * size:])
-        corpus, _ = assemble_corpus(PAIRS, feat_ids, rows, EDGES, LEAVES)
+        corpus, _ = assemble_corpus(FEEDBACK, feat_ids, rows, EDGES, LEAVES)
         assert corpus.features.tobytes() == expected.features.tobytes()
 
     def test_change_between_passes_is_one_json_error(self, tmp_path, capsys,

@@ -14,6 +14,7 @@ from hierbpr.model import (
     KIND_VBPR,
     KIND_VBPRC,
     KINDS,
+    ItemTable,
     ModelConfig,
     PreferenceModel,
     rand_scores,
@@ -298,6 +299,29 @@ class TestRankByDimension:
                                     corpus.features[i])[1] for i in range(n)]
         oracle = sorted(range(n), key=lambda i: (-scores[i], corpus.item_ids[i]))
         assert [i for i, _ in ranked] == oracle[:50]
+
+    @pytest.mark.parametrize("top_n", [1, 2, 7, 31, 59, 60, 200])
+    def test_ties_match_whole_column_argsort(self, rng, top_n):
+        # Scores on a coarse grid (signed zeros included) tie heavily, and
+        # one column holds NaNs: every list is the head of the stable
+        # argsort of the whole (restricted) column.
+        n = 60
+        theta = rng.integers(-3, 4, size=(n, 3)) / 2.0
+        theta[::7, 0] = -0.0
+        theta[[3, 17, 40], 2] = np.nan
+        leaf = rng.integers(0, 3, size=n)
+        table = ItemTable(theta, np.zeros((n, 0)), np.zeros(n), leaf,
+                          np.zeros((1, 3)), np.zeros((1, 0)))
+        for d in range(3):
+            for category in (None, 0, 2):
+                items = (np.arange(n) if category is None
+                         else np.flatnonzero(leaf == category))
+                col = theta[items, d]
+                expected = items[np.argsort(-col, kind="stable")[:top_n]]
+                ranked = table.rank_by_dimension(d, top_n, category=category)
+                assert [i for i, _ in ranked] == expected.tolist()
+                assert np.array_equal([s for _, s in ranked],
+                                      theta[expected, d], equal_nan=True)
 
     def test_category_restriction(self, rng):
         edges = [("a", "root"), ("b", "root")]

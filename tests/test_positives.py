@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from hierbpr.checkpoint import load_checkpoint, save_checkpoint
 from hierbpr.evaluation import split_leave_one_out
-from hierbpr.ingestion import Positives
+from hierbpr.ingestion import Feedback, Positives
 from hierbpr.model import KIND_BPRMF, ModelConfig, PreferenceModel
 from hierbpr.synthdata import SynthConfig, make_corpus
+
+import reference
 
 
 @st.composite
@@ -96,18 +98,26 @@ def bundle(tmp_path_factory):
 @settings(deadline=None)
 @given(st.data())
 def test_positives_from_pairs_drops_unknown_ids(bundle, data):
-    users = list(bundle.user_ids) + ["ghost-user", ""]
+    users = list(bundle.user_ids) + ["ghost-user", "", "u\x00"]
     items = list(bundle.item_ids) + ["ghost-item"]
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(users),
                                          st.sampled_from(items)),
                                max_size=40))
-    positives, dropped = bundle.positives_from_pairs(pairs)
+    positives, dropped = bundle.positives_from_pairs(
+        Feedback.from_pairs(pairs))
     user_index = {u: k for k, u in enumerate(bundle.user_ids)}
     item_index = {i: k for k, i in enumerate(bundle.item_ids)}
-    known = [(user_index[u], item_index[i]) for u, i in pairs
+    # Duplicates collapse first, so an unknown pair counts once.
+    distinct = list(dict.fromkeys(pairs))
+    known = [(user_index[u], item_index[i]) for u, i in distinct
              if u in user_index and i in item_index]
-    assert dropped == len(pairs) - len(known)
+    assert dropped == len(distinct) - len(known)
     assert len(positives) == bundle.n_users
     assert positives.n_items == bundle.n_items
     assert [positives[u].tolist() for u in range(bundle.n_users)] == (
         reference_rows(known, bundle.n_users))
+    # The densifier it replaced, fed the pairs the old reader gave.
+    old, old_dropped = reference.positives_from_pairs(bundle, distinct)
+    assert dropped == old_dropped
+    assert np.array_equal(positives.indptr, old.indptr)
+    assert np.array_equal(positives.indices, old.indices)
