@@ -234,7 +234,7 @@ def _cmd_synth(args) -> int:
         feature_noise=args.feature_noise,
         rng_seed=args.seed,
     )
-    paths = generate(cfg, args.out_dir, features_format=args.features_format)
+    paths = generate(cfg, args.out_dir)
     print(json.dumps(paths, sort_keys=True, indent=2))
     return 0
 
@@ -334,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=0.35)
     p.add_argument("--feature-noise", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--features-format", choices=["binary", "csv"],
-                   default="binary")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("validate", help="run ingestion and print the report")

@@ -83,7 +83,3 @@ class ParseError(HierBprError):
 
 class OrphanItem(HierBprError):
     """Item lacks a feature vector or category assignment (strict mode)."""
-
-
-class DimensionMismatch(HierBprError):
-    """Feature vectors with inconsistent dimensionality."""

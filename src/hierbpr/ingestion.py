@@ -1,13 +1,12 @@
 """Input parsing, id densification, and corpus assembly.
 
 Three artifacts feed a run: a feedback TSV (``user<TAB>item``, extra columns
-ignored), a feature file (binary with an ``.ids`` sidecar, or CSV
-``item_id,v1,...,vF``), and two hierarchy files (``child<TAB>parent`` edges
-plus ``item<TAB>leaf`` assignments). String ids are densified to contiguous
-integers in sorted-id order, which makes loading independent of input line
-order. The tab-separated files are split into lines and columns on their
-bytes with numpy; feedback stays arrays (``Feedback``) from file to
-``Positives``.
+ignored), a binary feature file with an ``.ids`` sidecar, and two hierarchy
+files (``child<TAB>parent`` edges plus ``item<TAB>leaf`` assignments).
+String ids are densified to contiguous integers in sorted-id order, which
+makes loading independent of input line order. Every text file is split
+into lines (and the tab-separated ones into columns) on its bytes with
+numpy; feedback stays arrays (``Feedback``) from file to ``Positives``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import numpy as np
 
 from .errors import (
     DanglingItemLeaf,
-    DimensionMismatch,
     EmptyCorpus,
     OrphanItem,
     ParseError,
@@ -45,20 +43,6 @@ FEATURE_READ_BYTES = 4 << 20
 
 # ---------------------------------------------------------------- text files
 
-def _lines(path) -> Iterator[tuple[int, str]]:
-    """Numbered nonblank lines of a UTF-8 text file, newline stripped.
-
-    Bytes that are not UTF-8 are a ParseError naming the file.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if line.strip():
-                    yield lineno, line.rstrip("\n")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
 # What ``str.strip`` removes, on the bytes: ``_SOLID`` marks each byte
 # that is not whitespace by itself (ASCII non-whitespace, and the lead byte
 # of a multi-byte character), and ``_SPACE_CHARS`` holds the multi-byte
@@ -70,18 +54,16 @@ _SPACE_CHARS = np.array([int.from_bytes(chr(c).encode("utf-8"), "big")
                          for c in range(0x80, 0x3001) if chr(c).isspace()])
 
 
-def _tsv_columns(path, expected: str
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A UTF-8 text file's bytes and the byte ranges of the first two
-    tab-separated columns of each nonblank line: column ``c`` of the k-th
-    is ``buf[starts[c, k]:stops[c, k]]``.
+def _text_lines(path) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+    """A UTF-8 text file's bytes, and the byte range and line number of each
+    nonblank line: the k-th is ``buf[starts[k]:stops[k]]``, without its line
+    break, on line ``lineno[k]``.
 
     The rules of text-mode ``open`` and ``str.strip``, found on the bytes
     with numpy: ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end a line, and a
-    line of whitespace only is blank. Every other line needs a nonempty
-    first and second column, or the first that lacks one is a ParseError
-    naming ``expected`` and its line number. Bytes that are not UTF-8 are a
-    ParseError naming the file, before any line is checked.
+    line of whitespace only is blank. Bytes that are not UTF-8 are a
+    ParseError naming the file, before any line is looked at.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -105,8 +87,20 @@ def _tsv_columns(path, expected: str
                for k in range(3)) >> np.where(buf[lead] < 0xE0, 8, 0)
     solid[lead[np.isin(char, _SPACE_CHARS)]] = False
     blank = ~np.logical_or.reduceat(solid, starts)
-    lineno = np.flatnonzero(~blank) + 1
-    starts, stops = starts[~blank], stops[~blank]
+    return buf, starts[~blank], stops[~blank], np.flatnonzero(~blank) + 1
+
+
+def _tsv_columns(path, expected: str
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A UTF-8 text file's bytes and the byte ranges of the first two
+    tab-separated columns of each nonblank line: column ``c`` of the k-th
+    is ``buf[starts[c, k]:stops[c, k]]``.
+
+    Lines are ``_text_lines``'. Each needs a nonempty first and second
+    column, or the first that lacks one is a ParseError naming
+    ``expected`` and its line number.
+    """
+    buf, starts, stops, lineno = _text_lines(path)
     tabs = np.append(np.flatnonzero(buf == 9), [len(buf), len(buf)])
     first = np.searchsorted(tabs, starts)
     tab, cut = tabs[first], np.minimum(tabs[first + 1], stops)
@@ -268,8 +262,8 @@ def write_features_binary(path, item_ids, matrix) -> None:
     """Binary feature file plus ``<path>.ids`` sidecar (one id per line).
 
     Layout: magic(8) item_count(u64) F(u64), then per item id_index(u64)
-    followed by F little-endian float32 values. id_index is the line number
-    of the item's id in the sidecar.
+    followed by F little-endian float32 values. id_index ``k`` names the
+    sidecar's k-th nonblank line, counting from 0.
     """
     matrix = np.asarray(matrix)
     n, feat = matrix.shape
@@ -285,13 +279,6 @@ def write_features_binary(path, item_ids, matrix) -> None:
     with open(str(path) + ".ids", "w", encoding="utf-8") as fh:
         for item_id in item_ids:
             fh.write(f"{item_id}\n")
-
-
-def write_features_csv(path, item_ids, matrix) -> None:
-    matrix = np.asarray(matrix, dtype=np.float32)
-    with open(path, "w", encoding="utf-8") as fh:
-        for item_id, row in zip(item_ids, matrix):
-            fh.write(item_id + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 class _FeatureRecords:
@@ -334,25 +321,41 @@ class _FeatureRecords:
             raise ParseError(f"{self.path}: missing vector for id_index "
                              f"{np.argmin(seen)}")
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """Every row at its id_index: numpy reads the source as the matrix."""
-        rows = np.empty(self.shape, dtype=np.float32)
-        _scatter_rows(rows, np.arange(self.shape[0]), self)
-        return rows if dtype is None else rows.astype(dtype, copy=False)
+
+def _read_ids(path) -> list[str]:
+    """A sidecar's ids: each nonblank line's exact text, in line order.
+
+    One feature row per item: a repeated id would silently pick a row, so
+    the first line that repeats one is a ParseError naming the id.
+    """
+    buf, starts, stops, _ = _text_lines(path)
+    names, codes = _densify(buf, starts, stops)
+    if len(names) < len(codes):
+        # Equal codes stay in line order, so each run's first is the
+        # original and the rest are repeats.
+        order = np.argsort(codes, kind="stable")
+        repeat = order[1:][np.diff(codes[order]) == 0]
+        raise ParseError(f"{path}: item {names[codes[repeat.min()]]!r} has "
+                         "more than one feature row")
+    return [names[k] for k in codes.tolist()]
 
 
-def _read_features_binary(path) -> tuple[list[str], _FeatureRecords]:
-    """The sidecar's ids in line order and a row source over the records,
-    after every header and size check; no record is read here."""
-    ids_path = str(path) + ".ids"
-    if not Path(ids_path).exists():
-        raise ParseError(f"{path}: missing id sidecar {ids_path}")
-    ids = [line for _, line in _lines(ids_path)]
-    _check_unique(ids_path, ids)
+def read_features(path) -> tuple[list[str], _FeatureRecords]:
+    """A binary feature file's ids and a row source over its records, after
+    every header and size check; no record is read here.
+
+    Row ``k`` belongs to ``ids[k]``. The row source reads the file once,
+    when it is iterated, so no whole-file copy exists: ``rows.shape``, and
+    ``rows.blocks()``, each window's ``(id_index, vectors)`` in file order.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != FEATURE_MAGIC:
             raise ParseError(f"{path}: bad magic {magic!r}")
+        ids_path = str(path) + ".ids"
+        if not Path(ids_path).exists():
+            raise ParseError(f"{path}: missing id sidecar {ids_path}")
+        ids = _read_ids(ids_path)
         sizes = fh.read(16)
         if len(sizes) < 16:
             raise ParseError(f"{path}: header cut at {8 + len(sizes)} of 24 "
@@ -377,63 +380,6 @@ def _read_features_binary(path) -> tuple[list[str], _FeatureRecords]:
             raise ParseError(f"{path}: bytes follow the {n} records the "
                              "header counts")
     return ids, _FeatureRecords(path, n, feat)
-
-
-def _read_features_csv(path) -> tuple[list[str], np.ndarray]:
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    feat = None
-    for lineno, line in _lines(path):
-        cols = line.split(",")
-        if len(cols) < 2:
-            raise ParseError(f"{path}:{lineno}: expected item_id,v1,...")
-        try:
-            vec = np.array([float(v) for v in cols[1:]])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric feature") from None
-        if feat is None:
-            feat = len(vec)
-        elif len(vec) != feat:
-            raise DimensionMismatch(
-                f"{path}:{lineno}: vector length {len(vec)} != {feat}")
-        if not np.isfinite(vec).all():
-            raise ParseError(f"{path}:{lineno}: non-finite feature value")
-        with np.errstate(over="ignore"):
-            vec = vec.astype(np.float32)
-        if not np.isfinite(vec).all():
-            raise ParseError(f"{path}:{lineno}: feature value does not fit "
-                             "in float32")
-        ids.append(cols[0])
-        rows.append(vec)
-    if feat is None:
-        raise ParseError(f"{path}: no feature rows")
-    _check_unique(path, ids)
-    return ids, np.vstack(rows)
-
-
-def _check_unique(path, ids: list[str]) -> None:
-    """One feature row per item: a repeated id would silently pick a row."""
-    seen: set[str] = set()
-    for item in ids:
-        if item in seen:
-            raise ParseError(f"{path}: item {item!r} has more than one "
-                             "feature row")
-        seen.add(item)
-
-
-def read_features(path) -> tuple[list[str], np.ndarray | _FeatureRecords]:
-    """Ids and their float32 rows; binary is detected by its magic bytes.
-
-    In either format row ``k`` belongs to ``ids[k]``. CSV gives the whole
-    matrix. Binary gives a row source that reads the file once, when it is
-    iterated, so no whole-file copy exists: ``rows.shape``, and
-    ``rows.blocks()``, each window's ``(id_index, vectors)`` in file order.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-    if head == FEATURE_MAGIC:
-        return _read_features_binary(path)
-    return _read_features_csv(path)
 
 
 # ------------------------------------------------------------------- corpora

@@ -26,7 +26,6 @@ from .ingestion import (
     InteractionCorpus,
     assemble_corpus,
     write_features_binary,
-    write_features_csv,
     write_pairs,
 )
 
@@ -196,30 +195,24 @@ def make_corpus(cfg: SynthConfig) -> tuple[InteractionCorpus, dict]:
     return corpus, data.ground_truth
 
 
-def generate(cfg: SynthConfig, out_dir, features_format: str = "binary") -> dict:
+def generate(cfg: SynthConfig, out_dir) -> dict:
     """Write feedback, features, hierarchy files, and the ground-truth record.
 
     Returns a dict of output paths keyed by artifact name.
     """
-    if features_format not in ("binary", "csv"):
-        raise ValueError(f"unknown features format {features_format!r}")
     data = _materialize(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     paths = {
         "feedback": out / "feedback.tsv",
-        "features": out / ("features.bin" if features_format == "binary"
-                           else "features.csv"),
+        "features": out / "features.bin",
         "hierarchy": out / "hierarchy.tsv",
         "item_leaves": out / "item_categories.tsv",
         "ground_truth": out / "ground_truth.json",
     }
     write_pairs(paths["feedback"], data.pairs)
-    if features_format == "binary":
-        write_features_binary(paths["features"], data.item_ids, data.features)
-    else:
-        write_features_csv(paths["features"], data.item_ids, data.features)
+    write_features_binary(paths["features"], data.item_ids, data.features)
     write_pairs(paths["hierarchy"], data.edges)
     write_pairs(paths["item_leaves"], data.leaf_map.items())
     with open(paths["ground_truth"], "w", encoding="utf-8") as fh:

@@ -16,7 +16,8 @@ on both paths still takes W_b f_i and W_b f_j in the margin and
 ``positives_from_pairs`` are the feedback reader and the checkpoint's
 densifier as they stood before feedback became arrays, kept verbatim: a
 text-mode line loop, one tuple and one dict entry per pair, and two dict
-lookups per pair.
+lookups per pair. ``_lines`` is also the sidecar reader as it stood before
+every text file went through the byte scanner: each nonblank line's text.
 """
 
 import math

@@ -13,12 +13,7 @@ from hierbpr.cli import (
     run_experiment,
 )
 from hierbpr.hierarchy import AllocationScheme
-from hierbpr.ingestion import (
-    load_corpus,
-    read_features,
-    write_features_binary,
-    write_features_csv,
-)
+from hierbpr.ingestion import load_corpus, write_features_binary
 from hierbpr.model import ModelConfig
 from hierbpr.training import TrainConfig
 
@@ -101,14 +96,15 @@ class TestSynthValidate:
 
         pruned = validate(dataset, "--policy", "prune", "--feature-norm", "l2")
         assert (pruned["policy"], pruned["feature_norm"]) == ("prune", "l2")
-        csv = run(synth_args(tmp_path / "csv", **{
-            "--items": "40", "--features-format": "csv"}))
+        run(synth_args(tmp_path / "noisy", **{
+            "--items": "40", "--feature-noise": "3.0"}))
         with pytest.raises(SystemExit):
             main(synth_args(tmp_path / "bad", **{"--branching": "x"}))
         capsys.readouterr()
         binary = run(synth_args(tmp_path / "bin"))
-        assert Path(csv["features"]).suffix == ".csv"
-        assert Path(binary["features"]).suffix == ".bin"
+        # The default noise again: the files of the module's dataset.
+        assert (Path(binary["features"]).read_bytes()
+                == Path(dataset["features"]).read_bytes())
         report = validate(data_paths(tmp_path / "bin"))
         assert (report["policy"], report["feature_norm"]) == ("strict", "none")
         assert report["items"] == 60
@@ -487,8 +483,7 @@ class TestNonUtf8Input:
     names the file, not a UnicodeDecodeError."""
 
     @pytest.mark.parametrize("target", [
-        "feedback", "hierarchy", "item_leaves", "csv_features", "ids",
-        "manifest"])
+        "feedback", "hierarchy", "item_leaves", "ids", "manifest"])
     def test_one_line_parse_error(self, dataset, tmp_path, capsys, target):
         inputs = {}
         for key, path in dataset.items():
@@ -496,14 +491,9 @@ class TestNonUtf8Input:
             Path(inputs[key]).write_bytes(Path(path).read_bytes())
         Path(inputs["features"] + ".ids").write_bytes(
             Path(dataset["features"] + ".ids").read_bytes())
-        if target == "csv_features":
-            inputs["features"] = str(tmp_path / "features.csv")
-            write_features_csv(inputs["features"],
-                               *read_features(dataset["features"]))
         manifest = Path(write_manifest(tmp_path / "exp.json", inputs,
                                        tmp_path / "out"))
-        bad = {"csv_features": inputs["features"],
-               "ids": inputs["features"] + ".ids",
+        bad = {"ids": inputs["features"] + ".ids",
                "manifest": str(manifest)}.get(target, inputs.get(target))
         blob = Path(bad).read_bytes()
         if target == "manifest":  # inside a string, so only the byte is bad

@@ -14,7 +14,6 @@ from hierbpr import ingestion
 from hierbpr.cli import main
 from hierbpr.errors import (
     DanglingItemLeaf,
-    DimensionMismatch,
     EmptyCorpus,
     HierBprError,
     OrphanItem,
@@ -30,7 +29,6 @@ from hierbpr.ingestion import (
     read_features,
     read_feedback,
     write_features_binary,
-    write_features_csv,
     write_pairs,
 )
 from hierbpr.hierarchy import AllocationScheme
@@ -57,20 +55,17 @@ def with_index(blob, record, value):
 
 
 def write_inputs(tmp_path, pairs=PAIRS, feats=FEATS, leaves=LEAVES,
-                 edges=EDGES, fmt="binary"):
+                 edges=EDGES):
     paths = {
         "feedback": tmp_path / "fb.tsv",
-        "features": tmp_path / ("f.bin" if fmt == "binary" else "f.csv"),
+        "features": tmp_path / "f.bin",
         "hierarchy": tmp_path / "h.tsv",
         "item_leaves": tmp_path / "il.tsv",
     }
     write_pairs(paths["feedback"], pairs)
     ids = sorted(feats)
     matrix = np.array([feats[i] for i in ids], dtype=np.float32)
-    if fmt == "binary":
-        write_features_binary(paths["features"], ids, matrix)
-    else:
-        write_features_csv(paths["features"], ids, matrix)
+    write_features_binary(paths["features"], ids, matrix)
     write_pairs(paths["hierarchy"], edges)
     write_pairs(paths["item_leaves"], leaves.items())
     return paths
@@ -170,9 +165,24 @@ def _outcome(read, path):
         return exc
 
 
+def not_utf8(path, data):
+    """README's error for a text file whose bytes are not UTF-8, or None
+    when they are."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"{path}: not UTF-8 text ({exc.reason})"
+    return None
+
+
 class TestFeedbackProperty:
     """The array reader against the line-by-line reader it replaced
-    (``reference.read_feedback``): same pairs, or the same ParseError."""
+    (``reference.read_feedback``): same pairs, or the same ParseError.
+
+    A file that is not UTF-8 fails on that before any line is checked, as
+    README says. The old reader could report a malformed line first: its
+    incremental decoder holds back a sequence cut off at the end of the
+    file until every complete line has been checked."""
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -182,10 +192,16 @@ class TestFeedbackProperty:
     @example(data=b"u\ti\n\t\nv\t\tj\n")
     @example(data=b"u\ti\n\xe6\x97\xa5\n")
     @example(data=b"u\ti\n\xff\n")
+    @example(data=b"uab\r\n\xe6\x97")
     def test_matches_line_reader(self, tmp_path, data):
         path = tmp_path / "fb.tsv"
         path.write_bytes(data)
         got = _outcome(read_feedback, path)
+        error = not_utf8(path, data)
+        if error:
+            assert isinstance(got, ParseError)
+            assert str(got) == error
+            return
         expected = _outcome(reference.read_feedback, path)
         if isinstance(expected, ParseError):
             assert isinstance(got, ParseError)
@@ -200,24 +216,52 @@ class TestFeedbackProperty:
         assert np.array_equal(built.items, got.items)
 
 
+class TestSidecarProperty:
+    """A feature file's ``.ids`` sidecar through the byte scanner: its ids
+    are the line-by-line reader's nonblank lines (``reference._lines``),
+    and the first line that repeats an id is a ParseError naming it."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=feedback_bytes())
+    @example(data=b"a\r\nb\rc \n\t\n\xc2\xa0\n\x00\n\xe3\x80\x80a\nb")
+    # Line 4 repeats "c" before line 5 repeats "b", which sorts first.
+    @example(data=b"b\nd\nc\nc\nb\n")
+    @example(data=b"a\nb\n\xe6\x97")
+    def test_ids_are_line_text(self, tmp_path, data):
+        path = tmp_path / "f.bin"
+        sidecar = tmp_path / "f.bin.ids"
+        sidecar.write_bytes(data)
+        expected = not_utf8(sidecar, data)
+        ids = []
+        if expected is None:
+            ids = [line for _, line in reference._lines(sidecar)]
+            repeated = [item for k, item in enumerate(ids) if item in ids[:k]]
+            if repeated:
+                expected = (f"{sidecar}: item {repeated[0]!r} has more than "
+                            "one feature row")
+        write_features_binary(path, ids, np.zeros((len(ids), 1)))
+        sidecar.write_bytes(data)
+        got = _outcome(read_features, path)
+        if expected is None:
+            assert got[0] == ids
+        else:
+            assert isinstance(got, ParseError)
+            assert str(got) == expected
+
+
 class TestFeatureFiles:
     def test_binary_round_trip(self, tmp_path):
         path = tmp_path / "f.bin"
         ids = ["x", "y", "z"]
         matrix = np.arange(12, dtype=np.float32).reshape(3, 4)
         write_features_binary(path, ids, matrix)
-        got_ids, got = read_features(path)
+        got_ids, rows = read_features(path)
         assert got_ids == ids
-        assert np.array_equal(got, matrix)
-
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "f.csv"
-        ids = ["x", "y"]
-        matrix = np.array([[1.5, -2.0], [0.25, 3.0]], dtype=np.float32)
-        write_features_csv(path, ids, matrix)
-        got_ids, got = read_features(path)
-        assert got_ids == ids
-        assert np.allclose(got, matrix)
+        assert rows.shape == matrix.shape
+        [(index, vectors)] = rows.blocks()
+        assert index.tolist() == [0, 1, 2]
+        assert np.array_equal(vectors, matrix)
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "f.bin"
@@ -226,35 +270,16 @@ class TestFeatureFiles:
         with pytest.raises(ParseError):
             read_features(path)
 
-    def test_csv_dimension_mismatch(self, tmp_path):
-        path = tmp_path / "f.csv"
-        path.write_text("a,1.0,2.0\nb,1.0\n", encoding="utf-8")
-        with pytest.raises(DimensionMismatch):
-            read_features(path)
-
-    def test_csv_non_finite_rejected(self, tmp_path):
-        path = tmp_path / "f.csv"
-        path.write_text("a,1.0,nan\n", encoding="utf-8")
-        with pytest.raises(ParseError):
-            read_features(path)
-
-    @pytest.mark.parametrize("value", ["1e39", "-3.5e38"])
-    def test_csv_value_past_float32(self, tmp_path, capsys, value):
-        # A finite value float32 cannot hold: named, and no RuntimeWarning
-        # ahead of the one JSON error line.
-        paths = write_inputs(tmp_path, fmt="csv")
-        lines = paths["features"].read_text(encoding="utf-8").splitlines()
-        lines[1] = "i1,0.5," + value
-        paths["features"].write_text("\n".join(lines) + "\n",
+    def test_csv_is_bad_magic(self, tmp_path, capsys):
+        # Features are binary only: a CSV file is named, not parsed.
+        paths = write_inputs(tmp_path)
+        paths["features"] = tmp_path / "f.csv"
+        paths["features"].write_text("i0,1.0,0.0\ni1,0.0,1.0\ni2,1.0,1.0\n",
                                      encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ParseError,
-                               match="f.csv:2: feature value does not fit "
-                                     "in float32"):
-                read_features(paths["features"])
-            assert validate(paths) == 1
-        assert one_error(capsys)["error"] == "ParseError"
+        assert validate(paths) == 1
+        assert one_error(capsys) == {
+            "error": "ParseError",
+            "message": f"{paths['features']}: bad magic b'i0,1.0,0'"}
 
     def test_truncated_binary(self, tmp_path):
         path = tmp_path / "f.bin"
@@ -319,9 +344,9 @@ class TestFeatureFiles:
 
 
 # One damage, drawn as (kind, at, field): a cut, a flipped bit, an inserted
-# tab or newline, a dropped line, or one field replaced by a token no finite
-# float32 can hold. Positions are taken modulo the file's bytes, bits,
-# lines and fields, so one draw fits any file.
+# tab or newline, a dropped line, or one field replaced by a token that
+# reads as a non-finite or out-of-range number. Positions are taken modulo
+# the file's bytes, bits, lines and fields, so one draw fits any file.
 BYTE_DAMAGE = st.tuples(st.sampled_from(["cut", "flip"]),
                         st.integers(0, 2**32), st.just(0))
 TEXT_DAMAGE = st.one_of(
@@ -331,9 +356,9 @@ TEXT_DAMAGE = st.one_of(
               st.integers(0, 2**32), st.integers(0, 2**32)))
 
 
-def damaged(blob, how, sep=b"\t"):
+def damaged(blob, how):
     """``blob`` damaged as ``how`` names; a text file's fields split on
-    ``sep``."""
+    tabs."""
     kind, at, field = how
     if kind == "cut":
         return blob[:at % len(blob)]
@@ -349,9 +374,9 @@ def damaged(blob, how, sep=b"\t"):
     if kind == "drop":
         del lines[at]
     else:
-        fields = lines[at].rstrip(b"\n").split(sep)
+        fields = lines[at].rstrip(b"\n").split(b"\t")
         fields[field % len(fields)] = kind.encode()
-        lines[at] = sep.join(fields) + b"\n"
+        lines[at] = b"\t".join(fields) + b"\n"
     return b"".join(lines)
 
 
@@ -388,32 +413,34 @@ class TestDamageProperty:
 
 @pytest.fixture(scope="module")
 def text_dataset(tmp_path_factory):
-    """A generated corpus with CSV features: its paths and each file's bytes."""
+    """A generated corpus's paths, and each text file's path and bytes by
+    name (``ids`` is the feature file's sidecar)."""
     cfg = SynthConfig(n_users=6, n_items=12, feature_dim=3, branching=(2,),
                       n_positives=2, planted_scheme=(1,), rng_seed=4)
-    paths = generate(cfg, tmp_path_factory.mktemp("text_dataset"),
-                     features_format="csv")
+    paths = generate(cfg, tmp_path_factory.mktemp("text_dataset"))
     del paths["ground_truth"]
-    return paths, {key: Path(path).read_bytes() for key, path in paths.items()}
+    texts = {key: paths[key] for key in ("feedback", "hierarchy",
+                                         "item_leaves")}
+    texts["ids"] = paths["features"] + ".ids"
+    return paths, {key: (path, Path(path).read_bytes())
+                   for key, path in texts.items()}
 
 
 class TestTextDamageProperty:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(target=st.sampled_from(["feedback", "features", "hierarchy",
+    @given(target=st.sampled_from(["feedback", "ids", "hierarchy",
                                    "item_leaves"]),
            how=TEXT_DAMAGE)
-    @example(target="features", how=("1e39", 0, 1))
     def test_loads_or_is_one_json_error(self, text_dataset, capsys, target,
                                         how):
         # Damaged text either still loads or raises one of the package's
         # own errors, which validate prints as its one stderr line, with no
         # numpy warning first.
         paths, originals = text_dataset
-        for key, original in originals.items():
-            sep = b"," if key == "features" else b"\t"
-            Path(paths[key]).write_bytes(
-                damaged(original, how, sep) if key == target else original)
+        for key, (path, original) in originals.items():
+            Path(path).write_bytes(
+                damaged(original, how) if key == target else original)
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -560,16 +587,15 @@ class TestItemCategories:
 
 
 class TestFeatureMatrix:
-    @pytest.mark.parametrize("fmt", ["binary", "csv"])
-    def test_repeated_item_id_rejected(self, tmp_path, capsys, fmt):
-        paths = write_inputs(tmp_path, fmt=fmt)
-        writer = write_features_binary if fmt == "binary" else write_features_csv
-        writer(paths["features"], ["i0", "i1", "i2", "i0"],
-               np.arange(8, dtype=np.float32).reshape(4, 2))
+    def test_repeated_item_id_rejected(self, tmp_path, capsys):
+        paths = write_inputs(tmp_path)
+        write_features_binary(paths["features"], ["i0", "i1", "i2", "i0"],
+                              np.arange(8, dtype=np.float32).reshape(4, 2))
         assert validate(paths) == 1
-        error = one_error(capsys)
-        assert error["error"] == "ParseError"
-        assert "'i0'" in error["message"]
+        assert one_error(capsys) == {
+            "error": "ParseError",
+            "message": f"{paths['features']}.ids: item 'i0' has more than "
+                       "one feature row"}
 
     def test_binary_nan_names_item(self, tmp_path, capsys):
         paths = write_inputs(tmp_path, feats={**FEATS, "i1": [0.5, np.nan]})

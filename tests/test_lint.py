@@ -113,3 +113,38 @@ def test_checker_sees_stray_raises():
                                     "HierBprError"]
     assert stray_raises(source, frozenset({"TypeError"})) == [
         "raise", "HierBprError", "HierBprError"]
+
+
+def text_reads(source: str) -> list[str]:
+    """The mode of each builtin ``open`` call that may read text: its mode
+    has no ``b`` and no ``w``, ``a`` or ``x`` (no mode reads as ``"r"``, a
+    mode that is not a literal as ``"?"``); a ``read_text`` method call
+    reads as ``"read_text"``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if getattr(node.func, "attr", None) == "read_text":
+            found.append("read_text")
+        elif getattr(node.func, "id", None) == "open":
+            mode = (node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+                    or [ast.Constant("r")])[0]
+            mode = mode.value if isinstance(mode, ast.Constant) else "?"
+            if "b" not in mode and not set(mode) & set("wax"):
+                found.append(mode)
+    return found
+
+
+def test_ingestion_reads_bytes_only():
+    # One text reader: every input file is read as bytes and split into
+    # lines by the numpy scanner, so one UTF-8 rule covers them all.
+    source = (PACKAGE / "ingestion.py").read_text(encoding="utf-8")
+    assert text_reads(source) == []
+
+
+def test_checker_sees_text_reads():
+    source = ("open(p, 'rb'); open(p, 'w', encoding='utf-8')\n"
+              "open(p); open(p, 'r', encoding='utf-8'); open(p, mode='rt')\n"
+              "open(p, mode); Path(p).read_text(); open(p, mode='ab')\n")
+    assert text_reads(source) == ["r", "r", "rt", "?", "read_text"]

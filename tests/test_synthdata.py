@@ -105,15 +105,6 @@ class TestGenerate:
         for u in range(corpus.n_users):
             assert np.array_equal(corpus.positives[u], mem_corpus.positives[u])
 
-    def test_csv_format_round_trip(self, tmp_path):
-        cfg = SynthConfig(**SMALL)
-        paths = generate(cfg, tmp_path, features_format="csv")
-        corpus, _ = load_corpus(paths["feedback"], paths["features"],
-                                paths["hierarchy"], paths["item_leaves"])
-        mem_corpus, _ = make_corpus(cfg)
-        assert np.allclose(corpus.features, mem_corpus.features,
-                           atol=1e-6)
-
     def test_ground_truth_record(self, tmp_path):
         cfg = SynthConfig(**SMALL)
         paths = generate(cfg, tmp_path)
