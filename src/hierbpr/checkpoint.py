@@ -26,10 +26,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import HeldOutMissing, ParseError
+from .errors import (CycleDetected, DanglingItemLeaf, HeldOutMissing,
+                     MultipleRoots, ParseError, SchemeTooDeep)
 from .evaluation import EvalSplit
 from .hierarchy import CategoryHierarchy, assign_layers, build_hierarchy
-from .ingestion import Feedback, Positives, index_of, sorted_unique
+from .ingestion import Feedback, Positives, sorted_unique
 from .model import ItemTable, ModelConfig, ModelParams, PreferenceModel, frozen_table
 from .embedding import SegmentStore
 
@@ -150,21 +151,15 @@ class CheckpointBundle:
                              ) -> tuple[Positives, int]:
         """Positives of the feedback's pairs, and how many pairs named an
         unknown id."""
-        users = index_of(feedback.user_ids, self.user_ids)[feedback.users]
-        items = index_of(feedback.item_ids, self.item_ids)[feedback.items]
-        known = (users >= 0) & (items >= 0)
-        positives = Positives.from_pairs(users[known], items[known],
-                                         self.n_users, self.n_items)
-        return positives, len(known) - int(known.sum())
+        return feedback.positives_in(self.user_ids, self.item_ids)
 
     def check_held_out(self, positives: Positives) -> None:
         """``HeldOutMissing`` for the first user whose held-out test item, or
         validation item where one is assigned, is not in ``positives``."""
         held = np.stack([self.split.test_item, self.split.val_item])
         pairs = np.arange(self.n_users) * self.n_items + held
-        # Sorted, as rows are, and closed by a key past every pair's.
-        keys = np.append(positives.rows() * self.n_items + positives.indices,
-                         self.n_users * self.n_items)
+        # Closed by a key past every pair's.
+        keys = np.append(positives.keys(), self.n_users * self.n_items)
         missing = (held >= 0) & (keys[np.searchsorted(keys, pairs)] != pairs)
         if missing.any():
             u = int(missing.any(axis=0).argmax())
@@ -244,8 +239,10 @@ def load_checkpoint(path) -> CheckpointBundle:
     """Restore a checkpoint; a damaged or malformed file raises ParseError."""
     try:
         return _bundle(*_read_checked(path))
-    except (LookupError, TypeError, ValueError) as exc:
-        # The header is outside input: a missing or mistyped field ends here.
+    except (LookupError, TypeError, ValueError, CycleDetected, MultipleRoots,
+            DanglingItemLeaf, SchemeTooDeep) as exc:
+        # The header is outside input: a missing or mistyped field, or a
+        # tree or scheme that cannot be rebuilt, ends here.
         raise ParseError(f"{path}: malformed checkpoint: {exc!r}") from None
 
 

@@ -6,7 +6,8 @@ files (``child<TAB>parent`` edges plus ``item<TAB>leaf`` assignments).
 String ids are densified to contiguous integers in sorted-id order, which
 makes loading independent of input line order. Every text file is split
 into lines (and the tab-separated ones into columns) on its bytes with
-numpy; feedback stays arrays (``Feedback``) from file to ``Positives``.
+numpy; a feedback file's pairs are ``Positives`` over its sorted ids
+(``Feedback``), re-indexed once into a corpus's or checkpoint's ids.
 """
 
 from __future__ import annotations
@@ -184,40 +185,40 @@ def index_of(names, ids) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Feedback:
-    """The distinct (user, item) pairs of a feedback file, as arrays.
+    """The distinct (user, item) pairs of a feedback file.
 
-    ``user_ids`` and ``item_ids`` are the distinct ids, sorted; pair ``k``
-    is ``(user_ids[users[k]], item_ids[items[k]])``. Pairs are distinct and
-    sorted by user index, then item index.
+    ``user_ids`` and ``item_ids`` are the distinct ids, sorted, and
+    ``pairs`` holds the pairs by index into them: user ``user_ids[u]``'s
+    items are ``item_ids[k]`` for each ``k`` in ``pairs[u]``.
     """
 
     user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
-    users: np.ndarray
-    items: np.ndarray
-
-    @classmethod
-    def of_indices(cls, user_ids, item_ids, users, items) -> "Feedback":
-        """Pairs given by index into sorted distinct ids; duplicates
-        collapse."""
-        keys = sorted_unique(np.asarray(users, dtype=np.int64) * len(item_ids)
-                             + np.asarray(items, dtype=np.int64))
-        users, items = np.divmod(keys, max(len(item_ids), 1))
-        return cls(tuple(user_ids), tuple(item_ids), users, items)
+    pairs: Positives
 
     @classmethod
     def from_pairs(cls, pairs) -> "Feedback":
         """The feedback of ``(user, item)`` string pairs: what
         ``read_feedback`` gives for the file ``write_pairs`` writes."""
         pairs = list(pairs)
-        user_ids = sorted({u for u, _ in pairs})
-        item_ids = sorted({i for _, i in pairs})
-        return cls.of_indices(user_ids, item_ids,
-                              index_of([u for u, _ in pairs], user_ids),
-                              index_of([i for _, i in pairs], item_ids))
+        users, items = ([pair[c] for pair in pairs] for c in (0, 1))
+        user_ids, item_ids = (tuple(sorted(set(c))) for c in (users, items))
+        return cls(user_ids, item_ids, Positives.from_pairs(
+            index_of(users, user_ids), index_of(items, item_ids),
+            len(user_ids), len(item_ids)))
+
+    def positives_in(self, user_ids, item_ids) -> tuple[Positives, int]:
+        """The pairs as positives over the id lists ``user_ids`` and
+        ``item_ids``, and how many pairs named an id they lack."""
+        users = index_of(self.user_ids, user_ids)[self.pairs.rows()]
+        items = index_of(self.item_ids, item_ids)[self.pairs.indices]
+        known = (users >= 0) & (items >= 0)
+        positives = Positives.from_pairs(users[known], items[known],
+                                         len(user_ids), len(item_ids))
+        return positives, len(known) - int(known.sum())
 
     def __len__(self) -> int:
-        return len(self.users)
+        return len(self.pairs.indices)
 
 
 def read_feedback(path) -> Feedback:
@@ -226,15 +227,35 @@ def read_feedback(path) -> Feedback:
     buf, starts, stops = _tsv_columns(path, "user<TAB>item")
     (user_ids, users), (item_ids, items) = (
         _densify(buf, starts[c], stops[c]) for c in (0, 1))
-    return Feedback.of_indices(user_ids, item_ids, users, items)
+    return Feedback(user_ids, item_ids, Positives.from_pairs(
+        users, items, len(user_ids), len(item_ids)))
+
+
+def _unreadable(line: str) -> bool:
+    """Whether the text reader would not give ``line`` back as one line:
+    it is blank (empty or whitespace only) or holds a line break."""
+    return not line or line.isspace() or "\n" in line or "\r" in line
 
 
 def write_pairs(path, pairs) -> None:
     """One tab-separated pair a line: feedback, hierarchy edges or item
-    leaves (pass ``leaves.items()``)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for first, second in pairs:
-            fh.write(f"{first}\t{second}\n")
+    leaves (pass ``leaves.items()``).
+
+    A pair that would not read back is a ValueError naming it, before the
+    file is opened: an empty id, one holding a tab or line break, or a
+    line of whitespace only; so is text that is not UTF-8 (a lone
+    surrogate).
+    """
+    lines = []
+    for first, second in pairs:
+        line = f"{first}\t{second}"
+        if (not first or not second or line.count("\t") > 1
+                or _unreadable(line)):
+            raise ValueError(f"{path}: pair {(first, second)!r} would not "
+                             "read back: an id is empty or holds a tab or "
+                             "line break, or the line is blank")
+        lines.append(f"{line}\n")
+    Path(path).write_bytes("".join(lines).encode("utf-8"))
 
 
 def read_hierarchy_edges(path) -> list[tuple[str, str]]:
@@ -263,12 +284,19 @@ def write_features_binary(path, item_ids, matrix) -> None:
 
     Layout: magic(8) item_count(u64) F(u64), then per item id_index(u64)
     followed by F little-endian float32 values. id_index ``k`` names the
-    sidecar's k-th nonblank line, counting from 0.
+    sidecar's k-th nonblank line, counting from 0. An id the sidecar would
+    not read back (blank, holding a line break, or not UTF-8) is a
+    ValueError before either file is written.
     """
     matrix = np.asarray(matrix)
     n, feat = matrix.shape
     if n != len(item_ids):
         raise ValueError("item_ids and matrix row count differ")
+    bad = next((i for i in item_ids if _unreadable(i)), None)
+    if bad is not None:
+        raise ValueError(f"{path}.ids: item id {bad!r} would not read back: "
+                         "it is blank or holds a line break")
+    ids = "".join(f"{item_id}\n" for item_id in item_ids).encode("utf-8")
     records = np.empty(n, dtype=_feature_record(feat))
     records["index"] = np.arange(n)
     records["vector"] = matrix
@@ -276,9 +304,7 @@ def write_features_binary(path, item_ids, matrix) -> None:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<QQ", n, feat))
         records.tofile(fh)
-    with open(str(path) + ".ids", "w", encoding="utf-8") as fh:
-        for item_id in item_ids:
-            fh.write(f"{item_id}\n")
+    Path(f"{path}.ids").write_bytes(ids)
 
 
 class _FeatureRecords:
@@ -417,9 +443,9 @@ class Positives:
         """The user of each entry of ``indices``."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
-    def keys(self) -> frozenset:
-        """Every (u, j) pair as the integer ``u * n_items + j``."""
-        return frozenset((self.rows() * self.n_items + self.indices).tolist())
+    def keys(self) -> np.ndarray:
+        """Every (u, j) pair as the int64 ``u * n_items + j``, ascending."""
+        return self.rows() * self.n_items + self.indices
 
 
 @dataclass
@@ -460,7 +486,7 @@ class TrainingCorpus:
 
     ``full_pos`` is each user's complete positive set (train + held-out),
     used for negative-sampling rejection and ranking-candidate exclusion;
-    ``full_keys`` holds its pairs as ``Positives.keys`` for the sampler.
+    ``full_keys`` holds its ``Positives.keys`` as a set for the sampler.
     """
 
     train_pos: Positives
@@ -468,7 +494,7 @@ class TrainingCorpus:
 
     @cached_property
     def full_keys(self) -> frozenset:
-        return self.full_pos.keys()
+        return frozenset(self.full_pos.keys().tolist())
 
     @property
     def n_items(self) -> int:
@@ -586,19 +612,15 @@ def assemble_corpus(
     if not catalog:
         raise EmptyCorpus("no item has both features and a category")
 
-    items = index_of(feedback.item_ids, catalog)[feedback.items]
-    kept = items >= 0
-    dropped_pairs = len(feedback) - int(kept.sum())
-    if not kept.any():
+    positives, dropped_pairs = feedback.positives_in(feedback.user_ids,
+                                                     catalog)
+    if not len(positives.indices):
         raise EmptyCorpus("no feedback pair references a usable item")
-
-    # The users of kept pairs, in id order, and each one's index among them.
-    has_pair = np.zeros(len(feedback.user_ids), dtype=bool)
-    has_pair[feedback.users[kept]] = True
+    # Users left without a pair go; their rows are empty.
+    has_pair = np.diff(positives.indptr) > 0
     users = [feedback.user_ids[k] for k in np.flatnonzero(has_pair)]
-    positives = Positives.from_pairs(
-        (np.cumsum(has_pair) - 1)[feedback.users[kept]], items[kept],
-        len(users), len(catalog))
+    positives = Positives(np.append(0, positives.indptr[1:][has_pair]),
+                          positives.indices, len(catalog))
 
     leaf_ids = [leaf_map[i] for i in catalog]
     hierarchy = build_hierarchy(edges, leaf_ids)

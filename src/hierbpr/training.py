@@ -337,10 +337,16 @@ def train(
     for epoch in range(1, config.iterations + 1):
         started = time.perf_counter()
         loss_sum = 0.0
-        with _step_buffer():
-            for _ in range(steps_per_epoch):
-                u, i, j = sample_triple(corpus, rng)
-                loss_sum += trainer.step(u, i, j)
+        # The first overflow raises, in place of a numpy warning per
+        # operation. numpy cannot see BLAS threads' flags: the checks stay.
+        try:
+            with _step_buffer(), np.errstate(over="raise", invalid="raise"):
+                for _ in range(steps_per_epoch):
+                    u, i, j = sample_triple(corpus, rng)
+                    loss_sum += trainer.step(u, i, j)
+        except FloatingPointError as exc:
+            raise NonFiniteUpdate(f"epoch {epoch}, triple ({u}, {i}, {j}): "
+                                  f"{exc}") from None
         try:
             model.params.check_finite()
         except ValueError as exc:

@@ -46,8 +46,9 @@ def build_corpus(edges, item_leaves, features, feedback, policy="strict"):
 
 def feedback_pairs(feedback):
     """A ``Feedback``'s (user, item) id pairs, in its order."""
+    pairs = feedback.pairs
     return [(feedback.user_ids[u], feedback.item_ids[i])
-            for u, i in zip(feedback.users.tolist(), feedback.items.tolist())]
+            for u, i in zip(pairs.rows().tolist(), pairs.indices.tolist())]
 
 
 def positives_of(rows, n_items):

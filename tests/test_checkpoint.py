@@ -249,6 +249,40 @@ def _repeat_last_array(blob: bytes) -> bytes:
     return _signed(header, payload + bytes(repeat["nbytes"]))
 
 
+def _root_under_child(parent):
+    """The root's parent set to one of its children: a cycle."""
+    parent = parent.copy()
+    root = np.flatnonzero(parent < 0)[0]
+    parent[root] = np.flatnonzero(parent == root)[0]
+    return parent
+
+
+def _first_node_parentless(parent):
+    """The first node with a parent loses it; in ``trained_setup``'s tree
+    that is a leaf holding items."""
+    parent = parent.copy()
+    parent[np.flatnonzero(parent >= 0)[0]] = -1
+    return parent
+
+
+def _deeper_scheme(header):
+    """A three-layer scheme with the same visual rows, for a two-layer
+    tree."""
+    header["config"]["scheme"] = [1, 1, 1]
+
+
+# A checkpoint whose tree or scheme cannot be rebuilt, with a digest that
+# matches; each message is the error the rebuild raises.
+TREE_DAMAGE = {
+    "cyclic_parent": (_edit_array("parent", _root_under_child),
+                      "CycleDetected"),
+    "parentless_item_leaf": (_edit_array("parent", _first_node_parentless),
+                             "DanglingItemLeaf"),
+    "scheme_deeper_than_tree": (lambda blob: _rewrite_header(
+        blob, _deeper_scheme), "SchemeTooDeep"),
+}
+
+
 def _shorten_header_length(blob: bytes) -> bytes:
     size = int.from_bytes(blob[8:16], "little")
     return blob[:8] + (size - 5).to_bytes(8, "little") + blob[16:]
@@ -289,6 +323,7 @@ DAMAGE = {
        for name in ("parent", "split_val", "split_test")},
     "int_item_bias": _edit_array("item_bias",
                                  lambda arr: arr.astype(np.int64)),
+    **{name: damage for name, (damage, _) in TREE_DAMAGE.items()},
 }
 
 
@@ -319,6 +354,23 @@ class TestDamagedFiles:
         error = one_error(capsys)
         assert error["error"] == "ParseError"
         assert "user ids are not strictly increasing" in error["message"]
+
+    @pytest.mark.parametrize("damage", sorted(TREE_DAMAGE))
+    def test_eval_rejects_unbuildable_tree(self, trained_setup, tmp_path,
+                                           capsys, damage):
+        corpus = trained_setup[0]
+        path = tmp_path / "m.ckpt"
+        save_trained(path, trained_setup)
+        edit, cause = TREE_DAMAGE[damage]
+        path.write_bytes(edit(path.read_bytes()))
+        feedback = tmp_path / "feedback.tsv"
+        write_corpus_feedback(feedback, corpus)
+        argv = ["eval", "--model", str(path), "--feedback", str(feedback)]
+        assert main(argv) == 1
+        error = one_error(capsys)
+        assert error["error"] == "ParseError"
+        assert error["message"].startswith(
+            f"{path}: malformed checkpoint: {cause}(")
 
     def test_version_1_message(self, trained_setup, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -401,6 +402,30 @@ class TestRunExperiment:
         assert main([command, "--manifest", str(path)]) == 1
         assert one_error(capsys)["error"] == expected
         assert not (tmp_path / "out").exists()
+
+    def test_overflow_is_one_line(self, tmp_path, capsys):
+        # At this learning rate the first epoch overflows. numpy raises
+        # there, once, so nothing but the JSON line reaches stderr; before,
+        # each overflowing operation printed its own RuntimeWarning.
+        data = tmp_path / "data"
+        assert main(synth_args(data, **{
+            "--users": "40", "--items": "90", "--feature-dim": "8",
+            "--branching": "2", "--planted-scheme": "2:2"})) == 0
+        capsys.readouterr()
+        path = write_manifest(
+            tmp_path / "exp.json", data_paths(data), tmp_path / "out",
+            model={"kind": "HVBPR", "n_latent": 2, "n_visual": 4,
+                   "scheme": [2, 2]},
+            train={"learning_rate": 1e200, "iterations": 2})
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--manifest", path]) == 1
+        error = one_error(capsys)
+        assert error["error"] == "NonFiniteUpdate"
+        assert re.fullmatch(r"epoch 1, triple \(\d+, \d+, \d+\): overflow "
+                            r"encountered in \w+", error["message"])
+        assert np.geterr() == before
 
     @pytest.mark.parametrize("command", ["train", "run"])
     @pytest.mark.parametrize("model, array", [

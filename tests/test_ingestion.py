@@ -95,19 +95,31 @@ class TestFeedbackParsing:
         path.write_text("u1\ti1\n\n\nu2\ti2\n", encoding="utf-8")
         assert len(read_feedback(path)) == 2
 
+    def test_all_blank_file_is_empty(self, tmp_path):
+        path = tmp_path / "fb.tsv"
+        path.write_bytes(b"\n \t\n\r\n\xe3\x80\x80")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            feedback = read_feedback(path)
+        assert len(feedback) == 0
+        assert feedback.user_ids == feedback.item_ids == ()
+        assert feedback.pairs.indptr.tolist() == [0]
+        assert feedback.pairs.n_items == 0
+
     def test_arrays_index_sorted_distinct_ids(self, tmp_path):
         path = tmp_path / "fb.tsv"
         path.write_bytes(b"v\tj\r\nu\tj\ru\ti\nu\x00\ti\nv\tj")
         feedback = read_feedback(path)
         assert feedback.user_ids == ("u", "u\x00", "v")
         assert feedback.item_ids == ("i", "j")
-        assert feedback.users.tolist() == [0, 0, 1, 2]
-        assert feedback.items.tolist() == [0, 1, 0, 1]
+        assert feedback.pairs.indptr.tolist() == [0, 2, 3, 4]
+        assert feedback.pairs.indices.tolist() == [0, 1, 0, 1]
+        assert feedback.pairs.n_items == 2
         same = Feedback.from_pairs(feedback_pairs(feedback)[::-1] * 2)
         assert same.user_ids == feedback.user_ids
         assert same.item_ids == feedback.item_ids
-        assert np.array_equal(same.users, feedback.users)
-        assert np.array_equal(same.items, feedback.items)
+        assert np.array_equal(same.pairs.indptr, feedback.pairs.indptr)
+        assert np.array_equal(same.pairs.indices, feedback.pairs.indices)
 
     def test_no_whitespace_past_u3000(self):
         # The reader finds multi-byte whitespace among those up to U+3000.
@@ -210,10 +222,12 @@ class TestFeedbackProperty:
         assert feedback_pairs(got) == sorted(expected)
         assert got.user_ids == tuple(sorted({u for u, _ in expected}))
         assert got.item_ids == tuple(sorted({i for _, i in expected}))
+        assert len(got.pairs) == len(got.user_ids)
+        assert got.pairs.n_items == len(got.item_ids)
         # The pairs constructor gives the same arrays.
         built = Feedback.from_pairs(expected)
-        assert np.array_equal(built.users, got.users)
-        assert np.array_equal(built.items, got.items)
+        assert np.array_equal(built.pairs.indptr, got.pairs.indptr)
+        assert np.array_equal(built.pairs.indices, got.pairs.indices)
 
 
 class TestSidecarProperty:
@@ -248,6 +262,49 @@ class TestSidecarProperty:
         else:
             assert isinstance(got, ParseError)
             assert str(got) == expected
+
+
+class TestWriters:
+    """The writers refuse, before writing, an id their readers would not
+    read back; every other id round-trips exactly."""
+
+    @pytest.mark.parametrize("bad", ["", " ", "\u3000\t", "a\nb", "a\rb",
+                                     "b\r\n"])
+    def test_sidecar_rejects_unreadable_id(self, tmp_path, bad):
+        path = tmp_path / "f.bin"
+        with pytest.raises(ValueError, match=re.escape(f"item id {bad!r}")):
+            write_features_binary(path, ["a", bad, "c", ""],
+                                  np.ones((4, 2), dtype=np.float32))
+        assert not path.exists()
+        assert not Path(f"{path}.ids").exists()
+
+    @pytest.mark.parametrize("pair", [
+        ("", "i"), ("u", ""), ("u\tv", "i"), ("u", "i\tj"), ("\t", "i"),
+        ("u\n", "i"), ("u", "i\r"), (" ", "\u3000"), ("\xa0", "\t ")])
+    def test_pairs_reject_unreadable(self, tmp_path, pair):
+        path = tmp_path / "p.tsv"
+        with pytest.raises(ValueError, match=re.escape(f"pair {pair!r}")):
+            write_pairs(path, [("u0", "i0"), pair, ("", "")])
+        assert not path.exists()
+
+    def test_lone_surrogate_rejected_before_writing(self, tmp_path):
+        # Not UTF-8, so no reader could read it back.
+        with pytest.raises(UnicodeEncodeError):
+            write_pairs(tmp_path / "p.tsv", [("u", "i"), ("u", "\ud800")])
+        with pytest.raises(UnicodeEncodeError):
+            write_features_binary(tmp_path / "f.bin", ["a", "\ud800"],
+                                  np.ones((2, 2), dtype=np.float32))
+        assert not list(tmp_path.iterdir())
+
+    def test_odd_ids_round_trip(self, tmp_path):
+        ids = [" a", "a\x00", "b\u3000c", "c ", "\x0bd", "\u3000e"]
+        path = tmp_path / "f.bin"
+        write_features_binary(path, ids, np.ones((6, 2), dtype=np.float32))
+        assert read_features(path)[0] == ids
+        pairs = [(" ", ids[0])] + [(u, i) for u in ids for i in ids[::2]]
+        path = tmp_path / "p.tsv"
+        write_pairs(path, pairs)
+        assert feedback_pairs(read_feedback(path)) == sorted(pairs)
 
 
 class TestFeatureFiles:

@@ -9,12 +9,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hierbpr.checkpoint import load_checkpoint, save_checkpoint
 from hierbpr.evaluation import split_leave_one_out
-from hierbpr.ingestion import Feedback, Positives
+from hierbpr.errors import EmptyCorpus
+from hierbpr.ingestion import Feedback, Positives, assemble_corpus
 from hierbpr.model import KIND_BPRMF, ModelConfig, PreferenceModel
 from hierbpr.synthdata import SynthConfig, make_corpus
 
@@ -56,7 +57,9 @@ def test_rows_are_sorted_unique_sets(case, random):
     assert positives.indptr[-1] == len(positives.indices)
     expected = reference_rows(pairs, n_users)
     assert [positives[u].tolist() for u in range(n_users)] == expected
-    assert positives.keys() == {u * n_items + i for u, i in pairs}
+    keys = positives.keys()
+    assert keys.dtype == np.int64
+    assert keys.tolist() == sorted({u * n_items + i for u, i in pairs})
     # Input order does not matter.
     random.shuffle(pairs)
     shuffled = from_pairs(pairs, n_users, n_items)
@@ -121,3 +124,36 @@ def test_positives_from_pairs_drops_unknown_ids(bundle, data):
     assert dropped == old_dropped
     assert np.array_equal(positives.indptr, old.indptr)
     assert np.array_equal(positives.indices, old.indices)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["u0", "u1", "u2", ""]),
+                          st.sampled_from(["a", "b", "c", "d"])),
+                max_size=30))
+# u1's pairs all name dropped items, so u1 is not a corpus user.
+@example([("u0", "a"), ("u1", "c"), ("u1", "d"), ("u2", "b"), ("u0", "a")])
+def test_prune_drops_pairs_like_reference(pairs):
+    # "c" has no category and "d" no feature vector: prune drops both.
+    ids, matrix = ["a", "b", "c"], np.array([[1.0], [2.0], [3.0]])
+    leaves = {"a": "root", "b": "root", "d": "root"}
+    distinct = list(dict.fromkeys(pairs))
+    users = sorted({u for u, i in distinct if i in ("a", "b")})
+    feedback = Feedback.from_pairs(pairs)
+    if not users:
+        with pytest.raises(EmptyCorpus):
+            assemble_corpus(feedback, ids, matrix, [], leaves, policy="prune")
+        return
+    corpus, report = assemble_corpus(feedback, ids, matrix, [], leaves,
+                                     policy="prune")
+    assert corpus.user_ids == tuple(users)
+    assert corpus.item_ids == ("a", "b")
+    # The checkpoint's densifier before feedback became arrays, given the
+    # corpus's users and catalog.
+    old, old_dropped = reference.positives_from_pairs(
+        SimpleNamespace(user_ids=users, item_ids=["a", "b"],
+                        n_users=len(users), n_items=2), distinct)
+    assert report["pruned"]["feedback_pairs_dropped"] == old_dropped
+    assert report["interactions"] == len(old.indices)
+    assert np.array_equal(corpus.positives.indptr, old.indptr)
+    assert np.array_equal(corpus.positives.indices, old.indices)
+    assert corpus.positives.n_items == 2
