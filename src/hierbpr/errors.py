@@ -54,7 +54,7 @@ class ArrayTooLarge(HierBprError):
 # --- training ---
 
 class ExhaustedRejection(HierBprError):
-    """Could not sample a non-positive item after repeated rejections."""
+    """No user has both a training positive and a non-positive item."""
 
 
 class NonFiniteUpdate(HierBprError):

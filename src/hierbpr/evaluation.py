@@ -50,28 +50,28 @@ def split_leave_one_out(
 ) -> tuple[TrainingCorpus, EvalSplit]:
     """Carve one validation and one test positive per user, seeded.
 
-    ``rng`` may be an integer seed or a numpy Generator. Users are visited
-    in dense-id order, so the split depends only on the seed and the corpus
-    content, not on input file order.
+    ``rng`` may be an integer seed or a numpy Generator. Two array draws
+    give every user a first and a distinct second row position: with three
+    or more positives they are its validation and test items, with two the
+    first is its test item, with fewer nothing is held out. So the split
+    depends only on the seed and the corpus content, not on file order.
     """
     rng = np.random.default_rng(rng)
     full = corpus.positives
     n_users = len(full)
+    n = np.diff(full.indptr)
+    first = rng.integers(np.maximum(n, 1))
+    second = rng.integers(np.maximum(n - 1, 1))
+    second += second >= first
+    has_val, has_test = n >= 3, n >= 2
+    val_at = (full.indptr[:-1] + first)[has_val]
+    test_at = (full.indptr[:-1] + np.where(has_val, second, first))[has_test]
     val = np.full(n_users, -1, dtype=np.int64)
     test = np.full(n_users, -1, dtype=np.int64)
+    val[has_val] = full.indices[val_at]
+    test[has_test] = full.indices[test_at]
     keep = np.ones(len(full.indices), dtype=bool)
-    bounds = full.indptr.tolist()
-    for u in range(n_users):
-        start = bounds[u]
-        n = bounds[u + 1] - start
-        if n >= 3:
-            picks = start + rng.choice(n, size=2, replace=False)
-            val[u], test[u] = full.indices[picks]
-            keep[picks] = False
-        elif n == 2:
-            k = start + int(rng.integers(2))
-            test[u] = full.indices[k]
-            keep[k] = False
+    keep[val_at] = keep[test_at] = False
 
     train_pos = Positives.from_pairs(full.rows()[keep], full.indices[keep],
                                      n_users, full.n_items)

@@ -16,7 +16,6 @@ import os
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -484,17 +483,12 @@ class InteractionCorpus:
 class TrainingCorpus:
     """Leave-one-out training side: positives minus held-out items.
 
-    ``full_pos`` is each user's complete positive set (train + held-out),
-    used for negative-sampling rejection and ranking-candidate exclusion;
-    ``full_keys`` holds its ``Positives.keys`` as a set for the sampler.
+    ``full_pos`` is each user's complete positive set (train + held-out):
+    the sampler draws negatives outside it and rankings exclude it.
     """
 
     train_pos: Positives
     full_pos: Positives
-
-    @cached_property
-    def full_keys(self) -> frozenset:
-        return frozenset(self.full_pos.keys().tolist())
 
     @property
     def n_items(self) -> int:

@@ -1,10 +1,10 @@
 """Pairwise ranking optimization via stochastic gradient ascent.
 
-Each step samples a user plus a positive/non-positive item pair, then nudges
-every touched parameter along the gradient of ln sigmoid(margin) with L2
-shrinkage applied to touched parameters only (full-parameter decay per step
-would break the per-triple cost bound). One epoch is as many sampled triples
-as there are training interactions.
+Each epoch draws as many (user, positive, non-positive) triples as there
+are training interactions, in one array call, then steps through them in
+order. A step nudges every touched parameter along the gradient of
+ln sigmoid(margin) with L2 shrinkage applied to touched parameters only
+(full-parameter decay per step would break the per-triple cost bound).
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .errors import EmptyCorpus, ExhaustedRejection, NonFiniteUpdate
 from .ingestion import TrainingCorpus
 from .model import KIND_RAND, ModelParams, PreferenceModel
 
-_REJECTION_LIMIT = 1000
-_USER_RESAMPLE_LIMIT = 100
 _STEP_BUFSIZE = 1024
 
 
@@ -118,29 +116,34 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def sample_triple(corpus: TrainingCorpus, rng: np.random.Generator
-                  ) -> tuple[int, int, int]:
-    """Uniform user, uniform training positive, rejection-sampled negative.
+def sample_triple(corpus: TrainingCorpus, rng: np.random.Generator,
+                  n: int) -> np.ndarray:
+    """``n`` uniform BPR triples as an ``(n, 3)`` int64 array of (u, i, j).
 
-    The negative is drawn uniformly over all items and rejected while it sits
-    in the user's full positive set (held-out items included). A user whose
-    positives blanket the catalog is skipped and another drawn; if that keeps
-    failing the corpus is unusable.
+    u is uniform over users with a training positive and a non-positive
+    item (held-out items count as positives), i over u's training row and
+    j over u's non-positives, with no rejection: for r uniform below their
+    count, j is r plus the number of u's full positives p_m (m-th in the
+    row) with p_m - m <= r, one ``np.searchsorted`` over ``u * n_items +
+    p_m - m``.
     """
-    n_users = len(corpus.train_pos)
+    train, full = corpus.train_pos, corpus.full_pos
     n_items = corpus.n_items
-    full = corpus.full_keys
-    for _ in range(_USER_RESAMPLE_LIMIT):
-        u = int(rng.integers(n_users))
-        pos = corpus.train_pos[u]
-        i = int(pos[rng.integers(len(pos))])
-        row = u * n_items
-        for _ in range(_REJECTION_LIMIT):
-            j = int(rng.integers(n_items))
-            if row + j not in full:
-                return u, i, j
-    raise ExhaustedRejection(
-        "could not sample a non-positive item for any drawn user")
+    n_train = np.diff(train.indptr)
+    n_free = n_items - np.diff(full.indptr)
+    users = np.flatnonzero((n_train > 0) & (n_free > 0))
+    if not len(users):
+        raise ExhaustedRejection(
+            "no user has both a training positive and a non-positive item")
+    u = users[rng.integers(len(users), size=n)]
+    i = train.indices[train.indptr[u] + rng.integers(n_train[u])]
+    r = rng.integers(n_free[u])
+    rows = full.rows()
+    gaps = (rows * n_items + full.indices - np.arange(len(rows))
+            + full.indptr[rows])
+    j = r + np.searchsorted(gaps, u * n_items + r, side="right")
+    j -= full.indptr[u]
+    return np.stack([u, i, j], axis=1)
 
 
 class Trainer:
@@ -336,14 +339,16 @@ def train(
     best_auc = -1.0
     for epoch in range(1, config.iterations + 1):
         started = time.perf_counter()
+        triples = sample_triple(corpus, rng, steps_per_epoch)
         loss_sum = 0.0
         # The first overflow raises, in place of a numpy warning per
         # operation. numpy cannot see BLAS threads' flags: the checks stay.
         try:
             with _step_buffer(), np.errstate(over="raise", invalid="raise"):
-                for _ in range(steps_per_epoch):
-                    u, i, j = sample_triple(corpus, rng)
-                    loss_sum += trainer.step(u, i, j)
+                block = 1024  # a whole-epoch .tolist() would raise peak RSS
+                for a in range(0, steps_per_epoch, block):
+                    for u, i, j in triples[a:a + block].tolist():
+                        loss_sum += trainer.step(u, i, j)
         except FloatingPointError as exc:
             raise NonFiniteUpdate(f"epoch {epoch}, triple ({u}, {i}, {j}): "
                                   f"{exc}") from None

@@ -136,9 +136,10 @@ def per_triple_cost_probe(configs, n_steps=300, n_items=256, n_users=64,
 
     Each config dict supplies ``n_latent``, ``n_visual``, ``feature_dim``.
     Visual rows are split over a two-layer tree when there is more than one.
-    The warm-up and timed steps call the library's ``Trainer.step`` inside
-    the same ``_step_buffer`` scope as ``train``'s step loop, so the probe
-    times the step as training runs it. Returns one record per config with
+    The warm-up and timed steps call the library's ``Trainer.step`` with
+    Python ints from one ``sample_triple`` array, inside the same
+    ``_step_buffer`` scope as ``train``'s step loop, so the probe times the
+    step as training runs it. Returns one record per config with
     ``seconds_per_step`` added.
     """
     results = []
@@ -158,7 +159,7 @@ def per_triple_cost_probe(configs, n_steps=300, n_items=256, n_users=64,
         trainer = Trainer(model, tconfig)
         rng = np.random.default_rng(seed)
         tc, _split = split_leave_one_out(corpus, rng)
-        triples = [sample_triple(tc, rng) for _ in range(n_steps)]
+        triples = sample_triple(tc, rng, n_steps).tolist()
         with _step_buffer():
             for u, i, j in triples[: min(50, n_steps)]:
                 trainer.step(u, i, j)      # warm-up: caches, code paths

@@ -115,8 +115,9 @@ def test_criterion_02_single_embedding_degeneracy():
         streams = [np.random.default_rng(77), np.random.default_rng(77)]
         for epoch in range(5):
             for trainer, stream in zip(trainers, streams):
-                for _ in range(tc.n_interactions):
-                    trainer.step(*sample_triple(tc, stream))
+                triples = sample_triple(tc, stream, tc.n_interactions)
+                for u, i, j in triples.tolist():
+                    trainer.step(u, i, j)
             table_v = vbpr.item_table()
             table_h = hier.item_table()
             for u in range(corpus.n_users):
@@ -201,7 +202,7 @@ def test_criterion_04_rand_calibration():
                           branching=(4,), n_positives=5,
                           planted_scheme=(2, 2), rng_seed=21)
         corpus, _ = make_corpus(cfg)
-        _tc, split = split_leave_one_out(corpus, 5)
+        _tc, split = split_leave_one_out(corpus, 0)
         model = PreferenceModel.create(ModelConfig(kind=KIND_RAND, rng_seed=0),
                                        corpus)
         result = auc(model, corpus.positives, split)

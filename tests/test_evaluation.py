@@ -96,6 +96,21 @@ class TestSplitLeaveOneOut:
             seen.add((v, t))
         assert seen == {(a, b) for a in range(3) for b in range(3) if a != b}
 
+    def test_three_positives_assignments_uniform(self):
+        n_users = 6000
+        corpus = FakeCorpus([[2, 5, 7]] * n_users, n_items=9)
+        tc, split = split_leave_one_out(corpus, 4)
+        pairs = [(v, t) for v in (2, 5, 7) for t in (2, 5, 7) if v != t]
+        counts = np.array([np.count_nonzero((split.val_item == v)
+                                            & (split.test_item == t))
+                           for v, t in pairs])
+        assert counts.sum() == n_users
+        expected = n_users / len(pairs)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        # chi-square critical value, 5 degrees of freedom, p = 0.01
+        assert chi2 < 15.086
+        assert tc.n_interactions == n_users
+
     def test_two_positives_test_only(self):
         corpus = FakeCorpus([[3, 7]], n_items=10)
         tc, split = split_leave_one_out(corpus, 5)

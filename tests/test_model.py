@@ -423,8 +423,8 @@ class TestConfigurationEquivalence:
         for model in (vbpr, hier):
             trainer = Trainer(model, tconfig)
             stream = np.random.default_rng(99)
-            for _ in range(200):
-                trainer.step(*sample_triple(tc, stream))
+            for u, i, j in sample_triple(tc, stream, 200).tolist():
+                trainer.step(u, i, j)
         for u in range(corpus.n_users):
             assert np.allclose(vbpr.score_all(u), hier.score_all(u),
                                atol=1e-10)

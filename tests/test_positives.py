@@ -69,6 +69,8 @@ def test_rows_are_sorted_unique_sets(case, random):
 
 @settings(deadline=None)
 @given(dense_pairs(), st.integers(0, 2**32 - 1))
+# Users 1 and 3 have no positives; user 3's row ends the index arrays.
+@example((4, 5, [(0, 1), (0, 3), (0, 4), (2, 0), (2, 2)]), 0)
 def test_split_item_counts_equal_counter(case, seed):
     n_users, n_items, pairs = case
     positives = from_pairs(pairs, n_users, n_items)

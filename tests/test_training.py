@@ -113,43 +113,117 @@ def changed_rows(before, model):
             for name, arr in model.params.arrays().items()}
 
 
+def chi_square(counts, expected):
+    counts = np.asarray(counts, dtype=float)
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
 class TestSampleTriple:
     def test_forced_negative(self):
         corpus = training_corpus([[0]], [[0]], n_items=2)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            u, i, j = sample_triple(corpus, rng)
-            assert (u, i, j) == (0, 0, 1)
+        triples = sample_triple(corpus, np.random.default_rng(0), 50)
+        assert triples.shape == (50, 3)
+        assert triples.dtype == np.int64
+        assert (triples == [0, 0, 1]).all()
 
     def test_negative_never_positive(self):
         model = tiny_model()
         tc = training_corpus_of(model)
-        full = [set(tc.full_pos[u].tolist()) for u in range(len(tc.full_pos))]
-        rng = np.random.default_rng(7)
-        for _ in range(10 ** 6):
-            u, i, j = sample_triple(tc, rng)
-            if j in full[u]:
-                raise AssertionError(f"sampled positive {j} for user {u}")
+        triples = sample_triple(tc, np.random.default_rng(7), 10 ** 6)
+        u, i, j = triples.T
+        n_items = tc.n_items
+        assert np.isin(u * n_items + i, tc.train_pos.keys()).all()
+        sampled = np.isin(u * n_items + j, tc.full_pos.keys())
+        if sampled.any():
+            k = int(np.argmax(sampled))
+            raise AssertionError(f"sampled positive {j[k]} for user {u[k]}")
 
     def test_user_distribution_uniform(self):
         n_users = 10
         rows = [[u % 3] for u in range(n_users)]
         corpus = training_corpus(rows, rows, n_items=50)
-        rng = np.random.default_rng(11)
-        counts = np.zeros(n_users)
         draws = 10 ** 5
-        for _ in range(draws):
-            u, _, _ = sample_triple(corpus, rng)
-            counts[u] += 1
-        expected = draws / n_users
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        u = sample_triple(corpus, np.random.default_rng(11), draws)[:, 0]
+        counts = np.bincount(u, minlength=n_users)
         # chi-square critical value, 9 degrees of freedom, p = 0.01
-        assert chi2 < 21.666
+        assert chi_square(counts, draws / n_users) < 21.666
 
     def test_exhausted_rejection(self):
         corpus = training_corpus([[0, 1]], [[0, 1]], n_items=2)
         with pytest.raises(ExhaustedRejection):
-            sample_triple(corpus, np.random.default_rng(0))
+            sample_triple(corpus, np.random.default_rng(0), 1)
+
+    def test_no_training_positive_anywhere(self):
+        corpus = training_corpus([[], []], [[0], [1]], n_items=3)
+        with pytest.raises(ExhaustedRejection):
+            sample_triple(corpus, np.random.default_rng(0), 1)
+
+    def test_empty_training_row_never_drawn(self):
+        # User 1's training row is empty (its one positive is held out), so
+        # it has no i to offer; users 0 and 2 share the draws.
+        corpus = training_corpus([[0, 2], [], [1]], [[0, 2], [3], [1, 4]],
+                                 n_items=5)
+        u = sample_triple(corpus, np.random.default_rng(3), 4000)[:, 0]
+        counts = np.bincount(u, minlength=3)
+        assert counts[1] == 0
+        # chi-square critical value, 1 degree of freedom, p = 0.01
+        assert chi_square(counts[[0, 2]], 2000) < 6.635
+
+    def test_user_with_one_negative_drawn_uniformly(self):
+        # User 0 has one non-positive among 2,000 items, user 1 has 1,999.
+        n_items = 2000
+        scarce = list(range(n_items - 1))
+        corpus = training_corpus([scarce, [0]], [scarce, [0]], n_items)
+        triples = sample_triple(corpus, np.random.default_rng(5), 4000)
+        counts = np.bincount(triples[:, 0], minlength=2)
+        # chi-square critical value, 1 degree of freedom, p = 0.01
+        assert chi_square(counts, 2000) < 6.635
+        assert (triples[triples[:, 0] == 0, 2] == n_items - 1).all()
+
+    def test_positive_distribution_uniform(self):
+        train = [[1, 4, 6, 9], [0, 3], [2]]
+        full = [[1, 4, 5, 6, 9], [0, 3, 7], [2, 8]]
+        corpus = training_corpus(train, full, n_items=12)
+        triples = sample_triple(corpus, np.random.default_rng(17), 60000)
+        for u, row in enumerate(train):
+            i = triples[triples[:, 0] == u, 1]
+            counts = [np.count_nonzero(i == p) for p in row]
+            assert sum(counts) == len(i)
+            # p = 0.01 critical values for 3, 1 and 0 degrees of freedom
+            bound = {4: 11.345, 2: 6.635, 1: 0.0}[len(row)]
+            assert chi_square(counts, len(i) / len(row)) <= bound
+
+    def test_negative_distribution_uniform(self):
+        # Positives at both ends, in runs and alone, held-out items
+        # included, so every branch of the rank-to-item map is used.
+        n_items = 16
+        full = [[0, 1, 5, 6, 7, 10, 15], [3], [], [0, 2, 4, 6, 8, 10, 12, 14]]
+        train = [[0, 5, 10], [3], [], [0, 2, 4, 6]]
+        corpus = training_corpus(train, full, n_items)
+        triples = sample_triple(corpus, np.random.default_rng(23), 90000)
+        assert not (triples[:, 0] == 2).any()
+        # p = 0.01 critical values for 8, 14 and 7 degrees of freedom
+        bounds = {0: 20.090, 1: 29.141, 3: 18.475}
+        for u, bound in bounds.items():
+            j = triples[triples[:, 0] == u, 2]
+            free = sorted(set(range(n_items)) - set(full[u]))
+            counts = [np.count_nonzero(j == k) for k in free]
+            assert sum(counts) == len(j)
+            assert chi_square(counts, len(j) / len(free)) < bound
+
+    def test_one_array_per_epoch(self, monkeypatch):
+        calls = []
+
+        def recording(corpus, rng, n):
+            triples = sample_triple(corpus, rng, n)
+            calls.append(triples)
+            return triples
+
+        monkeypatch.setattr("hierbpr.training.sample_triple", recording)
+        model = tiny_model()
+        tc = training_corpus_of(model)
+        train(model, tc, TrainConfig(iterations=3))
+        assert [len(t) for t in calls] == [tc.n_interactions] * 3
 
 
 class TestSgdStep:
