@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import zlib
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -112,12 +114,20 @@ def save_checkpoint(
     for blob in payload:
         crc = zlib.crc32(blob, crc)
     header_bytes = head + DIGEST_MEMBER % crc
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(header_bytes).to_bytes(8, "little"))
-        fh.write(header_bytes)
-        for blob in payload:
-            fh.write(blob)
+    # Written beside ``path`` and renamed onto it, so a failed or killed
+    # write leaves any earlier checkpoint at ``path`` intact.
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(len(header_bytes).to_bytes(8, "little"))
+            fh.write(header_bytes)
+            for blob in payload:
+                fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass

@@ -85,10 +85,11 @@ class AucResult:
     users_evaluated: int
 
 
-# Scores held per ``score_all`` block: rows are ``max(1, budget // n_items)``.
-# Peak RSS sets it (see ``_mean_user_auc``); ``tests/test_evaluation.py``
-# holds an AUC pass to the item matrix plus one block of float64 scores.
-SCORE_BLOCK_ELEMENTS = 2**16
+# Users per ``score_all`` block: one matrix product scores this many rows.
+# BLAS sets it, not the catalog size (see ``_mean_user_auc``);
+# ``tests/test_evaluation.py`` holds an AUC pass to the item matrix plus one
+# block of float64 scores.
+SCORE_BLOCK_ROWS = 24
 
 
 def _mean_user_auc(
@@ -101,17 +102,23 @@ def _mean_user_auc(
 
     ``model`` is any scorer with an ``item_table()``: the live
     ``PreferenceModel`` or a checkpoint's ``ItemTable``. Users are scored in
-    blocks of ``max(1, SCORE_BLOCK_ELEMENTS // n_items)`` rows, one
-    ``score_all(users)`` call (one matrix product) on that table per block.
-    The budget is a constant, not an option, because peak RSS sets it: the
-    table holds one block of scores, 512 KB at 2**16. On the 10,000-item
-    ``catalog`` benchmark, 2**16 (6 rows) read a ``peak_rss_mb`` of 59.4
-    against 58.5 for the two-buffer scorer before it, the difference
-    mostly the item matrix's copy of the latent factors; 2**17 cut
-    ``eval_s`` from 0.30-0.35 s to 0.26-0.28 s but read 60.1 MB. A user's
-    wins are the row's scores below the target's, less those among its
-    positives, which must hold no duplicates. Fractions are added one user
-    at a time, in user order.
+    blocks of ``SCORE_BLOCK_ROWS`` rows, one ``score_all(users)`` call (one
+    matrix product) on that table per block. The row count is a constant,
+    not an option, and does not shrink as the catalog grows: BLAS packs the
+    whole item matrix on every call, so a product of few rows costs nearly
+    as much as one of many. At 25,000 items a pass cost 6.2 ns per score
+    in 2-row blocks and 1.7 ns in 24-row ones (one BLAS thread). On the
+    10,000-item ``catalog`` benchmark's seed-1 checkpoint, ``eval`` warm
+    plus cold (median of 7 to 9, three interleaved sets) read
+    0.199-0.205 s at 6 rows, 0.181-0.187 s at 8, 0.154-0.162 s at 12,
+    0.145-0.157 s at 16, 0.138-0.143 s at 24 and 0.135-0.148 s at 32.
+    24 is the smallest count within about 5% of the best. More rows only
+    raise peak RSS, as the table holds one block of ``24 * n_items``
+    scores: ``catalog``'s ``peak_rss_mb`` read 54.5 MB at 6 rows and
+    55.8 MB at 24. A user's wins are the row's scores below the target's,
+    less those among its positives, which must hold no duplicates.
+    Fractions are added one user at a time, in user order, whatever the
+    block size.
     """
     table = model.item_table()
     n_items = positives.n_items
@@ -120,11 +127,10 @@ def _mean_user_auc(
     if cold_mask is not None:
         users = users[cold_mask[targets[users]]]
         n_pool = int(np.count_nonzero(cold_mask))
-    rows = max(1, SCORE_BLOCK_ELEMENTS // n_items)
     total = 0.0
     count = 0
-    for start in range(0, len(users), rows):
-        block = users[start:start + rows]
+    for start in range(0, len(users), SCORE_BLOCK_ROWS):
+        block = users[start:start + SCORE_BLOCK_ROWS]
         scores = table.score_all(block)
         target = scores[np.arange(len(block)), targets[block]]
         wins, n_cand = _block_wins(scores, target,

@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 import zlib
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from hierbpr import checkpoint
 from hierbpr.checkpoint import VERSION, load_checkpoint, save_checkpoint
 from hierbpr.cli import main
 from hierbpr.errors import ParseError
@@ -445,6 +447,42 @@ class TestFormat:
         save_trained(p1, trained_setup)
         save_trained(p2, trained_setup)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_previous_checkpoint(self, trained_setup,
+                                                    tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_trained(path, trained_setup)
+        previous = path.read_bytes()
+        opened = []
+
+        class FailAfterHeader:
+            """A binary file whose first write after the header fails."""
+
+            def __init__(self, file, mode):
+                opened.append(file)
+                self.fh = open(file, mode)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if self.writes == 3:        # magic, length, header
+                    self.fh.flush()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.writes += 1
+                return self.fh.write(data)
+
+        monkeypatch.setattr(checkpoint, "open", FailAfterHeader,
+                            raising=False)
+        with pytest.raises(OSError):
+            save_trained(path, trained_setup)
+        assert len(opened) == 1 and opened[0] != path
+        assert path.read_bytes() == previous
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

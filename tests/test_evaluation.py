@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hierbpr import evaluation
 from hierbpr.checkpoint import load_checkpoint, save_checkpoint
 from hierbpr.errors import NoEvaluableUsers, UnknownUser
 from hierbpr.evaluation import (
-    SCORE_BLOCK_ELEMENTS,
+    SCORE_BLOCK_ROWS,
     ColdItemSet,
     EvalSplit,
     auc,
@@ -330,7 +331,8 @@ class TestEvaluateReport:
 
 @pytest.fixture(scope="module")
 def block_setup():
-    """100 users x 2,800 items: 23-row blocks, the last one partial."""
+    """100 users x 2,800 items: every pass is at least three blocks, the
+    last one partial."""
     cfg = SynthConfig(n_users=100, n_items=2800, feature_dim=8,
                       branching=(3,), n_positives=5, planted_scheme=(2, 2),
                       rng_seed=21)
@@ -358,11 +360,12 @@ def spy_blocks(monkeypatch):
 
 
 class TestBlockedPass:
-    def check_blocks(self, sizes, n_items):
-        rows = max(1, SCORE_BLOCK_ELEMENTS // n_items)
+    def check_blocks(self, sizes):
+        # Full blocks of SCORE_BLOCK_ROWS users whatever the catalog size,
+        # then one partial block.
         assert len(sizes) >= 3
-        assert sizes[:-1] == [rows] * (len(sizes) - 1)
-        assert 0 < sizes[-1] < rows
+        assert sizes[:-1] == [SCORE_BLOCK_ROWS] * (len(sizes) - 1)
+        assert 0 < sizes[-1] < SCORE_BLOCK_ROWS
 
     @pytest.mark.parametrize("setting", ["warm", "cold"])
     def test_equals_reference_and_oracle(self, block_setup, monkeypatch,
@@ -378,7 +381,7 @@ class TestBlockedPass:
         sizes = spy_blocks(monkeypatch)
         result = auc(model, corpus.positives, split, setting=setting,
                      cold_set=cold)
-        self.check_blocks(sizes, corpus.n_items)
+        self.check_blocks(sizes)
         assert (result.auc, result.users_evaluated) == expected == oracle
         # Reports print repr(auc): a numpy scalar would change their bytes.
         assert type(result.auc) is float
@@ -389,7 +392,38 @@ class TestBlockedPass:
                                    tc.n_items, None)
         sizes = spy_blocks(monkeypatch)
         assert validation_auc(model, tc, split) == expected
-        self.check_blocks(sizes, tc.n_items)
+        self.check_blocks(sizes)
+
+    @pytest.mark.parametrize("rows", [2, 3, 16, 64])
+    def test_any_block_shape_is_exact(self, block_setup, monkeypatch, rows):
+        # A retune of the block size cannot move an AUC.
+        corpus, tc, split, model, cold = block_setup
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_ROWS", rows)
+        for setting, cold_mask in (("warm", None), ("cold", cold.cold_mask)):
+            expected = per_user_auc(model, split.test_item, corpus.positives,
+                                    corpus.n_items, cold_mask)
+            result = auc(model, corpus.positives, split, setting=setting,
+                         cold_set=cold)
+            assert (result.auc, result.users_evaluated) == expected, setting
+        expected, _ = per_user_auc(model, split.val_item, tc.full_pos,
+                                   tc.n_items, None)
+        assert validation_auc(model, tc, split) == expected
+
+    def test_wide_catalog_keeps_block_rows(self, monkeypatch):
+        # 25,000 items: the rows per block do not shrink with the catalog.
+        cfg = SynthConfig(n_users=60, n_items=25_000, feature_dim=4,
+                          branching=(2,), n_positives=3,
+                          planted_scheme=(1, 1), rng_seed=8)
+        corpus, _ = make_corpus(cfg)
+        _tc, split = split_leave_one_out(corpus, 2)
+        model = PreferenceModel.create(
+            ModelConfig(2, AllocationScheme((1, 1)), rng_seed=3), corpus)
+        expected = per_user_auc(model, split.test_item, corpus.positives,
+                                corpus.n_items, None)
+        sizes = spy_blocks(monkeypatch)
+        result = auc(model, corpus.positives, split)
+        self.check_blocks(sizes)
+        assert (result.auc, result.users_evaluated) == expected
 
     def test_user_without_cold_candidates_skipped(self, block_setup):
         corpus, _tc, split, model, cold = block_setup
@@ -437,15 +471,16 @@ class TestBlockedPass:
 
 
 class TestMemoryBudget:
-    # One boolean per score for the block's ``below`` mask, plus 64 KiB for
-    # one numpy ufunc buffer (8,192 doubles) and the per-block index arrays.
-    SLACK = SCORE_BLOCK_ELEMENTS + 64 * 1024
+    # 64 KiB for one numpy ufunc buffer (8,192 doubles) and the per-block
+    # index arrays.
+    SLACK = 64 * 1024
 
     @pytest.mark.parametrize("setting", ["warm", "cold"])
     def test_auc_pass_holds_one_block(self, block_setup, setting):
         # numpy reports its buffers to tracemalloc, so the traced peak is
         # what the pass itself adds: the item matrix, built on the first
-        # block, and one block of float64 scores, never two.
+        # block, and one block of float64 scores with its boolean ``below``
+        # mask, never two.
         corpus, _tc, split, model, cold = block_setup
         table = model.item_table()
         width = table.theta.shape[1] + table.latent.shape[1] + 1
@@ -457,7 +492,8 @@ class TestMemoryBudget:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= item_matrix + SCORE_BLOCK_ELEMENTS * 8 + self.SLACK
+        block = SCORE_BLOCK_ROWS * corpus.n_items * (8 + 1)
+        assert peak <= item_matrix + block + self.SLACK
 
 
 class TestBenchOracle:
