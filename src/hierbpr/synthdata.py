@@ -13,6 +13,7 @@ config, and regenerating with one seed reproduces the files byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -28,6 +29,20 @@ from .ingestion import (
     write_features_binary,
     write_pairs,
 )
+
+# Users per score block in _draw_positives. Each block's scores must carry
+# the bits of the whole users x items product. OpenBLAS's AVX-512 dgemm
+# takes users 12 at a time, so a multiple of 12 groups them as the whole
+# product does; 64-row blocks moved the last bit of some scores (seen at
+# n_items = 333 and 1001). A block never holds one row unless the corpus
+# has one user: numpy takes a matrix-vector path for a 1-row product.
+SYNTH_BLOCK_ROWS = 48
+# An item whose approximate utility lies within this fraction of 64 plus
+# the row's largest |score / temperature| below the row's k-th value is
+# recomputed exactly. A Gumbel draw from a double uniform is below 37 in
+# size, and np.log and libm's log differ by a few ulp, which moves a
+# utility by about 1e-14 plus 2e-16 of its size: far inside the margin.
+_UTILITY_TOLERANCE = 2.0 ** -30
 
 
 @dataclass(frozen=True)
@@ -98,6 +113,84 @@ class SynthData:
     ground_truth: dict
 
 
+def _block_bounds(n_users: int) -> list[int]:
+    """Row bounds of the score blocks: ``SYNTH_BLOCK_ROWS`` users each, a
+    trailing single user folded into the block before it."""
+    bounds = [*range(0, n_users, SYNTH_BLOCK_ROWS), n_users]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds
+
+
+def _draw_positives(rng, true_user, true_item, cfg: SynthConfig) -> np.ndarray:
+    """Each user's positives, ascending: the top ``n_positives`` items of
+    ``score / temperature`` plus one Gumbel draw per item.
+
+    The result and the generator's stream are those of drawing
+    ``rng.gumbel(0.0, 1.0, size=n_items)`` for each user in turn against
+    the dense score matrix. numpy's Gumbel is ``0.0 - 1.0 * log(-log(U))``
+    with ``U = 1 - next_double``, drawn again only where ``next_double``
+    is exactly 0.0, so one ``rng.random`` block holds the same uniforms.
+    Utilities are approximated with ``np.log``; every item within the
+    tolerance of a row's k-th value is recomputed with ``math.log``, the
+    libm ``log`` that numpy's generator calls, and the top k taken from
+    those. A block holding an exact 0.0 uniform, a non-finite utility or
+    a tie at the k-th place is redrawn the dense way from the saved state.
+    """
+    n, k = cfg.n_items, cfg.n_positives
+    top = np.empty((cfg.n_users, k), dtype=np.int64)
+    bounds = _block_bounds(cfg.n_users)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        scaled = true_user[lo:hi] @ true_item.T
+        scaled /= cfg.temperature
+        state = rng.bit_generator.state
+        uniform = rng.random(size=(hi - lo, n))
+        if uniform.all():
+            np.subtract(1.0, uniform, out=uniform)
+            chosen = _exact_top(scaled, uniform, k)
+            if chosen is not None:
+                top[lo:hi] = chosen
+                continue
+        rng.bit_generator.state = state
+        for row, utility in enumerate(scaled):
+            utility += rng.gumbel(0.0, 1.0, size=n)
+            chosen = np.argpartition(-utility, k - 1)[:k]
+            chosen.sort()
+            top[lo + row] = chosen
+    return top
+
+
+def _exact_top(scaled, uniform, k):
+    """Per row, the ascending indices of the k largest ``scaled - log(-log
+    uniform)`` as numpy's generator computes it, or None where a value is
+    not finite or two tie at the k-th place."""
+    rows, n = scaled.shape
+    approx = np.log(uniform)
+    np.negative(approx, out=approx)
+    np.log(approx, out=approx)
+    np.subtract(scaled, approx, out=approx)
+    if not np.isfinite(approx).all():
+        return None
+    kth = np.partition(approx, n - k, axis=1)[:, n - k]
+    reach = np.maximum(scaled.max(axis=1), -scaled.min(axis=1))
+    near = np.flatnonzero(
+        approx >= (kth - _UTILITY_TOLERANCE * (64.0 + reach))[:, None])
+    near_row, near_col = np.divmod(near, n)
+    gumbel = [0.0 - math.log(-math.log(u))
+              for u in uniform.ravel()[near].tolist()]
+    exact = scaled.ravel()[near] + np.array(gumbel)
+    order = np.lexsort((-exact, near_row))
+    starts = np.searchsorted(near_row, np.arange(rows))
+    stops = np.append(starts[1:], len(near_row))
+    more = stops > starts + k
+    edge = order[starts[more] + k - 1], order[starts[more] + k]
+    if (exact[edge[0]] == exact[edge[1]]).any():
+        return None
+    chosen = near_col[order[starts[:, None] + np.arange(k)]]
+    chosen.sort(axis=1)
+    return chosen
+
+
 def _materialize(cfg: SynthConfig) -> SynthData:
     rng = np.random.default_rng(cfg.rng_seed)
     layers, edges = _tree_nodes(cfg.branching)
@@ -146,16 +239,9 @@ def _materialize(cfg: SynthConfig) -> SynthData:
         true_item *= np.sqrt(k_true) / norms
 
     true_user = rng.normal(0.0, 1.0, size=(cfg.n_users, k_true))
-    scores = true_user @ true_item.T
-
-    pairs: list[tuple[str, str]] = []
-    for u in range(cfg.n_users):
-        utility = scores[u] / cfg.temperature + rng.gumbel(
-            0.0, 1.0, size=cfg.n_items)
-        top = np.argpartition(-utility, cfg.n_positives - 1)[: cfg.n_positives]
-        top.sort()
-        for item in top:
-            pairs.append((user_ids[u], item_ids[item]))
+    top = _draw_positives(rng, true_user, true_item, cfg)
+    pairs = [(user_ids[u], item_ids[item])
+             for u, row in enumerate(top.tolist()) for item in row]
 
     leaf_map = {item_ids[k]: leaf_names[item_leaf[k]]
                 for k in range(cfg.n_items)}
@@ -215,7 +301,48 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     write_features_binary(paths["features"], data.item_ids, data.features)
     write_pairs(paths["hierarchy"], data.edges)
     write_pairs(paths["item_leaves"], data.leaf_map.items())
-    with open(paths["ground_truth"], "w", encoding="utf-8") as fh:
-        json.dump(data.ground_truth, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_ground_truth(paths["ground_truth"], data.ground_truth)
     return {name: str(path) for name, path in paths.items()}
+
+
+def _write_ground_truth(path, record) -> None:
+    """The bytes of ``json.dump(record, fh, sort_keys=True, indent=1)`` and
+    a newline, without json's pure-Python indented encoder."""
+    Path(path).write_text(_indented_json(record) + "\n", encoding="utf-8")
+
+
+def _indented_json(value, level: int = 0) -> str:
+    """The text of ``json.dumps(value, sort_keys=True, indent=1)`` for
+    scalars, lists, tuples and dicts with string keys.
+
+    json's indented encoder is pure Python, one call per element. Here a
+    list of numbers, or of non-empty lists of numbers, is one C-encoder
+    call whose ``", "``-separated element strings are laid out one a line,
+    as the indented encoder lays them.
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner = "\n" + " " * (level + 1)
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        elements = [json.dumps(key) + ": " + _indented_json(value[key],
+                                                            level + 1)
+                    for key in sorted(value)]
+    else:
+        opening, closing = "[", "]"
+        if _numbers(value):
+            elements = json.dumps(value)[1:-1].split(", ")
+        elif all(isinstance(row, (list, tuple)) and row and _numbers(row)
+                 for row in value):
+            deeper = inner + " "
+            elements = [f"[{deeper}{row.replace(', ', ',' + deeper)}{inner}]"
+                        for row in json.dumps(value)[2:-2].split("], [")]
+        else:
+            elements = [_indented_json(v, level + 1) for v in value]
+    return (opening + inner + ("," + inner).join(elements)
+            + "\n" + " " * level + closing)
+
+
+def _numbers(values) -> bool:
+    """Whether every element is a plain int, float or bool."""
+    return set(map(type, values)) <= {int, float, bool}

@@ -18,8 +18,14 @@ densifier as they stood before feedback became arrays, kept verbatim: a
 text-mode line loop, one tuple and one dict entry per pair, and two dict
 lookups per pair. ``_lines`` is also the sidecar reader as it stood before
 every text file went through the byte scanner: each nonblank line's text.
+
+``draw_positives`` and ``write_ground_truth`` are the synthetic corpus's
+positive draw and ground-truth writer as they stood before users were
+scored in blocks: the dense users x items score matrix, one
+``rng.gumbel`` row and one ``argpartition`` per user, and ``json.dump``.
 """
 
+import json
 import math
 from collections.abc import Iterator
 
@@ -241,3 +247,23 @@ def positives_from_pairs(self, pairs) -> tuple[Positives, int]:
     positives = Positives.from_pairs(users[known], items[known],
                                      self.n_users, self.n_items)
     return positives, len(known) - int(known.sum())
+
+
+def draw_positives(rng, true_user, true_item, cfg) -> np.ndarray:
+    """Each user's positives, ascending, one row per user."""
+    scores = true_user @ true_item.T
+
+    rows = []
+    for u in range(cfg.n_users):
+        utility = scores[u] / cfg.temperature + rng.gumbel(
+            0.0, 1.0, size=cfg.n_items)
+        top = np.argpartition(-utility, cfg.n_positives - 1)[: cfg.n_positives]
+        top.sort()
+        rows.append(top)
+    return np.array(rows)
+
+
+def write_ground_truth(path, record) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, sort_keys=True, indent=1)
+        fh.write("\n")
