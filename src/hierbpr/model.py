@@ -121,7 +121,14 @@ _FIELD_PARSERS = {"n_latent": int, "scheme": AllocationScheme,
 
 @dataclass
 class ModelParams:
-    """All learnable arrays. Shapes follow the owning ModelConfig."""
+    """All learnable arrays. Shapes follow the owning ModelConfig.
+
+    Once a ``Trainer`` takes the model, ``user_latent`` and ``user_visual``
+    are column views of its ``(n_users, K + K')`` user rows, and
+    ``item_bias`` and ``item_latent`` of its ``(n_items, 1 + K)`` item rows,
+    so they need not be contiguous. ``copy`` gives contiguous arrays, and
+    the checkpoint writer stores the same bytes either way.
+    """
 
     item_bias: np.ndarray
     item_latent: np.ndarray

@@ -37,6 +37,9 @@ from .ingestion import (
 # n_items = 333 and 1001). A block never holds one row unless the corpus
 # has one user: numpy takes a matrix-vector path for a 1-row product.
 SYNTH_BLOCK_ROWS = 48
+# Elements per block of rows when _materialize adds the leaf centers to the
+# feature noise.
+FEATURE_BLOCK_ELEMENTS = 2**16
 # An item whose approximate utility lies within this fraction of 64 plus
 # the row's largest |score / temperature| below the row's k-th value is
 # recomputed exactly. A Gumbel draw from a double uniform is below 37 in
@@ -204,11 +207,17 @@ def _materialize(cfg: SynthConfig) -> SynthData:
 
     # Every consumer of the features (both writers, make_corpus) takes the
     # float32 copy the feature files store; the planted truth below uses
-    # the float64 draw. Overflow is caught here, not warned about.
+    # the float64 draw. Overflow is caught here, not warned about. The
+    # noise is scaled in place and the centers added in row blocks, so the
+    # draw is the only n x F float64 array.
     with np.errstate(over="ignore", invalid="ignore"):
         centers = rng.normal(0.0, 1.0, size=(n_leaves, feat)) * cfg.center_scale
-        features = centers[item_leaf] + cfg.feature_noise * rng.normal(
-            0.0, 1.0, size=(cfg.n_items, feat))
+        features = rng.normal(0.0, 1.0, size=(cfg.n_items, feat))
+        features *= cfg.feature_noise
+        block_rows = max(1, FEATURE_BLOCK_ELEMENTS // feat)
+        for start in range(0, cfg.n_items, block_rows):
+            stop = start + block_rows
+            features[start:stop] += centers[item_leaf[start:stop]]
         stored = features.astype(np.float32)
     if not np.isfinite(stored).all():
         raise InvalidShape("feature_noise and center_scale give feature "

@@ -5,6 +5,9 @@ are training interactions, in one array call, then steps through them in
 order. A step nudges every touched parameter along the gradient of
 ln sigmoid(margin) with L2 shrinkage applied to touched parameters only
 (full-parameter decay per step would break the per-triple cost bound).
+The trainer keeps each user's latent and visual factors as one row, and
+each item's bias and latent factors as one row, so a step moves a user or
+an item with one shrink and one update.
 """
 
 from __future__ import annotations
@@ -147,15 +150,27 @@ def sample_triple(corpus: TrainingCorpus, rng: np.random.Generator,
 
 
 class Trainer:
-    """Owns the scratch buffers and applies single-triple updates in place.
+    """Owns the parameter rows and scratch buffers; applies single-triple
+    updates in place.
 
-    All partial derivatives are evaluated at the pre-step parameter values;
-    the user vectors are snapshotted before mutation so the segment and item
-    updates see the old state. A segment block on both items' paths (any
-    block from the root down to their deepest common ancestor) enters
-    the margin only as W_b (f_i - f_j), so it takes one product in the
-    margin and one rank-1 update with f_i - f_j in the step; a block on one
-    path takes its item's product and update.
+    The arrays a step touches per user and per item are laid out as rows:
+    user u's ``[gamma_u | theta_u]`` is one row of an ``(n_users, K + K')``
+    array and item i's ``[b_i | gamma_i]`` one row of an ``(n_items, 1 + K)``
+    array. The constructor copies the parameters into them once and rebinds
+    ``user_latent``, ``user_visual``, ``item_bias`` and ``item_latent`` of
+    ``model.params`` to views, so everything else reads the live values.
+    A step then shrinks and moves a whole row per ufunc call. A second
+    ``Trainer`` on the same model takes fresh rows, and the first one's
+    steps no longer reach the model.
+
+    All partial derivatives are evaluated at the pre-step parameter values:
+    ``ac * [1 | gamma_u | theta_u]`` is taken from the old user row before
+    it moves, and the item rows and segment blocks take their updates from
+    it. A segment block on both items' paths (any block from the root down
+    to their deepest common ancestor) enters the margin only as
+    W_b (f_i - f_j), so it takes one product in the margin and one rank-1
+    update with f_i - f_j in the step; a block on one path takes its item's
+    product and update.
     """
 
     def __init__(self, model: PreferenceModel, config: TrainConfig):
@@ -164,35 +179,47 @@ class Trainer:
         self.model = model
         self.config = config
         p = model.params
-        self.n_latent = model.config.n_latent
-        self.n_visual = model.config.n_visual
+        k = self.n_latent = model.config.n_latent
+        kp = self.n_visual = model.config.n_visual
         self.use_vb = model.config.use_visual_bias
         self.use_cb = model.config.use_category_bias
-        self.item_bias = p.item_bias
-        self.item_latent = p.item_latent
-        self.user_latent = p.user_latent
-        self.user_visual = p.user_visual
+        self.user_rows = np.concatenate([p.user_latent, p.user_visual], axis=1)
+        self.item_rows = np.concatenate([p.item_bias[:, None], p.item_latent],
+                                        axis=1)
+        p.user_latent = self.user_rows[:, :k]
+        p.user_visual = self.user_rows[:, k:]
+        p.item_bias = self.item_rows[:, 0]
+        p.item_latent = self.item_rows[:, 1:]
         self.visual_bias = p.visual_bias
         self.category_bias = p.category_bias
         self.segments = p.segments
         self.features = model.features
-        self.leaves = model.item_leaf
+        self.leaves = model.item_leaf.tolist()   # Python ints index fastest
         self.lr = config.learning_rate
         r = config.reg
-        self.shrink_bias = 1.0 - self.lr * r.bias
-        self.shrink_latent = 1.0 - self.lr * r.latent
-        self.shrink_uv = 1.0 - self.lr * r.user_visual
+        shrink_bias = 1.0 - self.lr * r.bias
+        shrink_latent = 1.0 - self.lr * r.latent
+        shrink_uv = 1.0 - self.lr * r.user_visual
+        self.shrink_user = np.array([shrink_latent] * k + [shrink_uv] * kp)
+        self.shrink_item = np.array([shrink_bias] + [shrink_latent] * k)
         self.shrink_vb = 1.0 - self.lr * r.visual_bias
         self.shrink_cb = 1.0 - self.lr * r.category_bias
         self.seg_reg = r.segments
+        # diff = [b_i - b_j | gamma_i - gamma_j | theta_i - theta_j] from
+        # margin(), grad = ac * [1 | gamma_u | theta_u] from step(); the
+        # views are their item-row, user-row and per-group parts.
+        diff = np.empty(1 + k + kp)
+        grad = np.empty(1 + k + kp)
+        self._item_diff, self._user_diff = diff[:1 + k], diff[1:]
+        self._gd, self._td = diff[1:1 + k], diff[1 + k:]
+        # A 0-d view of grad[0], which holds ac: numpy scales an array by
+        # it faster than by a Python float.
+        self._ac = grad[0, ...]
+        self._item_grad, self._user_grad = grad[:1 + k], grad[1:]
+        self._su = grad[1 + k:]
         feat_dim = self.features.shape[1]
         self._fd = np.empty(feat_dim)
-        self._tj = np.empty(self.n_visual)
-        self._td = np.empty(self.n_visual)
-        self._tu_old = np.empty(self.n_visual)
-        self._su = np.empty(self.n_visual)
-        self._gd = np.empty(self.n_latent)
-        self._gu_old = np.empty(self.n_latent)
+        self._tj = np.empty(kp)
         max_rows = 0
         self._chains = ()
         if self.segments is not None:
@@ -203,10 +230,13 @@ class Trainer:
 
     def margin(self, u: int, i: int, j: int) -> float:
         """x_ui - x_uj using the scratch buffers (leaves them populated)."""
-        m = self.item_bias[i] - self.item_bias[j]
-        if self.n_latent:
-            np.subtract(self.item_latent[i], self.item_latent[j], out=self._gd)
-            m += self.user_latent[u] @ self._gd
+        k = self.n_latent
+        diff = self._item_diff
+        np.subtract(self.item_rows[i], self.item_rows[j], out=diff)
+        m = diff[0]
+        user = self.user_rows[u]
+        if k:
+            m += user[:k].dot(self._gd)
         if self.n_visual or self.use_vb:
             np.subtract(self.features[i], self.features[j], out=self._fd)
         if self.n_visual:
@@ -219,14 +249,14 @@ class Trainer:
             td, tj = self._td, self._tj
             for (bi, start, stop), (bj, _, _) in zip(path_i, path_j):
                 if bi == bj:
-                    np.matmul(blocks[bi], fd, out=td[start:stop])
+                    blocks[bi].dot(fd, out=td[start:stop])
                 else:
-                    np.matmul(blocks[bi], fi, out=td[start:stop])
-                    np.matmul(blocks[bj], fj, out=tj[start:stop])
+                    blocks[bi].dot(fi, out=td[start:stop])
+                    blocks[bj].dot(fj, out=tj[start:stop])
                     td[start:stop] -= tj[start:stop]
-            m += self.user_visual[u] @ td
+            m += user[k:].dot(td)
         if self.use_vb:
-            m += self.visual_bias @ self._fd
+            m += self.visual_bias.dot(self._fd)
         if self.use_cb:
             m += (self.category_bias[self.leaves[i]]
                   - self.category_bias[self.leaves[j]])
@@ -247,27 +277,27 @@ class Trainer:
         lr = self.lr
         ac = lr * c
 
-        ib = self.item_bias
-        ib[i] = ib[i] * self.shrink_bias + ac
-        ib[j] = ib[j] * self.shrink_bias - ac
-
-        if self.n_latent:
-            gu = self.user_latent[u]
-            np.copyto(self._gu_old, gu)
-            gu *= self.shrink_latent
-            gu += ac * self._gd          # _gd = gamma_i - gamma_j from margin()
-            gi = self.item_latent[i]
-            gi *= self.shrink_latent
-            gi += ac * self._gu_old
-            gj = self.item_latent[j]
-            gj *= self.shrink_latent
-            gj -= ac * self._gu_old
+        # grad = ac * [1 | gamma_u | theta_u] at the old user row; ac * 1.0
+        # is ac, and a per-column shrink multiplies each value by the same
+        # double as a per-group one, so every bit matches a step on
+        # separate arrays.
+        ac_arr = self._ac
+        ac_arr[()] = ac
+        user = self.user_rows[u]
+        np.multiply(user, ac_arr, out=self._user_grad)
+        user *= self.shrink_user
+        d = self._user_diff
+        d *= ac_arr
+        user += d
+        item_grad = self._item_grad
+        row = self.item_rows[i]
+        row *= self.shrink_item
+        row += item_grad
+        row = self.item_rows[j]
+        row *= self.shrink_item
+        row -= item_grad
 
         if self.n_visual:
-            tu = self.user_visual[u]
-            np.copyto(self._tu_old, tu)
-            tu *= self.shrink_uv
-            tu += ac * self._td          # _td = theta_i - theta_j from margin()
             # One rank-1 pass per layer at the old theta_u: shrink the
             # layer's blocks once, then give a block on both paths
             # su (x) (f_i - f_j), and otherwise add su (x) f_i to i's block
@@ -275,8 +305,7 @@ class Trainer:
             seg_shrink = 1.0 - lr * self.seg_reg
             blocks = self.segments.blocks
             scratch = self._scratch
-            su = self._su
-            np.multiply(self._tu_old, ac, out=su)
+            su = self._su                # ac * theta_u (old)
             fi, fj, fd = self.features[i], self.features[j], self._fd
             for (bi, start, stop), (bj, _, _) in zip(*self._paths):
                 block_i = blocks[bi]
@@ -299,7 +328,7 @@ class Trainer:
             vb = self.visual_bias
             if self.shrink_vb != 1.0:
                 vb *= self.shrink_vb
-            self._fd *= ac               # _fd = f_i - f_j from margin()
+            self._fd *= ac_arr           # _fd = f_i - f_j from margin()
             vb += self._fd
 
         if self.use_cb:

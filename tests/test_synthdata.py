@@ -458,3 +458,20 @@ def test_make_corpus_memory_stays_far_below_the_score_matrix():
         tracemalloc.stop()
     assert peak < dense_bytes / 4, peak
 
+
+def test_materialize_holds_one_float64_feature_array():
+    # The float64 draw (one n x F unit), its float32 copy (half a unit)
+    # and isfinite's bool mask (an eighth) come to 1.625 units. Adding the
+    # centers as a whole centers[item_leaf] array took a second float64
+    # unit (2.06 at this shape).
+    cfg = SynthConfig(n_users=20, n_items=2000, feature_dim=1024,
+                      branching=(16,), n_positives=4, planted_scheme=(2, 2),
+                      rng_seed=1)
+    unit = cfg.n_items * cfg.feature_dim * 8
+    tracemalloc.start()
+    try:
+        synthdata._materialize(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.85 * unit, peak / unit

@@ -10,7 +10,9 @@ from hierbpr.evaluation import EvalSplit, auc, split_leave_one_out
 from hierbpr.hierarchy import AllocationScheme
 from hierbpr.ingestion import TrainingCorpus
 from hierbpr.model import (
+    KIND_BPRMF,
     KIND_VBPR,
+    KIND_VBPRC,
     ModelConfig,
     PreferenceModel,
 )
@@ -21,6 +23,7 @@ from hierbpr.training import (
     Trainer,
     _STEP_BUFSIZE,
     _sigmoid,
+    _step_buffer,
     sample_triple,
     train,
 )
@@ -484,6 +487,47 @@ class TestTwoProductReference:
                 want = ref.params.arrays()[name]
                 assert (np.max(np.abs(arr - want))
                         <= 1e-12 * np.max(np.abs(want))), name
+
+
+PARITY_SYNTH = SynthConfig(n_users=40, n_items=90, feature_dim=8,
+                           branching=(2, 3), n_positives=4,
+                           planted_scheme=(2, 1, 1), rng_seed=11)
+
+
+class TestPerArrayReference:
+    """The row-layout step against ``reference.PerArrayTrainer``, the step
+    on separate arrays, over one sampled epoch."""
+
+    @pytest.mark.parametrize("reg", [
+        RegWeights(), RegWeights(segments=0.3, visual_bias=0.3),
+    ], ids=["default_reg", "segment_and_visual_bias_reg"])
+    @pytest.mark.parametrize("model_config", [
+        ModelConfig(3, kind=KIND_BPRMF),
+        ModelConfig(3, AllocationScheme((3,)), kind=KIND_VBPR),
+        ModelConfig(0, AllocationScheme((3,)), kind=KIND_VBPR),
+        ModelConfig(3, AllocationScheme((3,)), kind=KIND_VBPRC),
+        ModelConfig(2, AllocationScheme((1, 2, 1))),
+    ], ids=["BPR-MF", "VBPR", "VBPR_no_latent", "VBPR-C", "HVBPR"])
+    def test_epoch_bit_identical(self, model_config, reg):
+        corpus, _ = make_corpus(PARITY_SYNTH)
+        tc, _split = split_leave_one_out(corpus, 4)
+        config = TrainConfig(learning_rate=0.1, reg=reg)
+        live = PreferenceModel.create(model_config, corpus)
+        ref = PreferenceModel.create(model_config, corpus)
+        stepped = Trainer(live, config)
+        per_array = reference.PerArrayTrainer(ref, config)
+        # The live model's arrays are views of the trainer's rows.
+        assert live.params.item_bias.base is stepped.item_rows
+        assert live.params.user_visual.base is stepped.user_rows
+        triples = sample_triple(tc, np.random.default_rng(6), tc.n_interactions)
+        with _step_buffer(), np.errstate(over="raise", invalid="raise"):
+            for u, i, j in triples.tolist():
+                assert stepped.step(u, i, j) == per_array.step(u, i, j)
+        want = ref.params.arrays()
+        for name, arr in live.params.arrays().items():
+            assert arr.shape == want[name].shape, name
+            assert (np.ascontiguousarray(arr).tobytes()
+                    == want[name].tobytes()), name
 
 
 class TestTrain:
