@@ -64,10 +64,16 @@ def save_checkpoint(
     split: EvalSplit,
     seeds: dict,
     item_train_count: np.ndarray,
+    table: ItemTable | None = None,
 ) -> None:
-    """Serialize params, id maps, hierarchy, item tables, split and counts."""
+    """Serialize params, id maps, hierarchy, item tables, split and counts.
+
+    ``table`` is the model's frozen ``item_table()``, when the caller holds
+    one already; it is built here otherwise.
+    """
     corpus = model.corpus
-    table = model.item_table()
+    if table is None:
+        table = model.item_table()
 
     arrays: dict[str, np.ndarray] = {
         "parent": np.asarray(model.corpus.hierarchy.parent, dtype=np.int64),

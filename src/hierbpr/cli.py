@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import HierBprError, ParseError
+from .errors import HierBprError, NoEvaluableUsers, ParseError
 from .evaluation import ColdItemSet, auc, evaluate_report, split_leave_one_out
 from .ingestion import FEATURE_NORMS, POLICIES, load_corpus, read_feedback
 from .model import KIND_RAND, ModelConfig, PreferenceModel
@@ -178,6 +178,12 @@ def run_experiment(manifest: ExperimentManifest, evaluate: bool = True
     training_corpus, split = split_leave_one_out(corpus,
                                                  manifest.seeds["split"])
     model = PreferenceModel.create(model_config, corpus)
+    # The leave-one-out split gives a validation item only to users with
+    # three positives; with none, no epoch could be selected.
+    if model.config.kind != KIND_RAND and not (split.val_item >= 0).any():
+        raise NoEvaluableUsers("no user has three positives, so the split "
+                               "holds no validation item to select an "
+                               "epoch by")
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if model.config.kind == KIND_RAND:
@@ -186,11 +192,17 @@ def run_experiment(manifest: ExperimentManifest, evaluate: bool = True
         result = train(model, training_corpus, train_config, split=split)
     if result.best_params is not None:
         model.params = result.best_params
+    # One table serves the checkpoint and the report: the last validation's
+    # when the last epoch is the best, else one frozen here.
+    table = result.best_table
+    if table is None:
+        table = model.item_table()
     paths = {"checkpoint": str(out_dir / "model.ckpt"),
              "metrics": str(out_dir / "metrics.tsv")}
     save_checkpoint(paths["checkpoint"], model, split=split,
                     seeds=manifest.seeds,
-                    item_train_count=training_corpus.item_counts())
+                    item_train_count=training_corpus.item_counts(),
+                    table=table)
     _write_metrics(paths["metrics"], result.history)
     best = {"best_epoch": result.best_epoch,
             "best_val_auc": result.best_val_auc}
@@ -199,7 +211,7 @@ def run_experiment(manifest: ExperimentManifest, evaluate: bool = True
 
     cold = ColdItemSet.from_training(training_corpus,
                                      threshold=manifest.cold_threshold)
-    report = evaluate_report(model, corpus, split, cold)
+    report = evaluate_report(model, corpus, split, cold, table=table)
     paths["report"] = str(out_dir / "report.json")
     _write_json(paths["report"], {
         **report, **best, "seeds": manifest.seeds,

@@ -237,6 +237,11 @@ class ItemTable:
     ``score_all`` builds that matrix and rebinds ``theta``, ``latent`` and
     ``base`` to views of it, so their values stay and no second copy lives.
     The live model and the checkpoint both score and rank through one.
+
+    The user matrices are read, never copied whole: a block gathers its own
+    rows by fancy indexing, so a pass costs the same whether they are
+    contiguous (a checkpoint's) or column views of a ``Trainer``'s rows.
+    ``train`` rebinds them when it keeps its last validation's table.
     """
 
     def __init__(self, theta: np.ndarray, latent: np.ndarray, base: np.ndarray,
@@ -300,8 +305,11 @@ class ItemTable:
             items = self._item_matrix()
             kp = self.theta.shape[1]
             rows = self._users[:b]
-            np.take(self.user_visual, block, axis=0, out=rows[:, :kp])
-            np.take(self.user_latent, block, axis=0, out=rows[:, kp:-1])
+            # Fancy indexing copies only the block's rows; ``np.take`` with
+            # ``out`` would first copy a strided source (a ``Trainer``'s
+            # column views) whole.
+            rows[:, :kp] = self.user_visual[block]
+            rows[:, kp:-1] = self.user_latent[block]
             np.matmul(rows, items, out=out)
         return out if np.ndim(users) else out[0]
 

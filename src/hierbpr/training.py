@@ -22,7 +22,7 @@ import numpy as np
 from . import evaluation
 from .errors import EmptyCorpus, ExhaustedRejection, NonFiniteUpdate
 from .ingestion import TrainingCorpus
-from .model import KIND_RAND, ModelParams, PreferenceModel
+from .model import KIND_RAND, ItemTable, ModelParams, PreferenceModel
 
 _STEP_BUFSIZE = 1024
 
@@ -97,10 +97,37 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
+    """The best epoch on validation: a copy of its parameters and, when
+    that epoch ran last, the table its validation froze, bound to that
+    copy's user rows."""
+
     best_params: ModelParams | None
     best_epoch: int | None
     best_val_auc: float | None
     history: list[EpochStats]
+    best_table: ItemTable | None = None
+
+
+class _Freezer:
+    """A scorer for ``evaluation.validation_auc`` that remembers the table
+    it freezes, so that table need not be built again."""
+
+    def __init__(self, model: PreferenceModel):
+        self.model = model
+        self.table: ItemTable | None = None
+
+    def item_table(self) -> ItemTable:
+        self.table = self.model.item_table()
+        return self.table
+
+    def keep(self, params: ModelParams) -> ItemTable | None:
+        """The table, its user rows rebound to ``params``, a copy of the
+        parameters it froze: its own are the live rows, which a later step
+        would move. None if no table was frozen."""
+        if self.table is not None:
+            self.table.user_visual = params.user_visual
+            self.table.user_latent = params.user_latent
+        return self.table
 
 
 def _sigmoid(x: float) -> float:
@@ -219,13 +246,24 @@ class Trainer:
         self._su = grad[1 + k:]
         feat_dim = self.features.shape[1]
         self._fd = np.empty(feat_dim)
-        self._tj = np.empty(kp)
-        max_rows = 0
+        # Per leaf, one link per layer, root first: the layer's block and
+        # its rows of diff's theta part, of theta_j, of ac * theta_u (as a
+        # column) and of the outer-product scratch. A layer's rows are fixed
+        # for the run, so every view is built here, once.
         self._chains = ()
         if self.segments is not None:
-            max_rows = max((b.shape[0] for b in self.segments.blocks), default=0)
-            self._chains = self.segments.assignment.chains
-        self._scratch = np.empty((max_rows, feat_dim))
+            blocks = self.segments.blocks
+            tj = np.empty(kp)
+            scratch = np.empty((max(b.shape[0] for b in blocks), feat_dim))
+            views = {}
+            for _, start, stop in self.segments.assignment.blocks:
+                views[start] = (self._td[start:stop], tj[start:stop],
+                                self._su[start:stop, None],
+                                scratch[:stop - start])
+            self._chains = tuple(
+                None if chain is None else
+                tuple((blocks[b], *views[start]) for b, start, _ in chain)
+                for chain in self.segments.assignment.chains)
         self._paths = ((), ())         # (path_i, path_j), set by margin()
 
     def margin(self, u: int, i: int, j: int) -> float:
@@ -244,17 +282,15 @@ class Trainer:
             path_i = self._chains[self.leaves[i]]
             path_j = self._chains[self.leaves[j]]
             self._paths = (path_i, path_j)
-            blocks = self.segments.blocks
             fi, fj, fd = self.features[i], self.features[j], self._fd
-            td, tj = self._td, self._tj
-            for (bi, start, stop), (bj, _, _) in zip(path_i, path_j):
-                if bi == bj:
-                    blocks[bi].dot(fd, out=td[start:stop])
+            for (bi, td, tj, _, _), (bj, _, _, _, _) in zip(path_i, path_j):
+                if bi is bj:
+                    bi.dot(fd, out=td)
                 else:
-                    blocks[bi].dot(fi, out=td[start:stop])
-                    blocks[bj].dot(fj, out=tj[start:stop])
-                    td[start:stop] -= tj[start:stop]
-            m += user[k:].dot(td)
+                    bi.dot(fi, out=td)
+                    bj.dot(fj, out=tj)
+                    td -= tj
+            m += user[k:].dot(self._td)
         if self.use_vb:
             m += self.visual_bias.dot(self._fd)
         if self.use_cb:
@@ -301,28 +337,23 @@ class Trainer:
             # One rank-1 pass per layer at the old theta_u: shrink the
             # layer's blocks once, then give a block on both paths
             # su (x) (f_i - f_j), and otherwise add su (x) f_i to i's block
-            # and subtract su (x) f_j from j's.
+            # and subtract su (x) f_j from j's. su is the layer's rows of
+            # ac * theta_u (old), as a column.
             seg_shrink = 1.0 - lr * self.seg_reg
-            blocks = self.segments.blocks
-            scratch = self._scratch
-            su = self._su                # ac * theta_u (old)
             fi, fj, fd = self.features[i], self.features[j], self._fd
-            for (bi, start, stop), (bj, _, _) in zip(*self._paths):
-                block_i = blocks[bi]
+            for (bi, _, _, su, work), (bj, _, _, _, _) in zip(*self._paths):
                 if self.seg_reg:
-                    block_i *= seg_shrink
-                work = scratch[: stop - start]
-                if bi == bj:
-                    np.multiply(su[start:stop, None], fd[None, :], out=work)
-                    block_i += work
+                    bi *= seg_shrink
+                if bi is bj:
+                    np.multiply(su, fd, out=work)
+                    bi += work
                     continue
-                block_j = blocks[bj]
                 if self.seg_reg:
-                    block_j *= seg_shrink
-                np.multiply(su[start:stop, None], fi[None, :], out=work)
-                block_i += work
-                np.multiply(su[start:stop, None], fj[None, :], out=work)
-                block_j -= work
+                    bj *= seg_shrink
+                np.multiply(su, fi, out=work)
+                bi += work
+                np.multiply(su, fj, out=work)
+                bj -= work
 
         if self.use_vb:
             vb = self.visual_bias
@@ -353,8 +384,9 @@ def train(
     """Run the SGD loop for ``config.iterations`` epochs.
 
     With a split supplied, validation AUC is computed after every epoch, the
-    best-on-validation parameter snapshot is kept, and (if ``patience`` is
-    set) training stops after that many epochs without improvement.
+    best-on-validation parameter snapshot is kept (with its frozen table
+    when the last epoch is the best), and (if ``patience`` is set) training
+    stops after that many epochs without improvement.
     """
     if corpus.n_interactions == 0:
         raise EmptyCorpus("no training interactions")
@@ -364,6 +396,7 @@ def train(
 
     history: list[EpochStats] = []
     best_params = None
+    best_table = None
     best_epoch = None
     best_auc = -1.0
     for epoch in range(1, config.iterations + 1):
@@ -388,11 +421,18 @@ def train(
 
         val_auc = None
         if split is not None:
-            val_auc = evaluation.validation_auc(model, corpus, split)
+            # Only the last epoch's validation keeps its table: an earlier
+            # one held through the later validations raised catalog's peak
+            # RSS by about 1.5 MB.
+            last = epoch == config.iterations
+            scorer = _Freezer(model) if last else model
+            val_auc = evaluation.validation_auc(scorer, corpus, split)
             if val_auc > best_auc:
                 best_auc = val_auc
                 best_epoch = epoch
                 best_params = model.params.copy()
+                if last:
+                    best_table = scorer.keep(best_params)
         stats = EpochStats(epoch=epoch, val_auc=val_auc,
                            train_loss=loss_sum / steps_per_epoch,
                            seconds=time.perf_counter() - started)
@@ -406,5 +446,6 @@ def train(
         best_epoch=best_epoch,
         best_val_auc=(best_auc if best_epoch is not None else None),
         history=history,
+        best_table=best_table,
     )
 

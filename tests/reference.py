@@ -119,6 +119,13 @@ class PerArrayTrainer(Trainer):
         self._td = np.empty(self.n_visual)
         self._tu_old = np.empty(self.n_visual)
         self._su = np.empty(self.n_visual)
+        # Chains of (block id, row start, row stop), sliced per triple.
+        self._chains, self._tj = (), np.empty(self.n_visual)
+        max_rows = 0
+        if self.segments is not None:
+            self._chains = self.segments.assignment.chains
+            max_rows = max(b.shape[0] for b in self.segments.blocks)
+        self._scratch = np.empty((max_rows, self.features.shape[1]))
 
     def margin(self, u: int, i: int, j: int) -> float:
         """x_ui - x_uj using the scratch buffers (leaves them populated)."""

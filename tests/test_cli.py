@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 
 from hierbpr import cli
+from hierbpr.checkpoint import save_checkpoint
 from hierbpr.cli import (
     ExperimentManifest,
     build_parser,
     main,
     run_experiment,
 )
+from hierbpr.evaluation import (ColdItemSet, evaluate_report,
+                                split_leave_one_out)
 from hierbpr.hierarchy import AllocationScheme
 from hierbpr.ingestion import load_corpus, write_features_binary
-from hierbpr.model import ModelConfig
-from hierbpr.training import TrainConfig
+from hierbpr.model import ModelConfig, PreferenceModel
+from hierbpr.training import TrainConfig, train
 
 from conftest import one_error
 
@@ -311,6 +314,42 @@ class TestRunExperiment:
             return [line.split("\t")[:3] for line in lines]
         assert columns(trained) == columns(ran)
 
+    @pytest.mark.parametrize("iterations", [3, 4])
+    def test_one_table_matches_refreezing_best_params(self, dataset, tmp_path,
+                                                      iterations):
+        # Epoch 3 is the best of both runs. At 3 epochs the last
+        # validation's table writes the checkpoint and the report; at 4 one
+        # table is frozen from the best epoch's copy for both. Either way
+        # they must hold what freezing that copy afresh, twice, gives.
+        manifest = self.manifest(dataset, tmp_path / "run")
+        manifest.train["iterations"] = iterations
+        summary = run_experiment(manifest)
+        report = json.loads(Path(summary["report"]).read_text())
+        assert report["best_epoch"] == 3
+
+        model_config, train_config = manifest.configs()
+        corpus, _ = load_corpus(dataset["feedback"], dataset["features"],
+                                dataset["hierarchy"], dataset["item_leaves"])
+        tc, split = split_leave_one_out(corpus, manifest.seeds["split"])
+        model = PreferenceModel.create(model_config, corpus)
+        result = train(model, tc, train_config, split=split)
+        if iterations == 3:
+            # Bound to the copy's user rows, not the trainer's live ones.
+            table, params = result.best_table, result.best_params
+            assert table.user_visual is params.user_visual
+            assert table.user_latent is params.user_latent
+        else:
+            assert result.best_table is None
+        model.params = result.best_params
+        # Neither call is handed a table, so each freezes best_params anew.
+        save_checkpoint(tmp_path / "refrozen.ckpt", model, split,
+                        manifest.seeds, tc.item_counts())
+        assert ((tmp_path / "refrozen.ckpt").read_bytes()
+                == Path(summary["checkpoint"]).read_bytes())
+        cold = ColdItemSet.from_training(tc, manifest.cold_threshold)
+        expected = evaluate_report(model, corpus, split, cold)
+        assert {key: report[key] for key in expected} == expected
+
     def test_train_and_run_take_the_same_options(self):
         for command in ("train", "run"):
             args = build_parser().parse_args([command, "--manifest", "m"])
@@ -401,6 +440,26 @@ class TestRunExperiment:
         path.write_text(json.dumps(raw))
         assert main([command, "--manifest", str(path)]) == 1
         assert one_error(capsys)["error"] == expected
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    def test_no_validation_item_fails_before_training(self, tmp_path, capsys,
+                                                      command):
+        # Two positives per user: the split holds out a test item each and
+        # no validation item, so no epoch could be selected.
+        data = tmp_path / "data"
+        assert main(synth_args(data, **{
+            "--users": "40", "--items": "60", "--feature-dim": "8",
+            "--positives": "2", "--planted-scheme": "2", "--seed": "3"})) == 0
+        capsys.readouterr()
+        path = write_manifest(tmp_path / "exp.json", data_paths(data),
+                              tmp_path / "out",
+                              model={"kind": "VBPR", "n_latent": 2,
+                                     "scheme": [2]})
+        assert main([command, "--manifest", path]) == 1
+        error = one_error(capsys)
+        assert error["error"] == "NoEvaluableUsers"
+        assert "three positives" in error["message"]
         assert not (tmp_path / "out").exists()
 
     def test_overflow_is_one_line(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -483,6 +484,34 @@ class TestOneProductScorer:
         table.score_all(np.arange(3))
         for name in names:
             assert np.array_equal(getattr(table, name), before[name])
+
+    def test_gather_from_strided_user_rows_is_per_block(self):
+        # A Trainer leaves the user arrays as column views of one
+        # (n_users, K + K') array. Gathering a block must copy only its own
+        # rows, not the whole strided source, and score the same bits as a
+        # table over contiguous arrays.
+        n_users, n_items, k, kp = 50_000, 100, 10, 10
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(n_users, k + kp))
+        theta, latent = rng.normal(size=(n_items, kp)), rng.normal(
+            size=(n_items, k))
+        base, leaf = rng.normal(size=n_items), np.zeros(n_items, dtype=int)
+        strided = ItemTable(theta, latent, base, leaf, rows[:, k:],
+                            rows[:, :k])
+        contiguous = ItemTable(theta, latent, base, leaf,
+                               rows[:, k:].copy(), rows[:, :k].copy())
+        block = np.arange(0, n_users, 2_083)[:24]
+        strided.score_all(block[::-1])     # item matrix and buffers
+        tracemalloc.start()
+        try:
+            scores = strided.score_all(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A few blocks' bytes; a whole-array copy of the visual rows alone
+        # would be 50,000 x 10 x 8 = 4 MB.
+        assert peak <= 4 * len(block) * n_items * 8
+        assert np.array_equal(scores, contiguous.score_all(block))
 
     def test_checkpoint_bytes_do_not_depend_on_scoring(self, model, tmp_path,
                                                        monkeypatch):
